@@ -95,10 +95,10 @@ class OneParticleVector:
         self.coeffs: dict[int, complex] = {}
         if coeffs:
             for b, c in coeffs.items():
+                if not 0 <= b < basis.dim:
+                    raise IndexError("basis index out of range")
                 c = complex(c)
                 if abs(c) > PRUNE_TOL:
-                    if not 0 <= b < basis.dim:
-                        raise IndexError("basis index out of range")
                     self.coeffs[int(b)] = c
 
     @classmethod
@@ -180,27 +180,71 @@ def _spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise complex product with every real product and sum rounded
+    on its own, as a BLAS product of two diagonal matrices rounds them;
+    numpy's complex multiply may fuse them and round differently."""
+    out = np.empty_like(b)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 class Twist:
     """Commuting unitaries U_k, one per Weyl generator, defining u(n).
 
     Construction validates unitarity, pairwise commutativity and
     compatibility with charge conjugation ([kappa, U_k] = 0, i.e.
     U_k K = K conj(U_k) for the sector swap K); each within 1e-12 in
-    operator norm.
+    operator norm, and every entry must be finite.
+
+    When every U_k has all off-diagonal entries exactly zero, as the
+    model twists do, the twist keeps one phase vector per generator and
+    validates and applies it entrywise: the operator norms above are
+    then maxima over entries, diagonal unitaries commute exactly, and
+    u(n) e_b is a single phase.  Any other family is kept dense.
     """
 
-    __slots__ = ("basis", "gens", "unitaries", "_cache", "__weakref__")
+    __slots__ = ("basis", "gens", "_diagonal", "_factors", "_cache", "__weakref__")
 
     def __init__(self, basis: OneParticleBasis, gens: GeneratorSet, unitaries) -> None:
         unitaries = tuple(np.asarray(u, dtype=complex) for u in unitaries)
         if len(unitaries) != len(gens):
             raise ValueError("need exactly one unitary per Weyl generator")
         d = basis.dim
-        eye = np.eye(d)
-        kmat = Conjugation(basis).matrix()
         for idx, u in enumerate(unitaries):
             if u.shape != (d, d):
                 raise ValueError("twist unitary has wrong shape")
+            if not np.isfinite(u).all():
+                raise ValueError(f"twist generator {idx} is not unitary")
+        self.basis = basis
+        self.gens = gens
+        self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._diagonal = all(
+            np.count_nonzero(u) == np.count_nonzero(np.diagonal(u)) for u in unitaries
+        )
+        if self._diagonal:
+            # one phase vector per generator
+            self._factors = tuple(np.diagonal(u).copy() for u in unitaries)
+            self._check_phases()
+        else:
+            self._factors = unitaries
+            self._check_dense()
+
+    def _check_phases(self) -> None:
+        half = self.basis.dim // 2
+        for idx, p in enumerate(self._factors):
+            if np.max(np.abs(p.real * p.real + p.imag * p.imag - 1.0)) > TWIST_TOL:
+                raise ValueError(f"twist generator {idx} is not unitary")
+            # U K - K conj(U) holds u_kappa(i) - conj(u_i) at (kappa(i), i)
+            if np.max(np.abs(np.roll(p, half) - p.conj())) > TWIST_TOL:
+                raise ValueError(f"twist generator {idx} breaks charge conjugation")
+
+    def _check_dense(self) -> None:
+        unitaries = self._factors
+        eye = np.eye(self.basis.dim)
+        kmat = Conjugation(self.basis).matrix()
+        for idx, u in enumerate(unitaries):
             if _spectral_norm(u @ u.conj().T - eye) > TWIST_TOL:
                 raise ValueError(f"twist generator {idx} is not unitary")
             if _spectral_norm(u @ kmat - kmat @ u.conj()) > TWIST_TOL:
@@ -210,33 +254,48 @@ class Twist:
                 comm = unitaries[a] @ unitaries[b] - unitaries[b] @ unitaries[a]
                 if _spectral_norm(comm) > TWIST_TOL:
                     raise ValueError(f"twist generators {a} and {b} do not commute")
-        self.basis = basis
-        self.gens = gens
-        self.unitaries = unitaries
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
 
-    def matrix(self, n: tuple[int, ...]) -> np.ndarray:
-        """u(n) = prod_k U_k^{n_k}; u(0) is the exact identity."""
-        n = tuple(int(v) for v in n)
-        if len(n) != len(self.unitaries):
-            raise ValueError("exponent length mismatch")
+    @property
+    def unitaries(self) -> tuple[np.ndarray, ...]:
+        """The generators U_k as dense matrices."""
+        if self._diagonal:
+            return tuple(np.diag(p) for p in self._factors)
+        return self._factors
+
+    def _power(self, n: tuple[int, ...]) -> np.ndarray:
+        """Cached u(n): its phase vector when diagonal, else its matrix."""
         cached = self._cache.get(n)
         if cached is not None:
             return cached
-        out = np.eye(self.basis.dim, dtype=complex)
+        n = tuple(int(v) for v in n)
+        if len(n) != len(self.gens):
+            raise ValueError("exponent length mismatch")
+        d = self.basis.dim
+        if self._diagonal:
+            out, mul = np.ones(d, dtype=complex), _times
+        else:
+            out, mul = np.eye(d, dtype=complex), np.matmul
         for k, power in enumerate(n):
             if power == 0:
                 continue
-            base = self.unitaries[k] if power > 0 else self.unitaries[k].conj().T
+            # inverse = adjoint; .T leaves a phase vector as it is
+            base = self._factors[k] if power > 0 else self._factors[k].conj().T
             for _ in range(abs(power)):
-                out = base @ out
+                out = mul(base, out)
         self._cache[n] = out
         return out
+
+    def matrix(self, n: tuple[int, ...]) -> np.ndarray:
+        """u(n) = prod_k U_k^{n_k}; u(0) is the exact identity."""
+        u = self._power(tuple(int(v) for v in n))
+        return np.diag(u) if self._diagonal else u
 
     def column(self, n: tuple[int, ...], b: int) -> dict[int, complex]:
         """Sparse column u(n) e_b."""
         if all(v == 0 for v in n):
             return {b: 1.0 + 0.0j}
+        if self._diagonal:
+            return {b: complex(self._power(n)[b])}
         col = self.matrix(n)[:, b]
         return {i: complex(col[i]) for i in np.nonzero(np.abs(col) > PRUNE_TOL)[0]}
 

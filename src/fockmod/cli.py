@@ -54,6 +54,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _int(value, where: str) -> int:
+    """int(value), or a ConfigError naming the field."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"{where}: expected an integer, got {value!r}") from e
+
+
 # ---------------------------------------------------------------------------
 # config loading and scenario assembly
 
@@ -85,7 +93,7 @@ def _parse_grid(d: dict) -> GridSpec:
             spacing=float(d.get("spacing", 1.0)),
             components=int(d.get("components", 1)),
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"grid: {e}") from e
 
 
@@ -132,7 +140,7 @@ def build_scenario(config: dict):
         radius = float(radius)
     state = config.get("state", "tracial")
     _require(state in State.KINDS, f"state: {state!r} not in {State.KINDS}")
-    truncation = int(config.get("truncation", 3))
+    truncation = _int(config.get("truncation", 3), "truncation")
     _require(1 <= truncation <= 4, "truncation: expected 1..4 at desk scale")
     gen_pairs = _parse_generators(grid, config.get("generators"))
     try:
@@ -144,7 +152,7 @@ def build_scenario(config: dict):
         _require(isinstance(vs, dict), f"vectors.{name}: expected an object")
         sector = _SECTORS.get(vs.get("sector", "+"))
         _require(sector is not None, f"vectors.{name}.sector: use '+' or '-'")
-        comp = int(vs.get("component", 0))
+        comp = _int(vs.get("component", 0), f"vectors.{name}.component")
         _require(0 <= comp < grid.components, f"vectors.{name}.component out of range")
         prof = _parse_profile(grid, vs.get("profile", {}), f"vectors.{name}.profile")
         vectors[name] = models.plus_vector(ctx.module, prof, comp, sector)
@@ -233,13 +241,13 @@ def _observables(ctx, params, where):
 
 def _run_weyl(ctx, params, seed, tol):
     return models.check_weyl_exactness(
-        ctx.gens, seed, int(params.get("cases", 200)), tol or 1e-14
+        ctx.gens, seed, _int(params.get("cases", 200), "weyl_exactness.cases"), tol or 1e-14
     )
 
 
 def _run_gram(ctx, params, seed, tol):
     return models.check_gram_positivity(
-        ctx.gens, seed, int(params.get("size", 8)), tol or 1e-10
+        ctx.gens, seed, _int(params.get("size", 8), "gram_positivity.size"), tol or 1e-10
     )
 
 
@@ -252,15 +260,21 @@ def _run_car(ctx, params, seed, tol):
 
 
 def _run_adjointness(ctx, params, seed, tol):
-    return models.check_adjointness(ctx, seed, int(params.get("cases", 100)), tol or 1e-10)
+    return models.check_adjointness(
+        ctx, seed, _int(params.get("cases", 100), "adjointness.cases"), tol or 1e-10
+    )
 
 
 def _run_covariance(ctx, params, seed, tol):
-    return models.check_covariance(ctx, seed, int(params.get("cases", 100)), tol or 1e-12)
+    return models.check_covariance(
+        ctx, seed, _int(params.get("cases", 100), "covariance.cases"), tol or 1e-12
+    )
 
 
 def _run_norm(ctx, params, seed, tol):
-    return models.check_norm_recovery(ctx, seed, int(params.get("cases", 20)), tol or 1e-8)
+    return models.check_norm_recovery(
+        ctx, seed, _int(params.get("cases", 20), "norm_recovery.cases"), tol or 1e-8
+    )
 
 
 def _run_nonfock(ctx, params, seed, tol):
@@ -272,7 +286,9 @@ def _run_pauli(ctx, params, seed, tol):
 
 
 def _run_dirac_adjoint(ctx, params, seed, tol):
-    return models.check_dirac_adjoint(ctx, seed, int(params.get("cases", 10)), tol or 1e-12)
+    return models.check_dirac_adjoint(
+        ctx, seed, _int(params.get("cases", 10), "dirac_adjoint.cases"), tol or 1e-12
+    )
 
 
 def _run_relative_locality(ctx, params, seed, tol):
@@ -426,7 +442,7 @@ def run_config(
         config["seed"] = int(seed)
     if truncation is not None:
         config["truncation"] = int(truncation)
-    base_seed = int(config.get("seed", 0))
+    base_seed = _int(config.get("seed", 0), "seed")
     ctx = build_scenario(config)
     items = config.get("checks")
     _require(isinstance(items, list) and items, "checks: need a nonempty list")

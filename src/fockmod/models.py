@@ -163,21 +163,24 @@ def sigma_convolve(kind: str, grid: GridSpec, s0, radius: float | None = None) -
         raise ValueError("profile length does not match grid")
     if kind == "delta":
         return s0.copy()
-    out = np.zeros(grid.n_points)
-    coords = [grid.coords(i) for i in range(grid.n_points)]
-    vol = grid.cell_volume
-    for xi in range(grid.n_points):
-        cx = coords[xi]
-        acc = 0.0
-        for yi in range(grid.n_points):
-            sy = s0[yi]
-            if sy == 0.0:
-                continue
-            cy = coords[yi]
-            disp = tuple(a - b for a, b in zip(cx, cy))
-            acc += kernel_value(kind, grid, disp, radius) * sy
-        out[xi] = acc * vol
-    return out
+    acc = np.zeros(grid.n_points)
+    sources = np.flatnonzero(s0)
+    if sources.size:
+        # integer coordinates, one row per axis, in grid.coords order
+        shape = (grid.points_per_axis,) * grid.dimension
+        coords = np.array(np.unravel_index(np.arange(grid.n_points), shape))
+        # the kernel depends on a displacement through its squared length
+        # alone, and every squared length |x - y|^2 on the grid is that
+        # of some point's coordinates
+        sq_len = (coords * coords).sum(axis=0)
+        table = np.zeros(int(sq_len.max()) + 1)
+        for sq, i in zip(*np.unique(sq_len, return_index=True)):
+            table[sq] = kernel_value(kind, grid, tuple(int(c) for c in coords[:, i]), radius)
+        # add the sources in index order: the sum over y rounds as written
+        for y in sources:
+            disp = coords - coords[:, y : y + 1]
+            acc += table[(disp * disp).sum(axis=0)] * s0[y]
+    return acc * grid.cell_volume
 
 
 def make_twist(
@@ -267,8 +270,12 @@ def profile_array(grid: GridSpec, spec: dict) -> np.ndarray:
         vals = np.asarray(spec["values"], dtype=float).reshape(-1)
         if vals.shape != (grid.n_points,):
             raise ValueError("values length does not match grid")
+        if not np.isfinite(vals).all():
+            raise ValueError("values must be finite")
         return vals
     amp = float(spec.get("amplitude", 1.0))
+    if not math.isfinite(amp):
+        raise ValueError("amplitude must be finite")
     center = spec.get("center", grid.points_per_axis // 2)
     if isinstance(center, (list, tuple)):
         cidx = grid.index(tuple(int(c) for c in center))
@@ -279,7 +286,7 @@ def profile_array(grid: GridSpec, spec: dict) -> np.ndarray:
         out[cidx] = amp
         return out
     width = float(spec.get("width", 1.0))
-    if width <= 0:
+    if not width > 0:
         raise ValueError("width must be positive")
     for i in range(grid.n_points):
         dist = grid.spacing * math.sqrt(

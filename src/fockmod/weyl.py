@@ -55,8 +55,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.dimension < 1 or self.points_per_axis < 1:
             raise ValueError("grid must have positive dimension and size")
-        if self.spacing <= 0:
-            raise ValueError("grid spacing must be positive")
+        if not (math.isfinite(self.spacing) and self.spacing > 0):
+            raise ValueError("grid spacing must be positive and finite")
         if self.components < 1:
             raise ValueError("need at least one spinor component")
 

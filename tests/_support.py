@@ -30,7 +30,7 @@ from fockmod.fock import (
     fock_left_action,
     fock_right_mul,
 )
-from fockmod.models import make_twist
+from fockmod.models import kernel_value, make_twist
 from fockmod.oracle import (
     DenseTensor,
     oracle_fermi_annihilate,
@@ -100,6 +100,29 @@ def tiny_module(family: str = "trivial", seed: int = 0) -> FreeBimodule:
     else:
         twist = make_twist(family, basis, gens, 1.5 if family == "bump" else None)
     return FreeBimodule(basis, gens, twist)
+
+
+def ref_sigma_convolve(kind: str, grid: GridSpec, s0, radius=None) -> np.ndarray:
+    """Independent route to sigma * s0: the plain double sum over grid
+    points, one kernel_value call per (x, y) pair with s0(y) != 0."""
+    s0 = np.asarray(s0, dtype=float).reshape(-1)
+    if kind == "delta":
+        return s0.copy()
+    out = np.zeros(grid.n_points)
+    coords = [grid.coords(i) for i in range(grid.n_points)]
+    vol = grid.cell_volume
+    for xi in range(grid.n_points):
+        cx = coords[xi]
+        acc = 0.0
+        for yi in range(grid.n_points):
+            sy = s0[yi]
+            if sy == 0.0:
+                continue
+            cy = coords[yi]
+            disp = tuple(a - b for a, b in zip(cx, cy))
+            acc += kernel_value(kind, grid, disp, radius) * sy
+        out[xi] = acc * vol
+    return out
 
 
 # ---------------------------------------------------------------------------

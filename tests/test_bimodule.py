@@ -83,6 +83,9 @@ def test_one_particle_vector_arithmetic():
     assert OneParticleVector.from_array(basis, arr).coeffs == v.coeffs
     with pytest.raises(IndexError):
         OneParticleVector(basis, {6: 1.0})
+    # out of range even when the coefficient is small enough to prune
+    with pytest.raises(IndexError):
+        OneParticleVector(basis, {99: 1e-20})
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +98,16 @@ def test_twist_rejects_nonunitary():
     bad = [np.eye(6), 2.0 * np.eye(6)]
     with pytest.raises(ValueError, match="not unitary"):
         Twist(basis, gens, bad)
+    # non-finite entries, in a diagonal family and in a dense one
+    for bad in (math.nan, math.inf):
+        phases = np.exp(1j * np.array([0.3, 1.1, 2.0, -0.3, -1.1, -2.0]))
+        phases[1] = phases[4] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            Twist(basis, gens, [np.eye(6), np.diag(phases)])
+        u = mixing_twist(basis, gens).unitaries[0].copy()
+        u[0, 1] = bad
+        with pytest.raises(ValueError, match="not unitary"):
+            Twist(basis, gens, [u, np.eye(6)])
 
 
 def test_twist_rejects_noncommuting():
@@ -128,12 +141,19 @@ def test_twist_needs_one_unitary_per_generator():
         Twist(basis, tiny_gens(), [np.eye(6)])
 
 
-def test_twist_powers_match_matrix_powers():
-    module = tiny_module("mixed", seed=2)
+@pytest.mark.parametrize("family", ("mixed", "poisson"))
+def test_twist_powers_match_matrix_powers(family):
+    module = tiny_module(family, seed=2)
     twist = module.twist
     u_of = raw_u_of(twist)
     for n in [(0, 0), (1, 0), (0, -1), (2, 1), (-1, 3), (-2, -2)]:
         assert np.allclose(twist.matrix(n), u_of(n), atol=1e-12)
+        if family == "poisson":
+            # diagonal: each column is the one phase u(n)_bb
+            for b in range(6):
+                col = twist.column(n, b)
+                assert col.keys() == {b}
+                assert abs(col[b] - u_of(n)[b, b]) <= 1e-12
     assert np.array_equal(twist.matrix((0, 0)), np.eye(6))
     assert twist.column((0, 0), 4) == {4: 1.0 + 0.0j}
     with pytest.raises(ValueError):

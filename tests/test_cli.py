@@ -275,6 +275,44 @@ def test_main_config_errors(tmp_path, capsys):
     assert main(["model", "--config", str(bad)]) == 2
 
 
+def _main_exit(tmp_path, cfg) -> int:
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(cfg))
+    return main(["model", "--config", str(p), "--format", "json", "--out", str(tmp_path / "r.json")])
+
+
+@pytest.mark.parametrize(
+    "patch, field",
+    (
+        ({"truncation": "abc"}, "truncation"),
+        ({"seed": "x"}, "seed"),
+        ({"checks": [{"check": "adjointness", "cases": "many"}]}, "adjointness.cases"),
+    ),
+)
+def test_main_config_type_errors_exit_2(tmp_path, capsys, patch, field):
+    assert _main_exit(tmp_path, broken(**patch)) == 2
+    assert f"fockmod: {field}: expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spacing", (float("nan"), float("inf")))
+def test_main_nonfinite_spacing_exits_2(tmp_path, capsys, spacing):
+    cfg = tiny_config()
+    cfg["grid"]["spacing"] = spacing
+    assert _main_exit(tmp_path, cfg) == 2
+    assert "spacing" in capsys.readouterr().err
+
+
+def test_main_nonfinite_profile_exits_2(tmp_path, capsys):
+    cfg = tiny_config()
+    cfg["generators"][0]["s0"]["amplitude"] = float("nan")
+    assert _main_exit(tmp_path, cfg) == 2
+    assert "generators[0].s0: amplitude must be finite" in capsys.readouterr().err
+    cfg = tiny_config()
+    cfg["vectors"]["wA"]["profile"] = {"shape": "values", "values": [0.0, 0.0, float("inf")]}
+    assert _main_exit(tmp_path, cfg) == 2
+    assert "vectors.wA.profile: values must be finite" in capsys.readouterr().err
+
+
 def test_main_usage_errors():
     with pytest.raises(SystemExit):
         main([])

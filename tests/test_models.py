@@ -50,7 +50,7 @@ from fockmod.models import (
     term_charge,
 )
 
-from _support import tiny_gens, tiny_grid, tiny_pairs
+from _support import ref_sigma_convolve, tiny_gens, tiny_grid, tiny_pairs
 
 GRID = tiny_grid()
 UNIT_W = WeylElement.unit
@@ -136,6 +136,23 @@ def test_convolve_rejects_wrong_length():
         sigma_convolve("delta", GRID, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("kind", SIGMA_KINDS)
+@pytest.mark.parametrize("dimension", (1, 2, 3))
+@pytest.mark.parametrize("spacing", (1.0, 0.37))
+def test_convolve_matches_reference_double_sum(kind, dimension, spacing):
+    points = {1: 7, 2: 5, 3: 4}[dimension]
+    grid = GridSpec(dimension=dimension, points_per_axis=points, spacing=spacing)
+    radius = 1.1 if kind == "bump" else None
+    sparse = np.zeros(grid.n_points)
+    sparse[[1, grid.n_points - 2]] = [0.8, -1.3]
+    dense = np.random.default_rng(dimension).normal(size=grid.n_points)
+    for s0 in (sparse, dense):
+        got = sigma_convolve(kind, grid, s0, radius)
+        want = ref_sigma_convolve(kind, grid, s0, radius)
+        # bit for bit, signed zeros included
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # model twists
 
@@ -209,6 +226,13 @@ def test_profile_center_list_and_errors():
         profile_array(GRID, {"shape": "spiral"})
     with pytest.raises(ValueError, match="width"):
         profile_array(GRID, {"shape": "box", "width": 0.0})
+    # non-finite input is rejected, not turned into an empty or NaN profile
+    with pytest.raises(ValueError, match="width"):
+        profile_array(GRID, {"shape": "box", "width": math.nan})
+    with pytest.raises(ValueError, match="amplitude must be finite"):
+        profile_array(GRID, {"shape": "point", "amplitude": math.nan})
+    with pytest.raises(ValueError, match="values must be finite"):
+        profile_array(GRID, {"shape": "values", "values": [1.0, math.inf, 0.0]})
 
 
 def test_plus_vector_and_supports():

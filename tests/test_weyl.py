@@ -54,6 +54,9 @@ def test_grid_validation():
         GridSpec(spacing=0.0)
     with pytest.raises(ValueError):
         GridSpec(components=0)
+    for spacing in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(spacing=spacing)
 
 
 def test_symplectic_point_masses():
