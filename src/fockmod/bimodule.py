@@ -31,7 +31,6 @@ __all__ = [
     "left_action",
     "module_inner",
     "conjugate_vector",
-    "support",
     "mutually_free",
     "FreenessReport",
 ]
@@ -134,19 +133,6 @@ class OneParticleVector:
 
     def norm(self) -> float:
         return sum(abs(c) ** 2 for c in self.coeffs.values()) ** 0.5
-
-    def to_array(self) -> np.ndarray:
-        out = np.zeros(self.basis.dim, dtype=complex)
-        for b, c in self.coeffs.items():
-            out[b] = c
-        return out
-
-    @classmethod
-    def from_array(cls, basis: OneParticleBasis, arr) -> "OneParticleVector":
-        arr = np.asarray(arr, dtype=complex).reshape(-1)
-        if arr.shape != (basis.dim,):
-            raise ValueError("array length does not match basis dimension")
-        return cls(basis, {i: arr[i] for i in range(basis.dim) if abs(arr[i]) > PRUNE_TOL})
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{b}: {c:.6g}" for b, c in sorted(self.coeffs.items()))
@@ -446,11 +432,6 @@ def conjugate_vector(f: ModuleVector) -> ModuleVector:
         f.space,
         {basis.conj_index(b): a.adjoint() for b, a in f.entries.items()},
     )
-
-
-def support(f: ModuleVector) -> frozenset[tuple[int, ...]]:
-    """Group elements carrying a nonzero one-particle part of f."""
-    return frozenset(f.by_group().keys())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Verification runner behind the fockmod console script.
 
 Reads a scenario config (JSON, schema fockmod/1), builds the model
-context it describes, runs the named checks and emits a report.  JSON
+context it describes, runs the named checks and emits a report.  One
+table, CHECK_PARAMS, maps each check name to the parsers of its
+parameters; models.check_<name> is looked up by name when it runs.  JSON
 reports are byte-identical for identical config and seed: keys are
 sorted, residuals are serialized through repr so they round-trip to the
 exact double, and no timing data enters the payload (the text format
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -134,8 +137,10 @@ def build_scenario(config: dict):
     radius = sigma.get("radius")
     if kind == "bump":
         _require(
-            isinstance(radius, (int, float)) and radius > 0,
-            "sigma.radius: bump needs a positive radius",
+            isinstance(radius, (int, float))
+            and not isinstance(radius, bool)
+            and 0 < radius < math.inf,
+            "sigma.radius: bump needs a positive finite radius",
         )
         radius = float(radius)
     state = config.get("state", "tracial")
@@ -192,207 +197,131 @@ def _check_seed(seed: int, name: str, ordinal: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# check dispatch
+# check dispatch: one parameter schema per check
+#
+# A parser takes (ctx, params, check name) and returns one positional
+# argument of models.check_<name>; "ctx", "gens" and "seed" stand for the
+# context, its generators and the check's seed.  An item parser takes
+# (ctx, item, field path) and returns one entry of a list parameter.
 
 
-def _pairs(ctx, params, key, where, expect=None):
-    out = []
-    for i, pair in enumerate(params.get(key, [])):
+def _count(key: str, default: int):
+    return lambda ctx, params, name: _int(params.get(key, default), f"{name}.{key}")
+
+
+def _each(key: str, parse_item):
+    """Parser of the list params[key], item by item."""
+
+    def parse(ctx, params, name):
+        items = params.get(key, [])
+        _require(isinstance(items, list), f"{name}.{key}: expected a list")
+        return [parse_item(ctx, item, f"{name}.{key}[{i}]") for i, item in enumerate(items)]
+
+    return parse
+
+
+def _generator(ctx, k, where: str) -> int:
+    _require(
+        isinstance(k, int) and 0 <= k < len(ctx.gens),
+        f"{where}: expected a generator index below {len(ctx.gens)}",
+    )
+    return k
+
+
+def _pair(ctx, item, where: str):
+    _require(isinstance(item, list) and len(item) == 2, f"{where}: expected [f, g]")
+    return _fspec(ctx, item[0], f"{where}[0]"), _fspec(ctx, item[1], f"{where}[1]")
+
+
+def _vector_generator(ctx, item, where: str):
+    _require(isinstance(item, list) and len(item) == 2, f"{where}: expected [vector, generator]")
+    return _vector(ctx, item[0], f"{where}[0]"), _generator(ctx, item[1], f"{where}[1]")
+
+
+def _triple(ctx, item, where: str):
+    _require(isinstance(item, list) and len(item) == 3, f"{where}: expected [generator, w1, w2]")
+    k = _generator(ctx, item[0], f"{where}[0]")
+    return k, _vector(ctx, item[1], f"{where}[1]"), _vector(ctx, item[2], f"{where}[2]")
+
+
+def _observable(ctx, item, where: str):
+    _require(isinstance(item, dict), f"{where}: expected an object")
+    k = item.get("generator")
+    if k is None:
+        s = WeylElement.unit(ctx.gens)
+    else:
+        s = WeylElement.monomial(ctx.gens, ctx.gens.unit(_generator(ctx, k, f"{where}.generator")))
+    w1 = _vector(ctx, item.get("w1"), f"{where}.w1")
+    return s, w1, _vector(ctx, item.get("w2"), f"{where}.w2")
+
+
+def _car_pairs(ctx, params, name):
+    pairs = [(f, g, True) for f, g in _each("free", _pair)(ctx, params, name)]
+    pairs += [(f, g, False) for f, g in _each("nonfree", _pair)(ctx, params, name)]
+    _require(bool(pairs), f"{name}: no pairs given")
+    return pairs
+
+
+def _disjoint(ctx, params, name):
+    # runs after the observables parser, which has checked that list
+    n = len(params.get("observables", []))
+
+    def index_pair(ctx, item, where):
         _require(
-            isinstance(pair, list) and len(pair) == 2,
-            f"{where}.{key}[{i}]: expected [f, g]",
+            isinstance(item, list)
+            and len(item) == 2
+            and all(isinstance(x, int) and 0 <= x < n for x in item),
+            f"{where}: expected a valid index pair",
         )
-        f = _fspec(ctx, pair[0], f"{where}.{key}[{i}][0]")
-        g = _fspec(ctx, pair[1], f"{where}.{key}[{i}][1]")
-        out.append((f, g) if expect is None else (f, g, expect))
-    return out
+        return item[0], item[1]
+
+    return _each("disjoint", index_pair)(ctx, params, name)
 
 
-def _vec_gen_pairs(ctx, params, key, where):
-    out = []
-    for i, pair in enumerate(params.get(key, [])):
-        _require(
-            isinstance(pair, list) and len(pair) == 2 and isinstance(pair[1], int),
-            f"{where}.{key}[{i}]: expected [vector, generator]",
-        )
-        _require(0 <= pair[1] < len(ctx.gens), f"{where}.{key}[{i}]: generator index out of range")
-        out.append((_vector(ctx, pair[0], f"{where}.{key}[{i}]"), pair[1]))
-    return out
-
-
-def _observables(ctx, params, where):
-    specs = []
-    for i, ob in enumerate(params.get("observables", [])):
-        _require(isinstance(ob, dict), f"{where}.observables[{i}]: expected an object")
-        k = ob.get("generator")
-        if k is None:
-            s = WeylElement.unit(ctx.gens)
-        else:
-            _require(
-                isinstance(k, int) and 0 <= k < len(ctx.gens),
-                f"{where}.observables[{i}].generator out of range",
-            )
-            s = WeylElement.monomial(ctx.gens, ctx.gens.unit(k))
-        w1 = _vector(ctx, ob.get("w1"), f"{where}.observables[{i}].w1")
-        w2 = _vector(ctx, ob.get("w2"), f"{where}.observables[{i}].w2")
-        specs.append((s, w1, w2))
-    return specs
-
-
-def _run_weyl(ctx, params, seed, tol):
-    return models.check_weyl_exactness(
-        ctx.gens, seed, _int(params.get("cases", 200), "weyl_exactness.cases"), tol or 1e-14
-    )
-
-
-def _run_gram(ctx, params, seed, tol):
-    return models.check_gram_positivity(
-        ctx.gens, seed, _int(params.get("size", 8), "gram_positivity.size"), tol or 1e-10
-    )
-
-
-def _run_car(ctx, params, seed, tol):
-    pairs = _pairs(ctx, params, "free", "car", True) + _pairs(
-        ctx, params, "nonfree", "car", False
-    )
-    _require(bool(pairs), "car: no pairs given")
-    return models.check_car(ctx, pairs, tol or 1e-10)
-
-
-def _run_adjointness(ctx, params, seed, tol):
-    return models.check_adjointness(
-        ctx, seed, _int(params.get("cases", 100), "adjointness.cases"), tol or 1e-10
-    )
-
-
-def _run_covariance(ctx, params, seed, tol):
-    return models.check_covariance(
-        ctx, seed, _int(params.get("cases", 100), "covariance.cases"), tol or 1e-12
-    )
-
-
-def _run_norm(ctx, params, seed, tol):
-    return models.check_norm_recovery(
-        ctx, seed, _int(params.get("cases", 20), "norm_recovery.cases"), tol or 1e-8
-    )
-
-
-def _run_nonfock(ctx, params, seed, tol):
-    return models.check_nonfock(ctx)
-
-
-def _run_pauli(ctx, params, seed, tol):
-    return models.check_pauli(ctx, tol=tol or 1e-12)
-
-
-def _run_dirac_adjoint(ctx, params, seed, tol):
-    return models.check_dirac_adjoint(
-        ctx, seed, _int(params.get("cases", 10), "dirac_adjoint.cases"), tol or 1e-12
-    )
-
-
-def _run_relative_locality(ctx, params, seed, tol):
-    return models.check_relative_locality(
-        ctx,
-        _vec_gen_pairs(ctx, params, "local", "relative_locality"),
-        _vec_gen_pairs(ctx, params, "witness", "relative_locality"),
-        tol or 1e-12,
-    )
-
-
-def _run_bilinear(ctx, params, seed, tol):
-    def triples(key):
-        out = []
-        for i, t in enumerate(params.get(key, [])):
-            _require(
-                isinstance(t, list) and len(t) == 3 and isinstance(t[0], int),
-                f"bilinear_locality.{key}[{i}]: expected [generator, w1, w2]",
-            )
-            _require(0 <= t[0] < len(ctx.gens), f"bilinear_locality.{key}[{i}]: generator out of range")
-            out.append(
-                (
-                    t[0],
-                    _vector(ctx, t[1], f"bilinear_locality.{key}[{i}]"),
-                    _vector(ctx, t[2], f"bilinear_locality.{key}[{i}]"),
-                )
-            )
-        return out
-
-    return models.check_bilinear_locality(
-        ctx, triples("commuting"), triples("witness"), tol or 1e-10
-    )
-
-
-def _run_anticom_model(ctx, params, seed, tol):
-    return models.check_anticommutator_model(
-        ctx, _pairs(ctx, params, "pairs", "anticommutator_model"), tol or 1e-10
-    )
-
-
-def _run_observable_net(ctx, params, seed, tol):
-    specs = _observables(ctx, params, "observable_net")
-    disjoint = []
-    for i, p in enumerate(params.get("disjoint", [])):
-        _require(
-            isinstance(p, list)
-            and len(p) == 2
-            and all(isinstance(x, int) and 0 <= x < len(specs) for x in p),
-            f"observable_net.disjoint[{i}]: expected a valid index pair",
-        )
-        disjoint.append((p[0], p[1]))
-    return models.check_observable_net(ctx, specs, disjoint, tol or 1e-10)
-
-
-def _run_gauge(ctx, params, seed, tol):
+def _angles(ctx, params, name):
     angles = params.get("angles", [0.7, 2.4])
     _require(
         isinstance(angles, list) and all(isinstance(a, (int, float)) for a in angles),
-        "gauge_invariance.angles: expected numbers",
+        f"{name}.angles: expected numbers",
     )
-    return models.check_gauge_invariance(
-        ctx, _observables(ctx, params, "gauge_invariance"), angles
-    )
+    return angles
 
 
-def _run_cov_phase(ctx, params, seed, tol):
-    return models.check_covariance_phase(
-        ctx, _vec_gen_pairs(ctx, params, "pairs", "covariance_phase"), tol or 1e-12
-    )
-
-
-def _run_neutral(ctx, params, seed, tol):
-    return models.check_neutral_commutant(
-        ctx, _vec_gen_pairs(ctx, params, "pairs", "neutral_commutant"), tol or 1e-12
-    )
-
-
-def _run_freeness(ctx, params, seed, tol):
-    return models.check_mutual_freeness(
-        ctx,
-        _pairs(ctx, params, "free", "mutual_freeness"),
-        _pairs(ctx, params, "nonfree", "mutual_freeness"),
-    )
-
-
-_CHECKS = {
-    "weyl_exactness": _run_weyl,
-    "gram_positivity": _run_gram,
-    "car": _run_car,
-    "adjointness": _run_adjointness,
-    "covariance": _run_covariance,
-    "norm_recovery": _run_norm,
-    "nonfock": _run_nonfock,
-    "pauli": _run_pauli,
-    "dirac_adjoint": _run_dirac_adjoint,
-    "relative_locality": _run_relative_locality,
-    "bilinear_locality": _run_bilinear,
-    "anticommutator_model": _run_anticom_model,
-    "observable_net": _run_observable_net,
-    "gauge_invariance": _run_gauge,
-    "covariance_phase": _run_cov_phase,
-    "neutral_commutant": _run_neutral,
-    "mutual_freeness": _run_freeness,
+# check name -> parsers of the positional arguments of models.check_<name>
+CHECK_PARAMS = {
+    "weyl_exactness": ("gens", "seed", _count("cases", 200)),
+    "gram_positivity": ("gens", "seed", _count("size", 8)),
+    "car": ("ctx", _car_pairs),
+    "adjointness": ("ctx", "seed", _count("cases", 100)),
+    "covariance": ("ctx", "seed", _count("cases", 100)),
+    "norm_recovery": ("ctx", "seed", _count("cases", 20)),
+    "nonfock": ("ctx",),
+    "pauli": ("ctx",),
+    "dirac_adjoint": ("ctx", "seed", _count("cases", 10)),
+    "relative_locality": (
+        "ctx",
+        _each("local", _vector_generator),
+        _each("witness", _vector_generator),
+    ),
+    "bilinear_locality": ("ctx", _each("commuting", _triple), _each("witness", _triple)),
+    "anticommutator_model": ("ctx", _each("pairs", _pair)),
+    "observable_net": ("ctx", _each("observables", _observable), _disjoint),
+    "gauge_invariance": ("ctx", _each("observables", _observable), _angles),
+    "covariance_phase": ("ctx", _each("pairs", _vector_generator)),
+    "neutral_commutant": ("ctx", _each("pairs", _vector_generator)),
+    "mutual_freeness": ("ctx", _each("free", _pair), _each("nonfree", _pair)),
 }
+# checks without a residual tolerance for --tolerance to override
+_NO_TOLERANCE = frozenset({"nonfock", "gauge_invariance", "mutual_freeness"})
+
+
+def _call_check(ctx, item: dict, name: str, seed: int, tolerance: float | None) -> CheckResult:
+    fixed = {"ctx": ctx, "gens": ctx.gens, "seed": seed}
+    args = [fixed[p] if isinstance(p, str) else p(ctx, item, name) for p in CHECK_PARAMS[name]]
+    kwargs = {} if tolerance is None or name in _NO_TOLERANCE else {"tol": tolerance}
+    # looked up by name on each call, so that a wrapper installed on the
+    # models module (the benchmark's tracer) sees every check
+    return getattr(models, f"check_{name}")(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +366,10 @@ def run_config(
     tolerance: float | None = None,
 ) -> dict:
     """Run one scenario and return its serialized record."""
+    _require(
+        tolerance is None or (isinstance(tolerance, (int, float)) and 0 < tolerance < math.inf),
+        f"tolerance: expected a finite positive number, got {tolerance!r}",
+    )
     config = dict(config)
     if seed is not None:
         config["seed"] = int(seed)
@@ -451,8 +384,11 @@ def run_config(
     for ordinal, item in enumerate(items):
         _require(isinstance(item, dict) and "check" in item, f"checks[{ordinal}]: need a check name")
         cname = item["check"]
-        _require(cname in _CHECKS, f"checks[{ordinal}]: unknown check {cname!r}")
-        cr = _CHECKS[cname](ctx, item, _check_seed(base_seed, cname, ordinal), tolerance)
+        _require(
+            isinstance(cname, str) and cname in CHECK_PARAMS,
+            f"checks[{ordinal}]: unknown check {cname!r}",
+        )
+        cr = _call_check(ctx, item, cname, _check_seed(base_seed, cname, ordinal), tolerance)
         records.append(_json_check(cr))
         failed += 0 if cr.passed else 1
     return {
@@ -709,8 +645,8 @@ def _add_common(p: argparse.ArgumentParser, config_required: bool) -> None:
         "--tolerance",
         type=float,
         default=None,
-        help="override every residual tolerance (thresholds for designed "
-        "violations are not affected)",
+        help="override every residual tolerance, finite and > 0 "
+        "(thresholds for designed violations are not affected)",
     )
     p.add_argument("--out", metavar="PATH", help="write the report to a file")
 
@@ -739,14 +675,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def _configs_for(args) -> list[dict]:
     if args.config is not None:
         return [load_config(args.config)]
-    if args.command == "verify-car":
-        return [builtin_car_config(kind, args.seed if args.seed is not None else 7) for kind in SIGMA_KINDS]
-    # all
-    out = [builtin_car_config(kind, args.seed if args.seed is not None else 7) for kind in SIGMA_KINDS]
-    out.extend(
-        load_config(name)
-        for name in ("delta_locality", "bump_freeness", "poisson_nonlocal", "lebesgue_gauge")
-    )
+    out = [builtin_car_config(kind, 7 if args.seed is None else args.seed) for kind in SIGMA_KINDS]
+    if args.command == "all":
+        out.extend(
+            load_config(name)
+            for name in ("delta_locality", "bump_freeness", "poisson_nonlocal", "lebesgue_gauge")
+        )
     return out
 
 

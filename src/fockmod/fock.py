@@ -57,7 +57,6 @@ __all__ = [
     "dirac",
     "anticommutator",
     "commutator",
-    "adjoint_check",
     "operator_matrix",
     "OperatorMatrixResult",
 ]
@@ -416,12 +415,6 @@ class FockElement:
         if l < 1:
             raise ValueError("use .scalar for level 0")
         return AntisymmetricElement(self.space, l, self.parts.get(l, {}))
-
-    def levels_present(self) -> list[int]:
-        return sorted(self.parts)
-
-    def top_level(self) -> int:
-        return max(self.parts, default=0)
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -790,13 +783,6 @@ def commutator(a: FieldOperator, b: FieldOperator) -> FieldOperator:
 
 # ---------------------------------------------------------------------------
 # numeric probes
-
-
-def adjoint_check(f: ModuleVector, v: FockElement, w: FockElement, state: State) -> float:
-    """|<v, a(f) w> - <a*(f) v, w>| through the two independent routes."""
-    lhs = gns_inner(v, annihilate(f, w), state)
-    rhs = gns_inner(create(f, v), w, state)
-    return abs(lhs - rhs)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ four kinds:
 
 Check functions evaluate operator identities on explicit witness
 vectors and return CheckResult records that the report layer serializes.
+The sweep checks (car, relative and bilinear locality, the
+anticommutator model, the observable net, covariance phase, the neutral
+commutant) only build Claim records, each a list of (operator, probes)
+sweeps that must vanish or must act, and one evaluator runs them all.
 """
 
 from __future__ import annotations
@@ -76,9 +80,6 @@ __all__ = [
     "build_context",
     "profile_array",
     "plus_vector",
-    "particle_support",
-    "generator_support",
-    "dilate",
     "electron",
     "electron_star",
     "observable",
@@ -133,8 +134,8 @@ def kernel_value(kind: str, grid: GridSpec, disp: tuple[int, ...], radius: float
     if kind == "delta":
         return 1.0 / grid.cell_volume if rho == 0.0 else 0.0
     if kind == "bump":
-        if radius is None or radius <= 0:
-            raise ValueError("bump kernel needs a positive radius")
+        if radius is None or not 0 < radius < math.inf:
+            raise ValueError("bump kernel needs a positive finite radius")
         if rho >= radius:
             return 0.0
         x = rho / radius
@@ -326,37 +327,6 @@ def plus_vector(
     return module.embed(vec, coeff)
 
 
-def particle_support(f: ModuleVector) -> frozenset[int]:
-    """Grid points carrying any one-particle weight of f."""
-    basis = f.space.basis
-    return frozenset(basis.point_of(b) for b in f.entries)
-
-
-def generator_support(f: ModuleVector) -> frozenset[int]:
-    """Grid points carrying the combined test functions of f's group part."""
-    gens = f.space.gens
-    out: set[int] = set()
-    for n in f.by_group():
-        out |= gens.combine(n).support()
-    return frozenset(out)
-
-
-def dilate(grid: GridSpec, points: frozenset[int], radius: float) -> frozenset[int]:
-    """Grow a point set by ceil(radius / spacing) cells (Chebyshev)."""
-    if radius <= 0:
-        return points
-    cells = math.ceil(radius / grid.spacing - 1e-12)
-    coords = {grid.coords(p) for p in points}
-    out = set()
-    for i in range(grid.n_points):
-        ci = grid.coords(i)
-        for cp in coords:
-            if max(abs(a - b) for a, b in zip(ci, cp)) <= cells:
-                out.add(i)
-                break
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # field builders and the gauge action
 
@@ -470,14 +440,15 @@ def level_basis(
     return out
 
 
-def _max_residual(op: FieldOperator, witnesses, state: State) -> tuple[float, int]:
-    worst = 0.0
-    at = -1
-    for i, v in enumerate(witnesses):
-        r = gns_norm(op.apply(v), state)
-        if r > worst:
-            worst = r
-            at = i
+def _max_residual(sweeps, state: State) -> tuple[float, int]:
+    """Largest GNS norm over (operator, probes) sweeps, and the index of
+    the probe it came from within its sweep."""
+    worst, at = 0.0, -1
+    for op, witnesses in sweeps:
+        for i, v in enumerate(witnesses):
+            r = gns_norm(op.apply(v), state)
+            if r > worst:
+                worst, at = r, i
     return worst, at
 
 
@@ -506,6 +477,62 @@ def _result(name, ok, residuals, tolerance, witness=None, details=None) -> Check
         witness=witness,
         details=details or {},
     )
+
+
+@dataclass
+class Claim:
+    """One case of a sweep check: operators that must vanish or act.
+
+    The claim's residual is the largest GNS norm any operator of
+    ``sweeps``, a list of (operator, probes), leaves on its probes; no
+    sweeps give residual 0.  A vanishing claim needs it at most tol, an
+    acting one above threshold; ``label`` names the case in a failure
+    witness.  ``fault`` is the witness of a precondition the case already
+    failed; it fails the check and the sweeps still run.
+    """
+
+    label: dict
+    sweeps: list
+    vanish: bool = True
+    fault: dict | None = None
+
+
+def _evaluate(
+    ctx: ModelContext,
+    name: str,
+    claims,
+    tol: float,
+    threshold: float = 0.1,
+    keys: tuple = ("max", None),
+    details: dict | None = None,
+) -> CheckResult:
+    """Sweep the claims in order into one result.
+
+    Reports the worst vanishing residual under keys[0] and, when any claim
+    must act, the smallest acting residual under keys[1].  The witness is
+    the last fault, or the last case that set a new extreme and broke its
+    claim, whichever came later; its witness_vector is the probe's index
+    in its sweep, -1 when no probe left a nonzero image.
+    """
+    worst, best, faulty, wit = 0.0, None, False, None
+    for c in claims:
+        if c.fault is not None:
+            faulty, wit = True, c.fault
+        r, at = _max_residual(c.sweeps, ctx.state)
+        if c.vanish and r > worst:
+            worst = r
+            if r > tol:
+                wit = {**c.label, "residual": r, "witness_vector": at}
+        elif not c.vanish and (best is None or r < best):
+            best = r
+            if r <= threshold:
+                wit = {**c.label, "residual": r, "witness_vector": at}
+    residuals, tols = {keys[0]: worst}, {keys[0]: tol}
+    ok = not faulty and worst <= tol
+    if best is not None:
+        residuals[keys[1]], tols[keys[1]] = best, threshold
+        ok = ok and best > threshold
+    return _result(name, ok, residuals, tols, wit, details)
 
 
 # ---------------------------------------------------------------------------
@@ -576,16 +603,6 @@ def check_gram_positivity(gens: GeneratorSet, seed: int, size: int = 8, tol: flo
 # CAR battery
 
 
-def _car_operators(f: ModuleVector, g: ModuleVector):
-    space = f.space
-    mixed = anticommutator(annihilation(f), creation(g)) - weyl_mult(
-        space, module_inner(f, g)
-    )
-    ann = anticommutator(annihilation(f), annihilation(g))
-    cre = anticommutator(creation(f), creation(g))
-    return mixed, ann, cre
-
-
 def check_car(
     ctx: ModelContext,
     pairs,
@@ -602,47 +619,26 @@ def check_car(
     """
     pairs = list(pairs)
     module = ctx.module
-    state = ctx.state
     n = ctx.truncation
     sweep = level_basis(module, n, min(2, n - 1)) if n >= 2 else level_basis(module, n, 0)
     sweep_cre = level_basis(module, n, min(2, max(n - 2, 0)))
-    worst_free = 0.0
-    best_nonfree = None
-    decisions_ok = True
-    witness = None
+    claims = []
     for idx, (f, g, expect_free) in enumerate(pairs):
-        rep = mutually_free(f, g)
-        if rep.free != expect_free:
-            decisions_ok = False
-            witness = {"pair": idx, "problem": "freeness_decision", "got": rep.free}
-        mixed, ann, cre = _car_operators(f, g)
-        r_mixed, at = _max_residual(mixed, sweep, state)
+        got = mutually_free(f, g).free
+        fault = None
+        if got != expect_free:
+            fault = {"pair": idx, "problem": "freeness_decision", "got": got}
+        inner = weyl_mult(f.space, module_inner(f, g))
+        sweeps = [(anticommutator(annihilation(f), creation(g)) - inner, sweep)]
         if expect_free:
-            r_ann, _ = _max_residual(ann, sweep, state)
-            r_cre, _ = _max_residual(cre, sweep_cre, state)
-            here = max(r_mixed, r_ann, r_cre)
-            if here > worst_free:
-                worst_free = here
-                if here > tol:
-                    witness = {"pair": idx, "problem": "free_residual", "value": here}
-        else:
-            if best_nonfree is None or r_mixed < best_nonfree:
-                best_nonfree = r_mixed
-                if r_mixed <= threshold:
-                    witness = {
-                        "pair": idx,
-                        "problem": "nonfree_too_small",
-                        "value": r_mixed,
-                        "witness_vector": at,
-                    }
-    residuals = {"free_max": worst_free}
-    tols = {"free_max": tol}
-    ok = decisions_ok and worst_free <= tol
-    if best_nonfree is not None:
-        residuals["nonfree_min"] = best_nonfree
-        tols["nonfree_min"] = threshold
-        ok = ok and best_nonfree > threshold
-    return _result(name, ok, residuals, tols, witness, {"pairs": len(pairs)})
+            sweeps += [
+                (anticommutator(annihilation(f), annihilation(g)), sweep),
+                (anticommutator(creation(f), creation(g)), sweep_cre),
+            ]
+        label = "free_residual" if expect_free else "nonfree_too_small"
+        claims.append(Claim({"pair": idx, "problem": label}, sweeps, expect_free, fault))
+    keys = ("free_max", "nonfree_min")
+    return _evaluate(ctx, name, claims, tol, threshold, keys, {"pairs": len(pairs)})
 
 
 def _random_weyl(rng, gens, max_terms=2, max_exp=1) -> WeylElement:
@@ -882,6 +878,12 @@ def _witnesses_for(
     return level_basis(ctx.module, n, min(max_level, n - 1), sorted(idx))
 
 
+def _generator_op(ctx: ModelContext, k: int) -> FieldOperator:
+    """Left multiplication by the Weyl generator W(e_k)."""
+    gens = ctx.module.gens
+    return weyl_mult(ctx.module, WeylElement.monomial(gens, gens.unit(k)))
+
+
 def check_relative_locality(
     ctx: ModelContext,
     local_pairs,
@@ -891,35 +893,13 @@ def check_relative_locality(
 ) -> CheckResult:
     """[psi(w), W] vanishes when the twist leaves w alone, and is seen
     to act otherwise.  Pairs are (vector, generator index)."""
-    module = ctx.module
-    state = ctx.state
-    worst_local = 0.0
-    best_witness = None
-    wit = None
+    claims = []
     for tag, pairs in (("local", local_pairs), ("witness", witness_pairs)):
         for w, k in pairs:
-            mono = WeylElement.monomial(module.gens, module.gens.unit(k))
-            op = commutator(electron(w), weyl_mult(module, mono))
-            probes = _witnesses_for(ctx, [w])
-            r, at = _max_residual(op, probes, state)
-            if tag == "local":
-                if r > worst_local:
-                    worst_local = r
-                    if r > tol:
-                        wit = {"pair": ["local", k], "residual": r}
-            else:
-                if best_witness is None or r < best_witness:
-                    best_witness = r
-                    if r <= threshold:
-                        wit = {"pair": ["witness", k], "residual": r}
-    residuals = {"local_max": worst_local}
-    tols = {"local_max": tol}
-    ok = worst_local <= tol
-    if best_witness is not None:
-        residuals["witness_min"] = best_witness
-        tols["witness_min"] = threshold
-        ok = ok and best_witness > threshold
-    return _result("relative_locality", ok, residuals, tols, wit)
+            sweeps = [(commutator(electron(w), _generator_op(ctx, k)), _witnesses_for(ctx, [w]))]
+            claims.append(Claim({"pair": [tag, k]}, sweeps, tag == "local"))
+    keys = ("local_max", "witness_min")
+    return _evaluate(ctx, "relative_locality", claims, tol, threshold, keys)
 
 
 def check_bilinear_locality(
@@ -930,37 +910,14 @@ def check_bilinear_locality(
     threshold: float = 0.1,
 ) -> CheckResult:
     """[W, psi(w1) psi*(w2)] on triples (gen index, w1, w2)."""
-    module = ctx.module
-    state = ctx.state
-    unitw = WeylElement.unit(module.gens)
-    worst_local = 0.0
-    best_witness = None
-    wit = None
+    claims = []
     for tag, triples in (("commuting", commuting), ("witness", witnesses)):
         for k, w1, w2 in triples:
-            mono = WeylElement.monomial(module.gens, module.gens.unit(k))
-            bilin = electron(w1) @ electron_star(w2)
-            op = commutator(weyl_mult(module, mono), bilin)
-            probes = _witnesses_for(ctx, [w1, w2])
-            r, _ = _max_residual(op, probes, state)
-            if tag == "commuting":
-                if r > worst_local:
-                    worst_local = r
-                    if r > tol:
-                        wit = {"triple": ["commuting", k], "residual": r}
-            else:
-                if best_witness is None or r < best_witness:
-                    best_witness = r
-                    if r <= threshold:
-                        wit = {"triple": ["witness", k], "residual": r}
-    residuals = {"commuting_max": worst_local}
-    tols = {"commuting_max": tol}
-    ok = worst_local <= tol
-    if best_witness is not None:
-        residuals["witness_min"] = best_witness
-        tols["witness_min"] = threshold
-        ok = ok and best_witness > threshold
-    return _result("bilinear_locality", ok, residuals, tols, wit)
+            op = commutator(_generator_op(ctx, k), electron(w1) @ electron_star(w2))
+            sweeps = [(op, _witnesses_for(ctx, [w1, w2]))]
+            claims.append(Claim({"triple": [tag, k]}, sweeps, tag == "commuting"))
+    keys = ("commuting_max", "witness_min")
+    return _evaluate(ctx, "bilinear_locality", claims, tol, threshold, keys)
 
 
 def check_anticommutator_model(
@@ -971,28 +928,15 @@ def check_anticommutator_model(
 ) -> CheckResult:
     """[psi*(f), psi(g)]_+ collapses to left multiplication by <f, g>
     for mutually free pairs of + sector vectors."""
-    module = ctx.module
-    state = ctx.state
-    worst = 0.0
-    wit = None
-    all_free = True
+    claims = []
     for idx, (f, g) in enumerate(pairs):
         if not mutually_free(f, g).free:
-            all_free = False
-            wit = {"pair": idx, "problem": "not_free"}
+            claims.append(Claim({"pair": idx}, [], fault={"pair": idx, "problem": "not_free"}))
             continue
-        op = anticommutator(electron_star(f), electron(g)) - weyl_mult(
-            module, module_inner(f, g)
-        )
-        probes = _witnesses_for(ctx, [f, g])
-        r, at = _max_residual(op, probes, state)
-        if r > worst:
-            worst = r
-            if r > tol:
-                wit = {"pair": idx, "residual": r, "witness_vector": at}
-    return _result(
-        name, all_free and worst <= tol, {"max": worst}, {"max": tol}, wit
-    )
+        inner = weyl_mult(ctx.module, module_inner(f, g))
+        op = anticommutator(electron_star(f), electron(g)) - inner
+        claims.append(Claim({"pair": idx}, [(op, _witnesses_for(ctx, [f, g]))]))
+    return _evaluate(ctx, name, claims, tol)
 
 
 def check_observable_net(
@@ -1009,28 +953,15 @@ def check_observable_net(
     truncation headroom that nothing is chopped asymmetrically between
     the two orders.
     """
-    module = ctx.module
-    state = ctx.state
     ops = [observable(s, w1, w2) for s, w1, w2 in specs]
     vecs = [w for _, w1, w2 in specs for w in (w1, w2)]
     headroom = max(ctx.truncation, 1 + 3)
     probes = _witnesses_for(ctx, vecs, max_level=1, truncation=headroom)
-    worst = 0.0
-    wit = None
-    for i, j in disjoint_pairs:
-        r, at = _max_residual(commutator(ops[i], ops[j]), probes, state)
-        if r > worst:
-            worst = r
-            if r > tol:
-                wit = {"pair": [i, j], "residual": r, "witness_vector": at}
-    return _result(
-        "observable_net",
-        worst <= tol,
-        {"max": worst},
-        {"max": tol},
-        wit,
-        {"effective_truncation": headroom},
-    )
+    claims = [
+        Claim({"pair": [i, j]}, [(commutator(ops[i], ops[j]), probes)]) for i, j in disjoint_pairs
+    ]
+    details = {"effective_truncation": headroom}
+    return _evaluate(ctx, "observable_net", claims, tol, details=details)
 
 
 def check_gauge_invariance(ctx: ModelContext, specs, angles) -> CheckResult:
@@ -1059,29 +990,17 @@ def check_covariance_phase(
 ) -> CheckResult:
     """Constant-kernel covariance: W(s) psi(w) = exp(-i <s0>) psi(w) W(s)
     and the phase-corrected W intertwines trivially."""
-    module = ctx.module
-    state = ctx.state
-    worst = 0.0
-    wit = None
+    claims = []
     for w, k in pairs:
-        mean = ctx.gens.pairs[k].integral_s0()
-        phase = cmath.exp(-1j * mean)
-        mono = WeylElement.monomial(module.gens, module.gens.unit(k))
-        wop = weyl_mult(module, mono)
+        phase = cmath.exp(-1j * ctx.gens.pairs[k].integral_s0())
+        wop = _generator_op(ctx, k)
         psi = electron(w)
         probes = _witnesses_for(ctx, [w])
-        direct = wop @ psi - phase * (psi @ wop)
-        r1, _ = _max_residual(direct, probes, state)
         # alpha(W) = exp(+i <s0>) W restores plain commutation
         alpha = phase.conjugate() * wop
-        inter = alpha @ psi - psi @ wop
-        r2, _ = _max_residual(inter, probes, state)
-        r = max(r1, r2)
-        if r > worst:
-            worst = r
-            if r > tol:
-                wit = {"generator": k, "residual": r}
-    return _result("covariance_phase", worst <= tol, {"max": worst}, {"max": tol}, wit)
+        sweeps = [(wop @ psi - phase * (psi @ wop), probes), (alpha @ psi - psi @ wop, probes)]
+        claims.append(Claim({"generator": k}, sweeps))
+    return _evaluate(ctx, "covariance_phase", claims, tol)
 
 
 def check_neutral_commutant(
@@ -1091,11 +1010,8 @@ def check_neutral_commutant(
 ) -> CheckResult:
     """Zero-mean generators commute with every matter field under the
     constant kernel."""
-    module = ctx.module
-    state = ctx.state
-    worst = 0.0
-    wit = None
-    for w, k in pairs:
+    pairs = list(pairs)
+    for _, k in pairs:
         mean = ctx.gens.pairs[k].integral_s0()
         if abs(mean) > 1e-12:
             return _result(
@@ -1105,15 +1021,11 @@ def check_neutral_commutant(
                 {"mean": 1e-12},
                 {"generator": k, "problem": "nonzero_mean"},
             )
-        mono = WeylElement.monomial(module.gens, module.gens.unit(k))
-        op = commutator(weyl_mult(module, mono), electron(w))
-        probes = _witnesses_for(ctx, [w])
-        r, _ = _max_residual(op, probes, state)
-        if r > worst:
-            worst = r
-            if r > tol:
-                wit = {"generator": k, "residual": r}
-    return _result("neutral_commutant", worst <= tol, {"max": worst}, {"max": tol}, wit)
+    claims = []
+    for w, k in pairs:
+        op = commutator(_generator_op(ctx, k), electron(w))
+        claims.append(Claim({"generator": k}, [(op, _witnesses_for(ctx, [w]))]))
+    return _evaluate(ctx, "neutral_commutant", claims, tol)
 
 
 def check_mutual_freeness(ctx: ModelContext, free_pairs, nonfree_pairs) -> CheckResult:

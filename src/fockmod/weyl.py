@@ -102,14 +102,11 @@ class TestFunctionPair:
         s1 = np.asarray(s1, dtype=float).reshape(-1)
         if s0.shape != (grid.n_points,) or s1.shape != (grid.n_points,):
             raise ValueError("component length does not match grid size")
+        if not (np.isfinite(s0).all() and np.isfinite(s1).all()):
+            raise ValueError("test function values must be finite")
         self.grid = grid
         self.s0 = s0
         self.s1 = s1
-
-    def support(self, tol: float = 1e-12) -> frozenset[int]:
-        """Grid points where either component is nonzero."""
-        mask = (np.abs(self.s0) > tol) | (np.abs(self.s1) > tol)
-        return frozenset(int(i) for i in np.nonzero(mask)[0])
 
     def integral_s0(self) -> float:
         return float(np.sum(self.s0)) * self.grid.cell_volume
@@ -286,10 +283,6 @@ class WeylElement:
 
     def coefficient(self, n) -> complex:
         return self.terms.get(tuple(int(v) for v in n), 0.0 + 0.0j)
-
-    def coeff_sup(self) -> float:
-        """Largest coefficient magnitude; cheap size gauge, not a C* norm."""
-        return max((abs(c) for c in self.terms.values()), default=0.0)
 
     def close_to(self, other: "WeylElement", tol: float = COEFF_TOL) -> bool:
         self._require_same(other)

@@ -23,7 +23,6 @@ from fockmod.bimodule import (
     left_action,
     module_inner,
     mutually_free,
-    support,
     trivial_twist,
 )
 
@@ -78,9 +77,6 @@ def test_one_particle_vector_arithmetic():
     assert (2.0 * v).coeffs[2] == -4.0j
     assert v.inner(w) == 2.0j  # antilinear in the first slot
     assert abs(v.norm() - math.sqrt(5.0)) <= 1e-15
-    arr = v.to_array()
-    assert arr.shape == (6,)
-    assert OneParticleVector.from_array(basis, arr).coeffs == v.coeffs
     with pytest.raises(IndexError):
         OneParticleVector(basis, {6: 1.0})
     # out of range even when the coefficient is small enough to prune
@@ -267,7 +263,6 @@ def test_by_group_and_support():
     assert set(split) == {(1, 0), (0, 0)}
     assert split[(1, 0)].coeffs == {0: 2.0, 4: -1.0j}
     assert split[(0, 0)].coeffs == {0: 1.0}
-    assert support(f) == frozenset({(1, 0), (0, 0)})
 
 
 # ---------------------------------------------------------------------------

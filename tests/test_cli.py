@@ -1,11 +1,15 @@
 """Config loading, scenario validation, report assembly, exit codes."""
 
 import json
+import math
+import re
 
 import pytest
 
+from fockmod import models
 from fockmod.cli import (
     BUNDLED,
+    CHECK_PARAMS,
     SCHEMA,
     ConfigError,
     assemble_report,
@@ -121,8 +125,9 @@ def test_scenario_rejects_bad_truncation():
 def test_scenario_rejects_bad_sigma():
     with pytest.raises(ConfigError, match="sigma.kind"):
         build_scenario(broken(sigma={"kind": "gauss"}))
-    with pytest.raises(ConfigError, match="radius"):
-        build_scenario(broken(sigma={"kind": "bump"}))
+    for radius in (None, math.inf, True):
+        with pytest.raises(ConfigError, match="radius"):
+            build_scenario(broken(sigma={"kind": "bump", "radius": radius}))
     with pytest.raises(ConfigError, match="sigma"):
         build_scenario(broken(sigma=None))
 
@@ -160,6 +165,23 @@ def test_run_config_rejects_bad_checks():
         run_config(
             broken(checks=[{"check": "car", "free": [[[["wA", [0]]], [["wB", [0, 0]]]]]}])
         )
+    # every error names its field path
+    for check, path in (
+        ({"local": [["wA", 5]]}, "relative_locality.local[0][1]: expected a generator index"),
+        ({"witness": [["zz", 0]]}, "relative_locality.witness[0][0]: unknown vector"),
+        ({"local": "wA"}, "relative_locality.local: expected a list"),
+        ({"local": [["wA"]]}, "relative_locality.local[0]: expected [vector, generator]"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            run_config(broken(checks=[{"check": "relative_locality", **check}]))
+
+
+def test_check_table_matches_configs_and_models():
+    named = {c["check"] for name in BUNDLED for c in load_config(name)["checks"]}
+    named |= {c["check"] for kind in SIGMA_KINDS for c in builtin_car_config(kind)["checks"]}
+    assert named <= set(CHECK_PARAMS)
+    checks = {a[len("check_"):] for a in vars(models) if a.startswith("check_")}
+    assert set(CHECK_PARAMS) == checks
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +304,24 @@ def _main_exit(tmp_path, cfg) -> int:
 
 
 @pytest.mark.parametrize(
+    "check, label",
+    (
+        # wC sits where generator 0 acts, so it is no local vector
+        ({"local": [["wC", 0]]}, ["local", 0]),
+        # generator 1 leaves wA alone, so it witnesses nothing
+        ({"local": [["wA", 0]], "witness": [["wA", 1]]}, ["witness", 1]),
+    ),
+)
+def test_main_reports_relative_locality_failure(tmp_path, check, label):
+    cfg = broken(checks=[{"check": "relative_locality", **check}])
+    assert _main_exit(tmp_path, cfg) == 1
+    record = json.loads((tmp_path / "r.json").read_text())["runs"][0]["checks"][0]
+    assert record["status"] == "fail"
+    witness = record["witness"]
+    assert witness["pair"] == label and {"residual", "witness_vector"} <= set(witness)
+
+
+@pytest.mark.parametrize(
     "patch, field",
     (
         ({"truncation": "abc"}, "truncation"),
@@ -311,6 +351,14 @@ def test_main_nonfinite_profile_exits_2(tmp_path, capsys):
     cfg["vectors"]["wA"]["profile"] = {"shape": "values", "values": [0.0, 0.0, float("inf")]}
     assert _main_exit(tmp_path, cfg) == 2
     assert "vectors.wA.profile: values must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tolerance", ("0", "-1", "nan", "inf"))
+def test_main_rejects_bad_tolerance(tmp_path, capsys, tolerance):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(tiny_config()))
+    assert main(["model", "--config", str(p), f"--tolerance={tolerance}"]) == 2
+    assert "tolerance" in capsys.readouterr().err
 
 
 def test_main_usage_errors():

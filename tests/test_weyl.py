@@ -108,6 +108,11 @@ def test_generator_validation():
         GeneratorSet(other, [a])
     with pytest.raises(ValueError):
         TestFunctionPair(grid, [1.0, 0], [0, 0, 0])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="test function values must be finite"):
+            TestFunctionPair(grid, [bad, 0, 0], [0, 0, 0])
+        with pytest.raises(ValueError, match="test function values must be finite"):
+            TestFunctionPair(grid, [1.0, 0, 0], [0, bad, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +168,6 @@ def test_unit_zero_scalar():
     assert (-a + a).is_zero()
     assert a.coefficient((1, 0)) == 2.0
     assert a.coefficient((5, 5)) == 0.0
-    assert a.coeff_sup() == 2.0
 
 
 def test_mismatched_generators_rejected():
