@@ -184,8 +184,10 @@ class Twist:
     U_k K = K conj(U_k) for the sector swap K); each within 1e-12 in
     operator norm, and every entry must be finite.
 
-    When every U_k has all off-diagonal entries exactly zero, as the
-    model twists do, the twist keeps one phase vector per generator and
+    Each U_k is a d x d matrix or, for a diagonal one, the length-d
+    vector of its diagonal, as the model twists pass it.  When every U_k
+    is diagonal (a matrix with all off-diagonal entries exactly zero, or
+    a vector), the twist keeps one phase vector per generator and
     validates and applies it entrywise: the operator norms above are
     then maxima over entries, diagonal unitaries commute exactly, and
     u(n) e_b is a single phase.  Any other family is kept dense.
@@ -199,7 +201,7 @@ class Twist:
             raise ValueError("need exactly one unitary per Weyl generator")
         d = basis.dim
         for idx, u in enumerate(unitaries):
-            if u.shape != (d, d):
+            if u.shape not in ((d,), (d, d)):
                 raise ValueError("twist unitary has wrong shape")
             if not np.isfinite(u).all():
                 raise ValueError(f"twist generator {idx} is not unitary")
@@ -207,14 +209,15 @@ class Twist:
         self.gens = gens
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
         self._diagonal = all(
-            np.count_nonzero(u) == np.count_nonzero(np.diagonal(u)) for u in unitaries
+            u.ndim == 1 or np.count_nonzero(u) == np.count_nonzero(np.diagonal(u))
+            for u in unitaries
         )
         if self._diagonal:
             # one phase vector per generator
-            self._factors = tuple(np.diagonal(u).copy() for u in unitaries)
+            self._factors = tuple((u if u.ndim == 1 else np.diagonal(u)).copy() for u in unitaries)
             self._check_phases()
         else:
-            self._factors = unitaries
+            self._factors = tuple(np.diag(u) if u.ndim == 1 else u for u in unitaries)
             self._check_dense()
 
     def _check_phases(self) -> None:
@@ -294,8 +297,7 @@ class Twist:
 
 
 def trivial_twist(basis: OneParticleBasis, gens: GeneratorSet) -> Twist:
-    eye = np.eye(basis.dim)
-    return Twist(basis, gens, [eye] * len(gens))
+    return Twist(basis, gens, [np.ones(basis.dim)] * len(gens))
 
 
 class FreeBimodule:
@@ -331,12 +333,17 @@ class FreeBimodule:
 
 
 class ModuleVector:
-    """Element sum_b e_b . A_b of the free bimodule, A_b Weyl elements."""
+    """Element sum_b e_b . A_b of the free bimodule, A_b Weyl elements.
 
-    __slots__ = ("space", "entries")
+    A vector is never changed after construction, so its group
+    decomposition is computed once.
+    """
+
+    __slots__ = ("space", "entries", "_groups")
 
     def __init__(self, space: FreeBimodule, entries: dict | None = None) -> None:
         self.space = space
+        self._groups = None
         self.entries: dict[int, WeylElement] = {}
         if entries:
             for b, a in entries.items():
@@ -375,15 +382,18 @@ class ModuleVector:
 
     def by_group(self) -> dict[tuple[int, ...], OneParticleVector]:
         """Canonical decomposition f = sum_n f_n . W(n), f_n in h."""
+        if self._groups is not None:
+            return self._groups
         split: dict[tuple[int, ...], dict[int, complex]] = {}
         for b, a in self.entries.items():
             for n, c in a.terms.items():
                 split.setdefault(n, {})[b] = split.get(n, {}).get(b, 0.0) + c
-        return {
+        self._groups = {
             n: OneParticleVector(self.space.basis, coeffs)
             for n, coeffs in split.items()
             if any(abs(c) > PRUNE_TOL for c in coeffs.values())
         }
+        return self._groups
 
     def close_to(self, other: "ModuleVector", tol: float = 1e-12) -> bool:
         self._require_same(other)

@@ -57,8 +57,14 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int(value, where: str) -> int:
     """int(value), or a ConfigError naming the field."""
+    _require(not isinstance(value, bool), f"{where}: expected an integer, got {value!r}")
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError) as e:
@@ -89,12 +95,15 @@ def load_config(spec: str) -> dict:
 
 def _parse_grid(d: dict) -> GridSpec:
     _require(isinstance(d, dict), "grid: expected an object")
+    dimension = _int(d.get("dimension", 1), "grid.dimension")
+    points = _int(d.get("points", 16), "grid.points")
+    components = _int(d.get("components", 1), "grid.components")
     try:
         return GridSpec(
-            dimension=int(d.get("dimension", 1)),
-            points_per_axis=int(d.get("points", 16)),
+            dimension=dimension,
+            points_per_axis=points,
             spacing=float(d.get("spacing", 1.0)),
-            components=int(d.get("components", 1)),
+            components=components,
         )
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"grid: {e}") from e
@@ -183,7 +192,7 @@ def _fspec(ctx: ModelContext, spec, where: str) -> ModuleVector:
         vec = _vector(ctx, term[0], f"{where}[{j}]")
         exps = term[1]
         _require(
-            isinstance(exps, list) and len(exps) == m and all(isinstance(e, int) for e in exps),
+            isinstance(exps, list) and len(exps) == m and all(_is_int(e) for e in exps),
             f"{where}[{j}]: exponents must be {m} integers",
         )
         coeff = WeylElement.monomial(ctx.gens, tuple(exps))
@@ -222,7 +231,7 @@ def _each(key: str, parse_item):
 
 def _generator(ctx, k, where: str) -> int:
     _require(
-        isinstance(k, int) and 0 <= k < len(ctx.gens),
+        _is_int(k) and 0 <= k < len(ctx.gens),
         f"{where}: expected a generator index below {len(ctx.gens)}",
     )
     return k
@@ -270,7 +279,7 @@ def _disjoint(ctx, params, name):
         _require(
             isinstance(item, list)
             and len(item) == 2
-            and all(isinstance(x, int) and 0 <= x < n for x in item),
+            and all(_is_int(x) and 0 <= x < n for x in item),
             f"{where}: expected a valid index pair",
         )
         return item[0], item[1]
@@ -280,9 +289,14 @@ def _disjoint(ctx, params, name):
 
 def _angles(ctx, params, name):
     angles = params.get("angles", [0.7, 2.4])
+    # the bound fails for NaN and inf, and for an int no float can hold
     _require(
-        isinstance(angles, list) and all(isinstance(a, (int, float)) for a in angles),
-        f"{name}.angles: expected numbers",
+        isinstance(angles, list)
+        and all(
+            (_is_int(a) or isinstance(a, float)) and abs(a) <= sys.float_info.max
+            for a in angles
+        ),
+        f"{name}.angles: expected finite numbers",
     )
     return angles
 

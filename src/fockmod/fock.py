@@ -7,6 +7,14 @@ twisted structure.  Antisymmetric elements store one coefficient per
 strictly increasing tuple: the stored value is the coefficient the
 increasing representative carries in the full signed expansion.
 
+A FockElement stores each level as {basis tuple: coefficient map}, the
+map {group label n: complex} being the bare store of a Weyl element, and
+the operators below compute on the maps with the helpers of
+``fockmod.weyl``.  WeylElement objects appear only at the edges: the
+FockElement constructor takes them, ``scalar`` and ``level`` return them,
+and ``gns_inner`` hands one to the state.  Tensor and antisymmetric
+elements, which the oracle cross-checks use, keep WeylElement values.
+
 Creation prepends a one-particle column and reantisymmetrizes through
 exterior-algebra minors; annihilation contracts against the bra vector,
 conjugate-twisting the surviving slots and pulling the adjoint group
@@ -29,7 +37,17 @@ from .bimodule import (
     Twist,
     conjugate_vector,
 )
-from .weyl import State, WeylElement, PRUNE_TOL
+from .weyl import (
+    PRUNE_TOL,
+    State,
+    WeylElement,
+    map_adjoint,
+    map_merge,
+    map_monomial_product,
+    map_product,
+    map_scaled,
+    maps_close,
+)
 
 __all__ = [
     "TensorElement",
@@ -165,14 +183,19 @@ def _compound_apply(twist: Twist, n: tuple[int, ...], t: tuple[int, ...]) -> dic
 # tensor containers
 
 
-class TensorElement:
-    """Level-n span of (basis tuple) . (Weyl coefficient), no symmetry."""
+def _add_term(out: dict, t: tuple[int, ...], a: WeylElement) -> None:
+    out[t] = out[t] + a if t in out else a
+
+
+class _Terms:
+    """Level-n span of (basis tuple) . (Weyl coefficient); a subclass
+    says which tuples it admits."""
 
     __slots__ = ("space", "level", "terms")
 
     def __init__(self, space: FreeBimodule, level: int, terms: dict | None = None) -> None:
         if level < 1:
-            raise ValueError("tensor level must be >= 1")
+            raise ValueError("level must be >= 1")
         self.space = space
         self.level = level
         self.terms: dict[tuple[int, ...], WeylElement] = {}
@@ -182,98 +205,64 @@ class TensorElement:
                 t = tuple(int(b) for b in t)
                 if len(t) != level:
                     raise ValueError("key length does not match level")
+                self._check_key(t)
                 if any(not 0 <= b < dim for b in t):
                     raise IndexError("basis index out of range")
                 if not a.is_zero():
                     self.terms[t] = a
 
-    def __add__(self, other: "TensorElement") -> "TensorElement":
+    def _check_key(self, t: tuple[int, ...]) -> None:
+        pass
+
+    def __add__(self, other):
         if self.space is not other.space or self.level != other.level:
-            raise ValueError("tensor mismatch")
+            raise ValueError("level mismatch")
         out = dict(self.terms)
         for t, a in other.terms.items():
-            out[t] = out[t] + a if t in out else a
-        return TensorElement(self.space, self.level, out)
+            _add_term(out, t, a)
+        return type(self)(self.space, self.level, out)
 
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
+    def __sub__(self, other):
         return self + (-1.0) * other
 
-    def __rmul__(self, scalar: complex) -> "TensorElement":
-        return TensorElement(
-            self.space, self.level, {t: scalar * a for t, a in self.terms.items()}
-        )
+    def __rmul__(self, scalar: complex):
+        return type(self)(self.space, self.level, {t: scalar * a for t, a in self.terms.items()})
 
-    def close_to(self, other: "TensorElement", tol: float = 1e-12) -> bool:
+    def close_to(self, other, tol: float = 1e-12) -> bool:
         if self.space is not other.space or self.level != other.level:
             return False
         zero = WeylElement.zero(self.space.gens)
-        for t in self.terms.keys() | other.terms.keys():
-            if not self.terms.get(t, zero).close_to(other.terms.get(t, zero), tol):
-                return False
-        return True
+        return all(
+            self.terms.get(t, zero).close_to(other.terms.get(t, zero), tol)
+            for t in self.terms.keys() | other.terms.keys()
+        )
 
     def __repr__(self) -> str:
-        return f"TensorElement(level={self.level}, terms={len(self.terms)})"
+        return f"{type(self).__name__}(level={self.level}, terms={len(self.terms)})"
 
 
-class AntisymmetricElement:
+class TensorElement(_Terms):
+    """Level-n span of (basis tuple) . (Weyl coefficient), no symmetry."""
+
+    __slots__ = ()
+
+
+class AntisymmetricElement(_Terms):
     """Canonical antisymmetric level: strictly increasing tuples only."""
 
-    __slots__ = ("space", "level", "terms")
+    __slots__ = ()
 
-    def __init__(self, space: FreeBimodule, level: int, terms: dict | None = None) -> None:
-        if level < 1:
-            raise ValueError("antisymmetric level must be >= 1")
-        self.space = space
-        self.level = level
-        self.terms: dict[tuple[int, ...], WeylElement] = {}
-        if terms:
-            dim = space.basis.dim
-            for t, a in terms.items():
-                t = tuple(int(b) for b in t)
-                if len(t) != level:
-                    raise ValueError("key length does not match level")
-                if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
-                    raise ValueError("keys must be strictly increasing")
-                if any(not 0 <= b < dim for b in t):
-                    raise IndexError("basis index out of range")
-                if not a.is_zero():
-                    self.terms[t] = a
+    def _check_key(self, t: tuple[int, ...]) -> None:
+        if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
+            raise ValueError("keys must be strictly increasing")
 
     def expand(self) -> TensorElement:
         """Full signed expansion; emits level! keys per stored tuple."""
         out: dict[tuple[int, ...], WeylElement] = {}
         for t, a in self.terms.items():
             for p, sign in _perms(self.level):
-                key = tuple(t[i] for i in p)
-                piece = float(sign) * a
-                out[key] = out[key] + piece if key in out else piece
+                _add_term(out, tuple(t[i] for i in p), float(sign) * a)
         return TensorElement(self.space, self.level, out)
-
-    def __add__(self, other: "AntisymmetricElement") -> "AntisymmetricElement":
-        if self.space is not other.space or self.level != other.level:
-            raise ValueError("level mismatch")
-        out = dict(self.terms)
-        for t, a in other.terms.items():
-            out[t] = out[t] + a if t in out else a
-        return AntisymmetricElement(self.space, self.level, out)
-
-    def __rmul__(self, scalar: complex) -> "AntisymmetricElement":
-        return AntisymmetricElement(
-            self.space, self.level, {t: scalar * a for t, a in self.terms.items()}
-        )
-
-    def close_to(self, other: "AntisymmetricElement", tol: float = 1e-12) -> bool:
-        if self.space is not other.space or self.level != other.level:
-            return False
-        zero = WeylElement.zero(self.space.gens)
-        for t in self.terms.keys() | other.terms.keys():
-            if not self.terms.get(t, zero).close_to(other.terms.get(t, zero), tol):
-                return False
-        return True
-
-    def __repr__(self) -> str:
-        return f"AntisymmetricElement(level={self.level}, terms={len(self.terms)})"
 
 
 def antisymmetrize(t: TensorElement) -> TensorElement:
@@ -283,9 +272,7 @@ def antisymmetrize(t: TensorElement) -> TensorElement:
     out: dict[tuple[int, ...], WeylElement] = {}
     for key, a in t.terms.items():
         for p, sign in _perms(n):
-            target = tuple(key[i] for i in p)
-            piece = (sign * scale) * a
-            out[target] = out[target] + piece if target in out else piece
+            _add_term(out, tuple(key[i] for i in p), (sign * scale) * a)
     return TensorElement(t.space, n, out)
 
 
@@ -299,8 +286,7 @@ def project_antisymmetric(t: TensorElement) -> AntisymmetricElement:
         if ss is None:
             continue  # repeated slot, antisymmetry kills it
         s, sign = ss
-        piece = (sign * scale) * a
-        out[s] = out[s] + piece if s in out else piece
+        _add_term(out, s, (sign * scale) * a)
     return AntisymmetricElement(t.space, n, out)
 
 
@@ -337,9 +323,7 @@ def tensor_of(factors: list[ModuleVector]) -> TensorElement:
                         continue
                     tail = tuple(key_tail)
                     for b0, c0 in cvec.coeffs.items():
-                        key = (b0,) + tail
-                        piece = (c0 * w) * coeff
-                        new[key] = new[key] + piece if key in new else piece
+                        _add_term(new, (b0,) + tail, (c0 * w) * coeff)
         terms = new
     return TensorElement(space, len(factors), terms)
 
@@ -373,11 +357,35 @@ def antisym_inner(v: AntisymmetricElement, w: AntisymmetricElement) -> WeylEleme
 # ---------------------------------------------------------------------------
 # truncated Fock elements
 
+_ONE = complex(1.0)
+
+
+def _accumulate(target: dict, s: tuple[int, ...], x: dict) -> None:
+    """target[s] += x in place; the caller owns target's maps, and x is
+    stored as it is when s is new.
+
+    A map that cancels to empty keeps its key, so a later piece for s
+    lands in the same place of the summation order; building the element
+    drops it.
+    """
+    got = target.get(s)
+    if got is None:
+        target[s] = x
+    else:
+        map_merge(got, x)
+
 
 class FockElement:
     """Finite-level element: level 0 holds a Weyl coefficient, level
     l >= 1 canonical antisymmetric terms.  Levels above the truncation
-    are dropped by the operators, which then set the truncated flag."""
+    are dropped by the operators, which then set the truncated flag.
+
+    ``parts`` maps a level to {basis tuple: coefficient map}, level 0 to
+    the single key (); a coefficient map is the store of a WeylElement
+    (see ``weyl.map_product``).  The constructor takes WeylElement
+    values, ``scalar`` and ``level`` return them; no map inside an element
+    changes after it is built.
+    """
 
     __slots__ = ("space", "truncation", "parts", "truncated")
 
@@ -390,31 +398,42 @@ class FockElement:
     ) -> None:
         if truncation < 1:
             raise ValueError("truncation must be >= 1")
+        maps = {}
+        for level, terms in (parts or {}).items():
+            if not 0 <= level <= truncation:
+                raise ValueError("level outside truncation window")
+            maps[level] = {t: dict(a.terms) for t, a in terms.items()}
+        self._fill(space, truncation, maps, truncated)
+
+    @classmethod
+    def _of(cls, space: FreeBimodule, truncation: int, maps: dict, truncated: bool):
+        """Element over maps that nobody changes afterwards."""
+        v = cls.__new__(cls)
+        v._fill(space, truncation, maps, truncated)
+        return v
+
+    def _fill(self, space, truncation, maps, truncated) -> None:
         self.space = space
         self.truncation = truncation
         self.truncated = truncated
-        self.parts: dict[int, dict[tuple[int, ...], WeylElement]] = {}
-        if parts:
-            for level, terms in parts.items():
-                if not 0 <= level <= truncation:
-                    raise ValueError("level outside truncation window")
-                kept = {t: a for t, a in terms.items() if not a.is_zero()}
-                if kept:
-                    self.parts[level] = kept
+        self.parts: dict[int, dict[tuple[int, ...], dict]] = {}
+        for level, terms in maps.items():
+            kept = {t: x for t, x in terms.items() if x}
+            if kept:
+                self.parts[level] = kept
 
     # -- access ------------------------------------------------------
 
     @property
     def scalar(self) -> WeylElement:
-        part = self.parts.get(0)
-        if part:
-            return part[()]
-        return WeylElement.zero(self.space.gens)
+        return WeylElement(self.space.gens, self.parts.get(0, {}).get((), {}))
 
     def level(self, l: int) -> AntisymmetricElement:
         if l < 1:
             raise ValueError("use .scalar for level 0")
-        return AntisymmetricElement(self.space, l, self.parts.get(l, {}))
+        gens = self.space.gens
+        terms = {t: WeylElement(gens, x) for t, x in self.parts.get(l, {}).items()}
+        return AntisymmetricElement(self.space, l, terms)
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -427,12 +446,14 @@ class FockElement:
 
     def __add__(self, other: "FockElement") -> "FockElement":
         self._require_same(other)
-        parts: dict[int, dict] = {l: dict(ts) for l, ts in self.parts.items()}
+        parts = {l: dict(ts) for l, ts in self.parts.items()}
         for l, ts in other.parts.items():
             mine = parts.setdefault(l, {})
-            for t, a in ts.items():
-                mine[t] = mine[t] + a if t in mine else a
-        return FockElement(
+            for t, x in ts.items():
+                if t in mine:
+                    mine[t] = dict(mine[t])
+                _accumulate(mine, t, x)
+        return FockElement._of(
             self.space, self.truncation, parts, self.truncated or other.truncated
         )
 
@@ -440,19 +461,19 @@ class FockElement:
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: complex) -> "FockElement":
+        s = complex(scalar)
         parts = {
-            l: {t: scalar * a for t, a in ts.items()} for l, ts in self.parts.items()
+            l: {t: map_scaled(s, x) for t, x in ts.items()} for l, ts in self.parts.items()
         }
-        return FockElement(self.space, self.truncation, parts, self.truncated)
+        return FockElement._of(self.space, self.truncation, parts, self.truncated)
 
     def close_to(self, other: "FockElement", tol: float = 1e-12) -> bool:
         self._require_same(other)
-        zero = WeylElement.zero(self.space.gens)
         for l in self.parts.keys() | other.parts.keys():
             a_terms = self.parts.get(l, {})
             b_terms = other.parts.get(l, {})
             for t in a_terms.keys() | b_terms.keys():
-                if not a_terms.get(t, zero).close_to(b_terms.get(t, zero), tol):
+                if not maps_close(a_terms.get(t, {}), b_terms.get(t, {}), tol):
                     return False
         return True
 
@@ -490,8 +511,9 @@ def create(f: ModuleVector, v: FockElement) -> FockElement:
     space = v.space
     if f.space is not space:
         raise ValueError("vector lives in a different bimodule")
+    gens = space.gens
     groups = f.by_group()
-    out: dict[int, dict[tuple[int, ...], WeylElement]] = {}
+    out: dict[int, dict[tuple[int, ...], dict]] = {}
     truncated = v.truncated
     for l, terms in v.parts.items():
         if l + 1 > v.truncation:
@@ -500,15 +522,13 @@ def create(f: ModuleVector, v: FockElement) -> FockElement:
         target = out.setdefault(l + 1, {})
         scale = 1.0 / math.sqrt(l + 1)
         for n, cvec in groups.items():
-            mono = WeylElement.monomial(space.gens, n)
             for t, a in terms.items():
-                coeff = mono * a
-                cols = [dict(cvec.coeffs)]
+                coeff = map_monomial_product(gens, n, _ONE, a)
+                cols = [cvec.coeffs]
                 cols.extend(space.twist.column(n, b) for b in t)
                 for s, det in _wedge_from_columns(cols).items():
-                    piece = (det * scale) * coeff
-                    target[s] = target[s] + piece if s in target else piece
-    return FockElement(space, v.truncation, out, truncated)
+                    _accumulate(target, s, map_scaled(det * scale, coeff))
+    return FockElement._of(space, v.truncation, out, truncated)
 
 
 def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
@@ -522,8 +542,9 @@ def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
     space = v.space
     if f.space is not space:
         raise ValueError("vector lives in a different bimodule")
+    gens = space.gens
     groups = f.by_group()
-    out: dict[int, dict[tuple[int, ...], WeylElement]] = {}
+    out: dict[int, dict[tuple[int, ...], dict]] = {}
     for l, terms in v.parts.items():
         if l == 0:
             continue
@@ -531,7 +552,6 @@ def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
         scale = math.sqrt(l)
         for n, cvec in groups.items():
             neg = tuple(-x for x in n)
-            mono = WeylElement.monomial(space.gens, neg)
             coeffs = cvec.coeffs
             for t, a in terms.items():
                 coeff = None
@@ -540,14 +560,13 @@ def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
                     if z is None:
                         continue
                     if coeff is None:
-                        coeff = mono * a
+                        coeff = map_monomial_product(gens, neg, _ONE, a)
                     sign = -scale if k % 2 else scale
                     w = sign * z.conjugate()
                     tail = t[:k] + t[k + 1 :]
                     for s, det in _compound_apply(space.twist, neg, tail).items():
-                        piece = (w * det) * coeff
-                        target[s] = target[s] + piece if s in target else piece
-    return FockElement(space, v.truncation, out, v.truncated)
+                        _accumulate(target, s, map_scaled(w * det, coeff))
+    return FockElement._of(space, v.truncation, out, v.truncated)
 
 
 def fock_left_action(a: WeylElement, v: FockElement) -> FockElement:
@@ -556,30 +575,31 @@ def fock_left_action(a: WeylElement, v: FockElement) -> FockElement:
     space = v.space
     if a.gens is not space.gens:
         raise ValueError("operator over wrong generator set")
-    out: dict[int, dict[tuple[int, ...], WeylElement]] = {}
+    gens = space.gens
+    out: dict[int, dict[tuple[int, ...], dict]] = {}
     for n, c in a.terms.items():
-        mono = WeylElement.monomial(space.gens, n, c)
         for l, terms in v.parts.items():
             target = out.setdefault(l, {})
-            for t, coeff_in in terms.items():
-                coeff = mono * coeff_in
+            for t, x in terms.items():
+                coeff = map_monomial_product(gens, n, c, x)
                 if l == 0:
-                    target[()] = target[()] + coeff if () in target else coeff
+                    _accumulate(target, (), coeff)
                     continue
                 for s, det in _compound_apply(space.twist, n, t).items():
-                    piece = det * coeff
-                    target[s] = target[s] + piece if s in target else piece
-    return FockElement(space, v.truncation, out, v.truncated)
+                    _accumulate(target, s, map_scaled(det, coeff))
+    return FockElement._of(space, v.truncation, out, v.truncated)
 
 
 def fock_right_mul(v: FockElement, a: WeylElement) -> FockElement:
     """Right module action, coefficientwise on every level."""
-    if a.gens is not v.space.gens:
+    gens = v.space.gens
+    if a.gens is not gens:
         raise ValueError("operator over wrong generator set")
     parts = {
-        l: {t: x * a for t, x in terms.items()} for l, terms in v.parts.items()
+        l: {t: map_product(gens, x, a.terms) for t, x in terms.items()}
+        for l, terms in v.parts.items()
     }
-    return FockElement(v.space, v.truncation, parts, v.truncated)
+    return FockElement._of(v.space, v.truncation, parts, v.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +610,7 @@ def gns_inner(v: FockElement, w: FockElement, state: State) -> complex:
     """State applied to the algebra-valued scalar product, levelwise."""
     v._require_same(w)
     gens = v.space.gens
-    total = WeylElement.zero(gens)
+    total: dict[tuple[int, ...], complex] = {}
     for l in v.parts.keys() & w.parts.keys():
         scale = float(math.factorial(l))
         vt = v.parts[l]
@@ -599,8 +619,8 @@ def gns_inner(v: FockElement, w: FockElement, state: State) -> complex:
             a = vt.get(t)
             b = wt.get(t)
             if a is not None and b is not None:
-                total = total + scale * (a.adjoint() * b)
-    return state(total)
+                map_merge(total, map_scaled(scale, map_product(gens, map_adjoint(a), b)))
+    return state(WeylElement(gens, total))
 
 
 def gns_norm(v: FockElement, state: State) -> float:
@@ -710,13 +730,27 @@ class FieldOperator:
     # -- action ------------------------------------------------------
 
     def apply(self, v: FockElement) -> FockElement:
-        total = FockElement(self.space, v.truncation, {}, v.truncated)
+        """Sum of the words' images; truncated if v or any word's image is."""
+        if v.space is not self.space:
+            raise ValueError("fock elements are not compatible")
+        parts: dict[int, dict[tuple[int, ...], dict]] = {}
+        truncated = v.truncated
         for scalar, prims in self.terms:
             acc = v
             for prim in reversed(prims):
                 acc = prim.apply(acc)
-            total = total + scalar * acc
-        return total
+                if not acc.parts:
+                    break
+            truncated = truncated or acc.truncated
+            for l, ts in acc.parts.items():
+                mine = parts.setdefault(l, {})
+                for t, x in ts.items():
+                    _accumulate(mine, t, map_scaled(scalar, x))
+                    if not mine[t]:
+                        del mine[t]
+                if not mine:
+                    del parts[l]
+        return FockElement._of(self.space, v.truncation, parts, truncated)
 
     def equivalent(self, other: "FieldOperator", tol: float = 1e-12) -> bool:
         """Structural equality up to term order and coefficient noise."""

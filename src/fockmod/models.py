@@ -190,9 +190,10 @@ def make_twist(
     gens: GeneratorSet,
     radius: float | None = None,
 ) -> Twist:
-    """Diagonal model twist: exp(-i phi) on +, its conjugate on -."""
+    """Diagonal model twist: exp(-i phi) on +, its conjugate on -, passed
+    to Twist as one phase vector per generator."""
     grid = basis.grid
-    mats = []
+    phases = []
     for pair in gens.pairs:
         phi = sigma_convolve(kind, grid, pair.s0, radius)
         diag = np.ones(basis.dim, dtype=complex)
@@ -202,8 +203,8 @@ def make_twist(
             for c in range(grid.components):
                 diag[basis.index(p, c, SECTOR_PLUS)] = plus_phase
                 diag[basis.index(p, c, SECTOR_MINUS)] = minus_phase
-        mats.append(np.diag(diag))
-    return Twist(basis, gens, mats)
+        phases.append(diag)
+    return Twist(basis, gens, phases)
 
 
 def conventions(grid: GridSpec) -> dict:
@@ -398,7 +399,8 @@ def gauge_transform(z: complex, op: FieldOperator) -> FieldOperator:
     scalar; a word of net charge zero is returned untouched, which is
     what makes gauge invariance structural rather than numerical.
     """
-    if abs(abs(z) - 1.0) > 1e-12:
+    # written so that a NaN z fails it
+    if not abs(abs(z) - 1.0) <= 1e-12:
         raise ValueError("gauge parameter must lie on the unit circle")
     out = []
     for scalar, prims in op.terms:

@@ -29,6 +29,12 @@ __all__ = [
     "gram_matrix",
     "PRUNE_TOL",
     "COEFF_TOL",
+    "map_product",
+    "map_monomial_product",
+    "map_scaled",
+    "map_merge",
+    "map_adjoint",
+    "maps_close",
 ]
 
 # coefficients at or below this magnitude are dropped from stored maps
@@ -135,7 +141,7 @@ class GeneratorSet:
     exact integer arithmetic.
     """
 
-    __slots__ = ("grid", "pairs", "gram")
+    __slots__ = ("grid", "pairs", "gram", "_products")
 
     def __init__(self, grid: GridSpec, pairs) -> None:
         pairs = tuple(pairs)
@@ -157,6 +163,7 @@ class GeneratorSet:
         self.grid = grid
         self.pairs = pairs
         self.gram = gram
+        self._products: dict[tuple, tuple[tuple[int, ...], complex]] = {}
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -181,6 +188,14 @@ class GeneratorSet:
                     total += nk * nl * row[l]
         return total
 
+    def product(self, n: tuple[int, ...], m: tuple[int, ...]) -> tuple[tuple[int, ...], complex]:
+        """(n + m, exp(i eta(n, m) / 2)), so W(n) W(m) = phase W(n + m); cached."""
+        got = self._products.get((n, m))
+        if got is None:
+            got = (tuple(x + y for x, y in zip(n, m)), cmath.exp(0.5j * self.eta(n, m)))
+            self._products[(n, m)] = got
+        return got
+
     def combine(self, n: tuple[int, ...]) -> TestFunctionPair:
         """The test function pair sum_k n_k s_k labelled by an exponent vector."""
         if len(n) != len(self.pairs):
@@ -199,6 +214,64 @@ def _check_exponent(gens: GeneratorSet, n) -> tuple[int, ...]:
     if len(n) != len(gens):
         raise ValueError("exponent length does not match generator count")
     return n
+
+
+# ---------------------------------------------------------------------------
+# coefficient maps
+#
+# A coefficient map {n: c} is the store of a WeylElement: exponent tuples
+# to complex coefficients, each |c| > PRUNE_TOL.  The Fock layer keeps its
+# coefficients as bare maps; these helpers do its arithmetic and
+# WeylElement's, and each prunes where the operation it implements ends.
+
+
+def map_product(gens: GeneratorSet, x: dict, y: dict) -> dict:
+    """The product x y, summed term by term before pruning."""
+    out: dict[tuple[int, ...], complex] = {}
+    for n, a in x.items():
+        for m, b in y.items():
+            key, phase = gens.product(n, m)
+            out[key] = out.get(key, 0.0) + a * b * phase
+    return {n: c for n, c in out.items() if abs(c) > PRUNE_TOL}
+
+
+def map_monomial_product(gens: GeneratorSet, n: tuple[int, ...], c0: complex, y: dict) -> dict:
+    """(c0 W(n)) y; its keys n + m are distinct, so nothing is summed."""
+    out: dict[tuple[int, ...], complex] = {}
+    for m, b in y.items():
+        key, phase = gens.product(n, m)
+        c = 0.0 + c0 * b * phase
+        if abs(c) > PRUNE_TOL:
+            out[key] = c
+    return out
+
+
+def map_scaled(s: complex, x: dict) -> dict:
+    out: dict[tuple[int, ...], complex] = {}
+    for n, c in x.items():
+        c = s * c
+        if abs(c) > PRUNE_TOL:
+            out[n] = c
+    return out
+
+
+def map_merge(dst: dict, src: dict) -> None:
+    """dst += src in place; a key that cancels leaves dst."""
+    for n, c in src.items():
+        c = dst.get(n, 0.0) + c
+        if abs(c) > PRUNE_TOL:
+            dst[n] = c
+        elif n in dst:
+            del dst[n]
+
+
+def map_adjoint(x: dict) -> dict:
+    # W(n)* = W(-n) exactly: the canonical labelling carries no phase
+    return {tuple(-v for v in n): c.conjugate() for n, c in x.items()}
+
+
+def maps_close(x: dict, y: dict, tol: float) -> bool:
+    return not any(abs(x.get(n, 0.0) - y.get(n, 0.0)) > tol for n in x.keys() | y.keys())
 
 
 class WeylElement:
@@ -238,8 +311,7 @@ class WeylElement:
     def __add__(self, other: "WeylElement") -> "WeylElement":
         self._require_same(other)
         out = dict(self.terms)
-        for n, c in other.terms.items():
-            out[n] = out.get(n, 0.0) + c
+        map_merge(out, other.terms)
         return WeylElement(self.gens, out)
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
@@ -249,32 +321,17 @@ class WeylElement:
         return (-1.0) * self
 
     def __rmul__(self, scalar: complex) -> "WeylElement":
-        return WeylElement(
-            self.gens, {n: scalar * c for n, c in self.terms.items()}
-        )
+        return WeylElement(self.gens, map_scaled(scalar, self.terms))
 
     def __mul__(self, other):
         """Algebra product; scalars multiply coefficientwise."""
         if not isinstance(other, WeylElement):
-            return WeylElement(
-                self.gens, {n: c * other for n, c in self.terms.items()}
-            )
+            return WeylElement(self.gens, map_scaled(other, self.terms))
         self._require_same(other)
-        gens = self.gens
-        out: dict[tuple[int, ...], complex] = {}
-        for n, a in self.terms.items():
-            for m, b in other.terms.items():
-                phase = cmath.exp(0.5j * gens.eta(n, m))
-                key = tuple(x + y for x, y in zip(n, m))
-                out[key] = out.get(key, 0.0) + a * b * phase
-        return WeylElement(gens, out)
+        return WeylElement(self.gens, map_product(self.gens, self.terms, other.terms))
 
     def adjoint(self) -> "WeylElement":
-        # W(n)* = W(-n) exactly: the canonical labelling carries no phase
-        return WeylElement(
-            self.gens,
-            {tuple(-v for v in n): c.conjugate() for n, c in self.terms.items()},
-        )
+        return WeylElement(self.gens, map_adjoint(self.terms))
 
     # -- inspection --------------------------------------------------
 
@@ -286,10 +343,7 @@ class WeylElement:
 
     def close_to(self, other: "WeylElement", tol: float = COEFF_TOL) -> bool:
         self._require_same(other)
-        for n in self.terms.keys() | other.terms.keys():
-            if abs(self.terms.get(n, 0.0) - other.terms.get(n, 0.0)) > tol:
-                return False
-        return True
+        return maps_close(self.terms, other.terms, tol)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylElement):

@@ -94,12 +94,17 @@ def test_twist_rejects_nonunitary():
     bad = [np.eye(6), 2.0 * np.eye(6)]
     with pytest.raises(ValueError, match="not unitary"):
         Twist(basis, gens, bad)
-    # non-finite entries, in a diagonal family and in a dense one
+    with pytest.raises(ValueError, match="generator 1 is not unitary"):
+        Twist(basis, gens, [np.ones(6), 2.0 * np.ones(6)])
+    # non-finite entries, in a diagonal family (as matrix and as phase
+    # vector) and in a dense one
     for bad in (math.nan, math.inf):
         phases = np.exp(1j * np.array([0.3, 1.1, 2.0, -0.3, -1.1, -2.0]))
         phases[1] = phases[4] = bad
         with pytest.raises(ValueError, match="not unitary"):
             Twist(basis, gens, [np.eye(6), np.diag(phases)])
+        with pytest.raises(ValueError, match="generator 1 is not unitary"):
+            Twist(basis, gens, [np.ones(6), phases])
         u = mixing_twist(basis, gens).unitaries[0].copy()
         u[0, 1] = bad
         with pytest.raises(ValueError, match="not unitary"):
@@ -129,6 +134,29 @@ def test_twist_rejects_kappa_violation():
     u = np.diag(np.exp(1j * 0.7 * np.ones(6)))
     with pytest.raises(ValueError, match="charge conjugation"):
         Twist(basis, gens, [u, np.eye(6)])
+    with pytest.raises(ValueError, match="generator 0 breaks charge conjugation"):
+        Twist(basis, gens, [np.diagonal(u), np.ones(6)])
+
+
+def test_twist_takes_phase_vectors():
+    basis = OneParticleBasis(tiny_grid())
+    gens = tiny_gens()
+    phases = np.exp(1j * np.array([0.3, 1.1, 2.0, -0.3, -1.1, -2.0]))
+    as_vectors = Twist(basis, gens, [phases, np.ones(6)])
+    as_matrices = Twist(basis, gens, [np.diag(phases), np.eye(6)])
+    for n in [(1, 0), (-2, 1)]:
+        assert np.array_equal(as_vectors.matrix(n), as_matrices.matrix(n))
+    assert all(np.array_equal(u, v) for u, v in zip(as_vectors.unitaries, as_matrices.unitaries))
+    # the twist keeps its own copy
+    phases[0] = 1.0
+    assert as_vectors.column((1, 0), 0) == as_matrices.column((1, 0), 0)
+    # a phase vector beside a non-diagonal generator joins the dense family
+    rot = mixing_twist(basis, gens).unitaries[0]
+    dense = Twist(basis, gens, [rot, np.ones(6)])
+    assert np.array_equal(dense.unitaries[1], np.eye(6))
+    for bad in (np.ones(5), np.ones((6, 1))):
+        with pytest.raises(ValueError, match="wrong shape"):
+            Twist(basis, gens, [bad, np.ones(6)])
 
 
 def test_twist_needs_one_unitary_per_generator():

@@ -171,9 +171,39 @@ def test_run_config_rejects_bad_checks():
         ({"witness": [["zz", 0]]}, "relative_locality.witness[0][0]: unknown vector"),
         ({"local": "wA"}, "relative_locality.local: expected a list"),
         ({"local": [["wA"]]}, "relative_locality.local[0]: expected [vector, generator]"),
+        # JSON booleans are no integers
+        ({"local": [["wA", True]]}, "relative_locality.local[0][1]: expected a generator index"),
     ):
         with pytest.raises(ConfigError, match=re.escape(path)):
             run_config(broken(checks=[{"check": "relative_locality", **check}]))
+    for check, path in (
+        ({"check": "adjointness", "cases": True}, "adjointness.cases: expected an integer"),
+        ({"check": "weyl_exactness", "cases": False}, "weyl_exactness.cases: expected an integer"),
+        (
+            {
+                "check": "observable_net",
+                "observables": [{"generator": True, "w1": "wA", "w2": "wB"}],
+            },
+            "observable_net.observables[0].generator: expected a generator index",
+        ),
+        (
+            {
+                "check": "observable_net",
+                "observables": [{"w1": "wA", "w2": "wB"}] * 2,
+                "disjoint": [[0, True]],
+            },
+            "observable_net.disjoint[0]: expected a valid index pair",
+        ),
+        (
+            {"check": "car", "free": [[[["wA", [0, True]]], [["wB", [0, 0]]]]]},
+            "car.free[0][0][0]: exponents must be 2 integers",
+        ),
+        ({"check": "gauge_invariance", "angles": [True]}, "gauge_invariance.angles: expected"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            run_config(broken(checks=[check]))
+    with pytest.raises(ConfigError, match=re.escape("seed: expected an integer")):
+        run_config(broken(seed=True))
 
 
 def test_check_table_matches_configs_and_models():
@@ -327,11 +357,24 @@ def test_main_reports_relative_locality_failure(tmp_path, check, label):
         ({"truncation": "abc"}, "truncation"),
         ({"seed": "x"}, "seed"),
         ({"checks": [{"check": "adjointness", "cases": "many"}]}, "adjointness.cases"),
+        ({"checks": [{"check": "adjointness", "cases": True}]}, "adjointness.cases"),
+        ({"truncation": True}, "truncation"),
+        ({"grid": {"dimension": 1, "points": 3, "components": True}}, "grid.components"),
+        ({"grid": {"dimension": 1, "points": "x"}}, "grid.points"),
     ),
 )
 def test_main_config_type_errors_exit_2(tmp_path, capsys, patch, field):
     assert _main_exit(tmp_path, broken(**patch)) == 2
     assert f"fockmod: {field}: expected an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "angle", (float("nan"), float("inf"), -float("inf"), pytest.param(10**400, id="huge_int"))
+)
+def test_main_nonfinite_angle_exits_2(tmp_path, capsys, angle):
+    cfg = broken(checks=[{"check": "gauge_invariance", "angles": [0.7, angle]}])
+    assert _main_exit(tmp_path, cfg) == 2
+    assert "gauge_invariance.angles: expected finite numbers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spacing", (float("nan"), float("inf")))

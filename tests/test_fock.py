@@ -10,7 +10,10 @@ from hypothesis import given, strategies as st
 from fockmod.weyl import State, WeylElement
 from fockmod.bimodule import OneParticleVector, conjugate_vector, module_inner
 from fockmod.fock import (
+    AnnihilateOp,
     AntisymmetricElement,
+    CreateOp,
+    FieldOperator,
     FockElement,
     TensorElement,
     annihilate,
@@ -144,6 +147,13 @@ def test_create_carries_group_coefficient():
     n = (1, 0)
     f = module.basis_element(0, WeylElement.monomial(gens, n))
     out = create(f, vacuum(module, 3))
+    # the second call reads f's cached group decomposition
+    assert f.by_group() is f.by_group()
+    assert create(f, vacuum(module, 3)).parts == out.parts
+    g = rand_vector(random.Random(5), module)
+    w = rand_wedge(random.Random(6), module, 2)
+    first = create(g, w)
+    assert create(g, w).parts == first.parts
     assert out.level(1).terms[(0,)].close_to(WeylElement.monomial(gens, n))
     # the standing slot is rotated by u(n): point 0 picks up e^{-i}
     out2 = create(f, basis_fock(module, (1,)))
@@ -273,6 +283,14 @@ def test_create_above_truncation_drops_and_flags():
     # the flag survives further operations
     again = annihilate(module.basis_element(0), out + basis_fock(module, (0, 1)))
     assert again.truncated
+    # an operator's image is truncated when any word's is, even a word
+    # whose image is zero; the order of the words does not matter
+    e0, e3 = module.basis_element(0), module.basis_element(3)
+    for op in (creation(e3) + annihilation(e0), annihilation(e0) + creation(e3)):
+        image = op.apply(top)
+        assert image.truncated
+        assert image.close_to(annihilate(e0, top))
+    assert not annihilation(e0).apply(top).truncated
 
 
 def test_fock_arithmetic_and_guards():
@@ -289,6 +307,18 @@ def test_fock_arithmetic_and_guards():
         v.level(0)
     with pytest.raises(ValueError):
         fock_from_antisymmetric(AntisymmetricElement(module, 3, {}), 2)
+    # Weyl coefficients go in and come back out unchanged; zero ones and
+    # empty levels are not stored
+    gens = module.gens
+    a = WeylElement(gens, {(1, 0): 0.5j, (0, -1): 2.0})
+    zero = WeylElement.zero(gens)
+    x = FockElement(module, 3, {0: {(): a}, 1: {(2,): zero}, 2: {(0, 1): a, (1, 2): zero}})
+    assert sorted(x.parts) == [0, 2]
+    assert x.scalar.terms == a.terms and x.scalar.gens is gens
+    assert x.level(2).terms.keys() == {(0, 1)} and x.level(2).terms[(0, 1)].terms == a.terms
+    assert x.level(1).terms == {}
+    assert FockElement(module, 3, {0: {(): zero}}).is_zero()
+    assert FockElement(module, 3).scalar.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +376,20 @@ def test_field_operator_algebra():
     lhs = gns_inner(v, (A @ B).apply(w), state)
     rhs = gns_inner((A @ B).adjoint().apply(v), w, state)
     assert abs(lhs - rhs) <= 1e-12
+
+
+def test_field_operator_stops_a_killed_word():
+    class Unreachable:
+        def apply(self, v):
+            raise AssertionError("applied after the word's image vanished")
+
+    module = tiny_module("trivial")
+    e0, e1 = module.basis_element(0), module.basis_element(1)
+    vac = vacuum(module, 3)
+    # a(e1) kills the vacuum, so the word contributes nothing
+    op = FieldOperator(module, [(2.0, (Unreachable(), AnnihilateOp(e1))), (1.0, (CreateOp(e0),))])
+    assert op.apply(vac).close_to(create(e0, vac), 0.0)
+    assert FieldOperator(module, [(1.0, (Unreachable(), AnnihilateOp(e1)))]).apply(vac).is_zero()
 
 
 def test_field_operator_equivalent():

@@ -313,8 +313,13 @@ def test_gauge_mixed_sector_scales_entries():
 def test_gauge_rejects_off_circle():
     ctx = delta_ctx()
     f = plus_vector(ctx.module, [1.0, 0.0, 0.0])
+    for z in (2.0, complex(math.nan, math.nan), complex(math.nan, 0.0), math.inf):
+        with pytest.raises(ValueError, match="unit circle"):
+            gauge_transform(z, electron(f))
+    # a NaN angle used to leave every observable untouched, and pass
+    spec = (UNIT_W(ctx.gens), f, f)
     with pytest.raises(ValueError, match="unit circle"):
-        gauge_transform(2.0, electron(f))
+        check_gauge_invariance(ctx, [spec], [0.7, math.nan])
 
 
 def test_level_basis_counts():
