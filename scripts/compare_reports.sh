@@ -1,0 +1,37 @@
+#!/bin/sh
+# Compare this checkout's JSON reports with those of another checkout.
+#
+#   sh scripts/compare_reports.sh BASE_DIR
+#
+# BASE_DIR is a second checkout of fockmod, for example the base commit
+# of a pull request.  Both trees run `fockmod all --seed N` for N = 1, 2, 3
+# and `fockmod model --config NAME` for each bundled scenario, all with
+# `--format json`; the script prints one line per report and exits 1 if
+# any report differs byte for byte.  Set PYTHON to pick the interpreter.
+set -eu
+[ $# -eq 1 ] || { echo "usage: $0 BASE_DIR" >&2; exit 2; }
+base=$(cd "$1" && pwd)
+head=$(cd "$(dirname "$0")/.." && pwd)
+out=$(mktemp -d)
+trap 'rm -rf "$out"' EXIT
+
+status=0
+for args in \
+    "all --seed 1" "all --seed 2" "all --seed 3" \
+    "model --config bump_freeness" "model --config car_suite" \
+    "model --config delta_locality" "model --config lebesgue_gauge" \
+    "model --config poisson_nonlocal"; do
+    for side in base head; do
+        eval tree=\$$side
+        # exit 1 only means a check failed; the report is still written
+        PYTHONPATH="$tree/src" "${PYTHON:-python}" -m fockmod.cli $args --format json \
+            > "$out/$side.json" || [ $? -eq 1 ]
+    done
+    if cmp -s "$out/base.json" "$out/head.json"; then
+        echo "identical  $args"
+    else
+        echo "DIFFERENT  $args"
+        status=1
+    fi
+done
+exit $status

@@ -316,9 +316,6 @@ class FreeBimodule:
     def vector(self, entries: dict) -> "ModuleVector":
         return ModuleVector(self, entries)
 
-    def zero_vector(self) -> "ModuleVector":
-        return ModuleVector(self, {})
-
     def basis_element(self, i: int, coeff: WeylElement | None = None) -> "ModuleVector":
         """e_i . A with A defaulting to the unit."""
         if coeff is None:

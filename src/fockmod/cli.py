@@ -63,8 +63,12 @@ def _is_int(value) -> bool:
 
 
 def _int(value, where: str) -> int:
-    """int(value), or a ConfigError naming the field."""
-    _require(not isinstance(value, bool), f"{where}: expected an integer, got {value!r}")
+    """int(value), or a ConfigError naming the field; a float must be
+    integral, since int() would truncate it."""
+    _require(
+        not isinstance(value, bool) and not (isinstance(value, float) and not value.is_integer()),
+        f"{where}: expected an integer, got {value!r}",
+    )
     try:
         return int(value)
     except (TypeError, ValueError, OverflowError) as e:
@@ -83,6 +87,8 @@ def load_config(spec: str) -> dict:
                 return json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{spec}: invalid JSON ({e})") from e
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"{spec}: cannot read a UTF-8 file ({e})") from e
     name = spec[:-5] if spec.endswith(".json") else spec
     if name in BUNDLED:
         data = resources.files("fockmod.configs").joinpath(name + ".json").read_text()
@@ -98,11 +104,13 @@ def _parse_grid(d: dict) -> GridSpec:
     dimension = _int(d.get("dimension", 1), "grid.dimension")
     points = _int(d.get("points", 16), "grid.points")
     components = _int(d.get("components", 1), "grid.components")
+    spacing = d.get("spacing", 1.0)
+    _require(not isinstance(spacing, bool), f"grid.spacing: expected a number, got {spacing!r}")
     try:
         return GridSpec(
             dimension=dimension,
             points_per_axis=points,
-            spacing=float(d.get("spacing", 1.0)),
+            spacing=float(spacing),
             components=components,
         )
     except (TypeError, ValueError, OverflowError) as e:
@@ -111,9 +119,11 @@ def _parse_grid(d: dict) -> GridSpec:
 
 def _parse_profile(grid: GridSpec, spec, what: str):
     _require(isinstance(spec, dict), f"{what}: profile must be an object")
+    for key in ("center", "width", "amplitude"):
+        _require(spec.get(key, 0) is not None, f"{what}.{key}: expected a number, got null")
     try:
         return profile_array(grid, spec)
-    except (KeyError, ValueError, IndexError) as e:
+    except (KeyError, ValueError, IndexError, TypeError) as e:
         raise ConfigError(f"{what}: {e}") from e
 
 
@@ -161,15 +171,19 @@ def build_scenario(config: dict):
         ctx = build_context(kind, grid, gen_pairs, state, truncation, radius)
     except ValueError as e:
         raise ConfigError(f"model construction failed: {e}") from e
+    specs = config.get("vectors") or {}
+    _require(isinstance(specs, dict), "vectors: expected an object")
     vectors: dict[str, ModuleVector] = {}
-    for name, vs in (config.get("vectors") or {}).items():
+    for name, vs in specs.items():
         _require(isinstance(vs, dict), f"vectors.{name}: expected an object")
-        sector = _SECTORS.get(vs.get("sector", "+"))
-        _require(sector is not None, f"vectors.{name}.sector: use '+' or '-'")
+        sign = vs.get("sector", "+")
+        _require(
+            isinstance(sign, str) and sign in _SECTORS, f"vectors.{name}.sector: use '+' or '-'"
+        )
         comp = _int(vs.get("component", 0), f"vectors.{name}.component")
         _require(0 <= comp < grid.components, f"vectors.{name}.component out of range")
         prof = _parse_profile(grid, vs.get("profile", {}), f"vectors.{name}.profile")
-        vectors[name] = models.plus_vector(ctx.module, prof, comp, sector)
+        vectors[name] = models.plus_vector(ctx.module, prof, comp, _SECTORS[sign])
     ctx.vectors = vectors
     return ctx
 
@@ -215,7 +229,14 @@ def _check_seed(seed: int, name: str, ordinal: int) -> int:
 
 
 def _count(key: str, default: int):
-    return lambda ctx, params, name: _int(params.get(key, default), f"{name}.{key}")
+    """Parser of a count, which must be at least 1: no cases tests nothing."""
+
+    def parse(ctx, params, name):
+        n = _int(params.get(key, default), f"{name}.{key}")
+        _require(n >= 1, f"{name}.{key}: expected a count of at least 1, got {n}")
+        return n
+
+    return parse
 
 
 def _each(key: str, parse_item):
@@ -384,6 +405,7 @@ def run_config(
         tolerance is None or (isinstance(tolerance, (int, float)) and 0 < tolerance < math.inf),
         f"tolerance: expected a finite positive number, got {tolerance!r}",
     )
+    _require(isinstance(config, dict), "config: expected a JSON object")
     config = dict(config)
     if seed is not None:
         config["seed"] = int(seed)

@@ -3,17 +3,17 @@
 Levels are spans of normal-form tensors (basis tuple) . (Weyl element);
 moving a coefficient past a slot twists every slot it crosses, so the
 antisymmetrizer only ever permutes basis tuples and commutes with the
-twisted structure.  Antisymmetric elements store one coefficient per
-strictly increasing tuple: the stored value is the coefficient the
-increasing representative carries in the full signed expansion.
+twisted structure.
 
-A FockElement stores each level as {basis tuple: coefficient map}, the
-map {group label n: complex} being the bare store of a Weyl element, and
-the operators below compute on the maps with the helpers of
-``fockmod.weyl``.  WeylElement objects appear only at the edges: the
-FockElement constructor takes them, ``scalar`` and ``level`` return them,
-and ``gns_inner`` hands one to the state.  Tensor and antisymmetric
-elements, which the oracle cross-checks use, keep WeylElement values.
+Every level is a dict {basis tuple: coefficient map}, the map
+{group label n: complex} being the bare store of a Weyl element; the
+operators below compute on the maps with the helpers of ``fockmod.weyl``.
+``tensor_of`` returns such a dict for a plain (unsymmetrized) tensor
+product.  A FockElement stores one per level, on strictly increasing
+tuples only: the stored map is the coefficient the increasing
+representative carries in the full signed expansion.  WeylElement objects
+appear only at the edges: the FockElement constructor takes them, and
+``scalar``, ``tensor_inner`` and ``fock_inner`` return them.
 
 Creation prepends a one-particle column and reantisymmetrizes through
 exterior-algebra minors; annihilation contracts against the bra vector,
@@ -39,6 +39,7 @@ from .bimodule import (
 )
 from .weyl import (
     PRUNE_TOL,
+    GeneratorSet,
     State,
     WeylElement,
     map_adjoint,
@@ -50,19 +51,16 @@ from .weyl import (
 )
 
 __all__ = [
-    "TensorElement",
-    "AntisymmetricElement",
     "FockElement",
     "vacuum",
     "tensor_of",
-    "antisymmetrize",
     "project_antisymmetric",
     "tensor_inner",
-    "antisym_inner",
     "create",
     "annihilate",
     "fock_left_action",
     "fock_right_mul",
+    "fock_inner",
     "gns_inner",
     "gns_norm",
     "FieldOperator",
@@ -180,181 +178,6 @@ def _compound_apply(twist: Twist, n: tuple[int, ...], t: tuple[int, ...]) -> dic
 
 
 # ---------------------------------------------------------------------------
-# tensor containers
-
-
-def _add_term(out: dict, t: tuple[int, ...], a: WeylElement) -> None:
-    out[t] = out[t] + a if t in out else a
-
-
-class _Terms:
-    """Level-n span of (basis tuple) . (Weyl coefficient); a subclass
-    says which tuples it admits."""
-
-    __slots__ = ("space", "level", "terms")
-
-    def __init__(self, space: FreeBimodule, level: int, terms: dict | None = None) -> None:
-        if level < 1:
-            raise ValueError("level must be >= 1")
-        self.space = space
-        self.level = level
-        self.terms: dict[tuple[int, ...], WeylElement] = {}
-        if terms:
-            dim = space.basis.dim
-            for t, a in terms.items():
-                t = tuple(int(b) for b in t)
-                if len(t) != level:
-                    raise ValueError("key length does not match level")
-                self._check_key(t)
-                if any(not 0 <= b < dim for b in t):
-                    raise IndexError("basis index out of range")
-                if not a.is_zero():
-                    self.terms[t] = a
-
-    def _check_key(self, t: tuple[int, ...]) -> None:
-        pass
-
-    def __add__(self, other):
-        if self.space is not other.space or self.level != other.level:
-            raise ValueError("level mismatch")
-        out = dict(self.terms)
-        for t, a in other.terms.items():
-            _add_term(out, t, a)
-        return type(self)(self.space, self.level, out)
-
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar: complex):
-        return type(self)(self.space, self.level, {t: scalar * a for t, a in self.terms.items()})
-
-    def close_to(self, other, tol: float = 1e-12) -> bool:
-        if self.space is not other.space or self.level != other.level:
-            return False
-        zero = WeylElement.zero(self.space.gens)
-        return all(
-            self.terms.get(t, zero).close_to(other.terms.get(t, zero), tol)
-            for t in self.terms.keys() | other.terms.keys()
-        )
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(level={self.level}, terms={len(self.terms)})"
-
-
-class TensorElement(_Terms):
-    """Level-n span of (basis tuple) . (Weyl coefficient), no symmetry."""
-
-    __slots__ = ()
-
-
-class AntisymmetricElement(_Terms):
-    """Canonical antisymmetric level: strictly increasing tuples only."""
-
-    __slots__ = ()
-
-    def _check_key(self, t: tuple[int, ...]) -> None:
-        if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
-            raise ValueError("keys must be strictly increasing")
-
-    def expand(self) -> TensorElement:
-        """Full signed expansion; emits level! keys per stored tuple."""
-        out: dict[tuple[int, ...], WeylElement] = {}
-        for t, a in self.terms.items():
-            for p, sign in _perms(self.level):
-                _add_term(out, tuple(t[i] for i in p), float(sign) * a)
-        return TensorElement(self.space, self.level, out)
-
-
-def antisymmetrize(t: TensorElement) -> TensorElement:
-    """Projection P_- = (1/n!) sum_p sign(p) U_p on basis tuples."""
-    n = t.level
-    scale = 1.0 / math.factorial(n)
-    out: dict[tuple[int, ...], WeylElement] = {}
-    for key, a in t.terms.items():
-        for p, sign in _perms(n):
-            _add_term(out, tuple(key[i] for i in p), (sign * scale) * a)
-    return TensorElement(t.space, n, out)
-
-
-def project_antisymmetric(t: TensorElement) -> AntisymmetricElement:
-    """P_- followed by canonical storage on increasing representatives."""
-    n = t.level
-    scale = 1.0 / math.factorial(n)
-    out: dict[tuple[int, ...], WeylElement] = {}
-    for key, a in t.terms.items():
-        ss = _sort_sign(key)
-        if ss is None:
-            continue  # repeated slot, antisymmetry kills it
-        s, sign = ss
-        _add_term(out, s, (sign * scale) * a)
-    return AntisymmetricElement(t.space, n, out)
-
-
-def tensor_of(factors: list[ModuleVector]) -> TensorElement:
-    """Normal form of f_1 x ... x f_m, coefficients pushed to the right.
-
-    Each coefficient crossing a slot twists it, so a factor's group part
-    u(n)-rotates every slot already to its right.
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
-    space = factors[0].space
-    for f in factors:
-        if f.space is not space:
-            raise ValueError("factors live in different bimodules")
-    # rightmost factor seeds the suffix; walk left, twisting the suffix
-    terms: dict[tuple[int, ...], WeylElement] = {
-        (b,): a for b, a in factors[-1].entries.items()
-    }
-    for f in reversed(factors[:-1]):
-        new: dict[tuple[int, ...], WeylElement] = {}
-        for n, cvec in f.by_group().items():
-            mono = WeylElement.monomial(space.gens, n)
-            for t, a in terms.items():
-                coeff = mono * a
-                cols = [space.twist.column(n, b) for b in t]
-                for combo in itertools.product(*[c.items() for c in cols]):
-                    w = 1.0 + 0.0j
-                    key_tail = []
-                    for idx, val in combo:
-                        w *= val
-                        key_tail.append(idx)
-                    if abs(w) <= PRUNE_TOL:
-                        continue
-                    tail = tuple(key_tail)
-                    for b0, c0 in cvec.coeffs.items():
-                        _add_term(new, (b0,) + tail, (c0 * w) * coeff)
-        terms = new
-    return TensorElement(space, len(factors), terms)
-
-
-def tensor_inner(v: TensorElement, w: TensorElement) -> WeylElement:
-    """Algebra-valued scalar product of normal forms; nesting collapses
-    to A* (slotwise deltas) B because slots hold plain basis vectors."""
-    if v.space is not w.space or v.level != w.level:
-        raise ValueError("tensor mismatch")
-    total = WeylElement.zero(v.space.gens)
-    for t, a in v.terms.items():
-        b = w.terms.get(t)
-        if b is not None:
-            total = total + a.adjoint() * b
-    return total
-
-
-def antisym_inner(v: AntisymmetricElement, w: AntisymmetricElement) -> WeylElement:
-    """Scalar product via expansions: equal tuples contribute level!."""
-    if v.space is not w.space or v.level != w.level:
-        raise ValueError("level mismatch")
-    scale = float(math.factorial(v.level))
-    total = WeylElement.zero(v.space.gens)
-    for t, a in v.terms.items():
-        b = w.terms.get(t)
-        if b is not None:
-            total = total + scale * (a.adjoint() * b)
-    return total
-
-
-# ---------------------------------------------------------------------------
 # truncated Fock elements
 
 _ONE = complex(1.0)
@@ -383,8 +206,8 @@ class FockElement:
     ``parts`` maps a level to {basis tuple: coefficient map}, level 0 to
     the single key (); a coefficient map is the store of a WeylElement
     (see ``weyl.map_product``).  The constructor takes WeylElement
-    values, ``scalar`` and ``level`` return them; no map inside an element
-    changes after it is built.
+    values and ``scalar`` returns one; no map inside an element changes
+    after it is built.
     """
 
     __slots__ = ("space", "truncation", "parts", "truncated")
@@ -427,13 +250,6 @@ class FockElement:
     @property
     def scalar(self) -> WeylElement:
         return WeylElement(self.space.gens, self.parts.get(0, {}).get((), {}))
-
-    def level(self, l: int) -> AntisymmetricElement:
-        if l < 1:
-            raise ValueError("use .scalar for level 0")
-        gens = self.space.gens
-        terms = {t: WeylElement(gens, x) for t, x in self.parts.get(l, {}).items()}
-        return AntisymmetricElement(self.space, l, terms)
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -490,10 +306,71 @@ def vacuum(space: FreeBimodule, truncation: int, coeff: WeylElement | None = Non
     return FockElement(space, truncation, {0: {(): coeff}})
 
 
-def fock_from_antisymmetric(a: AntisymmetricElement, truncation: int) -> FockElement:
-    if a.level > truncation:
-        raise ValueError("level above truncation")
-    return FockElement(a.space, truncation, {a.level: dict(a.terms)})
+# ---------------------------------------------------------------------------
+# plain tensors and the antisymmetric projection
+
+
+def tensor_of(factors: list[ModuleVector]) -> dict:
+    """Normal form {basis tuple: coefficient map} of f_1 x ... x f_m,
+    coefficients pushed to the right.
+
+    Each coefficient crossing a slot twists it, so a factor's group part
+    u(n)-rotates every slot already to its right.  A tuple whose map
+    cancels keeps its place in the summation order until the end.
+    """
+    if not factors:
+        raise ValueError("need at least one factor")
+    space = factors[0].space
+    for f in factors:
+        if f.space is not space:
+            raise ValueError("factors live in different bimodules")
+    gens = space.gens
+    # rightmost factor seeds the suffix; walk left, twisting the suffix
+    terms = {(b,): dict(a.terms) for b, a in factors[-1].entries.items()}
+    for f in reversed(factors[:-1]):
+        new: dict[tuple[int, ...], dict] = {}
+        for n, cvec in f.by_group().items():
+            for t, a in terms.items():
+                coeff = map_monomial_product(gens, n, _ONE, a)
+                cols = [space.twist.column(n, b) for b in t]
+                for combo in itertools.product(*[c.items() for c in cols]):
+                    w = 1.0 + 0.0j
+                    for _, val in combo:
+                        w *= val
+                    if abs(w) <= PRUNE_TOL:
+                        continue
+                    tail = tuple(idx for idx, _ in combo)
+                    for b0, c0 in cvec.coeffs.items():
+                        _accumulate(new, (b0,) + tail, map_scaled(c0 * w, coeff))
+        terms = new
+    return {t: x for t, x in terms.items() if x}
+
+
+def tensor_inner(gens: GeneratorSet, v: dict, w: dict) -> WeylElement:
+    """Algebra-valued scalar product of normal forms; nesting collapses
+    to A* (slotwise deltas) B because slots hold plain basis vectors."""
+    total: dict[tuple[int, ...], complex] = {}
+    for t, a in v.items():
+        b = w.get(t)
+        if b is not None:
+            map_merge(total, map_product(gens, map_adjoint(a), b))
+    return WeylElement(gens, total)
+
+
+def project_antisymmetric(space: FreeBimodule, terms: dict, truncation: int) -> FockElement:
+    """P_- of a normal form, stored on increasing representatives."""
+    parts: dict[int, dict[tuple[int, ...], dict]] = {}
+    for key, x in terms.items():
+        level = len(key)
+        if level > truncation:
+            raise ValueError("level above truncation")
+        ss = _sort_sign(key)
+        if ss is None:
+            continue  # repeated slot, antisymmetry kills it
+        s, sign = ss
+        scale = 1.0 / math.factorial(level)
+        _accumulate(parts.setdefault(level, {}), s, map_scaled(sign * scale, x))
+    return FockElement._of(space, truncation, parts, False)
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +483,14 @@ def fock_right_mul(v: FockElement, a: WeylElement) -> FockElement:
 # GNS evaluation
 
 
-def gns_inner(v: FockElement, w: FockElement, state: State) -> complex:
-    """State applied to the algebra-valued scalar product, levelwise."""
+def fock_inner(v: FockElement, w: FockElement) -> WeylElement:
+    """Algebra-valued scalar product <v, w>, levelwise; a level-l pair of
+    equal canonical tuples counts l! times, once per expansion term.
+
+    Every GNS value of the checks is a state applied to this pairing.
+    The oracle equivalence tests (acceptance 5 among them) compare it
+    with the slot-by-slot nested product on dense signed expansions.
+    """
     v._require_same(w)
     gens = v.space.gens
     total: dict[tuple[int, ...], complex] = {}
@@ -620,7 +503,12 @@ def gns_inner(v: FockElement, w: FockElement, state: State) -> complex:
             b = wt.get(t)
             if a is not None and b is not None:
                 map_merge(total, map_scaled(scale, map_product(gens, map_adjoint(a), b)))
-    return state(WeylElement(gens, total))
+    return WeylElement(gens, total)
+
+
+def gns_inner(v: FockElement, w: FockElement, state: State) -> complex:
+    """State applied to the algebra-valued scalar product."""
+    return state(fock_inner(v, w))
 
 
 def gns_norm(v: FockElement, state: State) -> float:
@@ -682,16 +570,6 @@ class FieldOperator:
             if scalar != 0:
                 kept.append((scalar, tuple(prims)))
         self.terms = tuple(kept)
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def identity(cls, space: FreeBimodule) -> "FieldOperator":
-        return cls(space, [(1.0, ())])
-
-    @classmethod
-    def zero(cls, space: FreeBimodule) -> "FieldOperator":
-        return cls(space, [])
 
     # -- algebra -----------------------------------------------------
 

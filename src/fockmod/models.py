@@ -60,7 +60,6 @@ from .fock import (
     create,
     creation,
     dirac,
-    fock_from_antisymmetric,
     gns_inner,
     gns_norm,
     operator_matrix,
@@ -785,7 +784,7 @@ def check_nonfock(ctx: ModelContext, threshold: float = 0.1) -> CheckResult:
     g2 = module.basis_element(y)
     v = tensor_of([f1, f2])
     w = tensor_of([g1, g2])
-    nested = state(tensor_inner(v, w))
+    nested = state(tensor_inner(gens, v, w))
     slotwise = state(module_inner(f1, g1)) * state(module_inner(f2, g2))
     gap = abs(nested - slotwise)
     return _result(
@@ -807,10 +806,9 @@ def check_pauli(ctx: ModelContext, threshold: float = 0.1, tol: float = 1e-12) -
     # free pair: plain one-particle vectors at distinct sites
     a = module.basis_element(basis.index(0, 0, SECTOR_PLUS))
     b = module.basis_element(basis.index(min(1, basis.grid.n_points - 1), 0, SECTOR_PLUS))
-    sym = project_antisymmetric(tensor_of([a, b])) + project_antisymmetric(
-        tensor_of([b, a])
-    )
-    free_norm = gns_norm(fock_from_antisymmetric(sym, ctx.truncation), state)
+    sym = project_antisymmetric(module, tensor_of([a, b]), ctx.truncation)
+    sym = sym + project_antisymmetric(module, tensor_of([b, a]), ctx.truncation)
+    free_norm = gns_norm(sym, state)
     # twisted self-pair: spread over two sites the twist phases apart
     twisted_norm = 0.0
     witness = None
@@ -836,8 +834,8 @@ def check_pauli(ctx: ModelContext, threshold: float = 0.1, tol: float = 1e-12) -
             },
         )
         f = module.embed(vec, WeylElement.monomial(gens, gens.unit(k)))
-        wedge = project_antisymmetric(tensor_of([f, f]))
-        nrm = gns_norm(fock_from_antisymmetric(wedge, ctx.truncation), state)
+        wedge = project_antisymmetric(module, tensor_of([f, f]), ctx.truncation)
+        nrm = gns_norm(wedge, state)
         if nrm > twisted_norm:
             twisted_norm = nrm
             witness = {"generator": k, "points": [p1, p2]}

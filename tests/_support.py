@@ -7,6 +7,7 @@ driver that pits every Fock-level operation against its brute-force
 counterpart.
 """
 
+import itertools
 import math
 import random
 
@@ -21,18 +22,17 @@ from fockmod.bimodule import (
     trivial_twist,
 )
 from fockmod.fock import (
-    AntisymmetricElement,
     FockElement,
-    TensorElement,
     annihilate,
-    antisym_inner,
     create,
+    fock_inner,
     fock_left_action,
     fock_right_mul,
 )
 from fockmod.models import kernel_value, make_twist
 from fockmod.oracle import (
     DenseTensor,
+    _parity,
     oracle_fermi_annihilate,
     oracle_fermi_create,
     oracle_left_mult,
@@ -145,17 +145,16 @@ def raw_u_of(twist: Twist):
     return u_of
 
 
-def dense_from_antisym(a: AntisymmetricElement) -> DenseTensor:
-    exp = a.expand()
-    return DenseTensor.from_terms(a.space.gens, a.space.basis.dim, a.level, exp.terms)
-
-
-def dense_from_tensor(t: TensorElement) -> DenseTensor:
-    return DenseTensor.from_terms(t.space.gens, t.space.basis.dim, t.level, t.terms)
-
-
 def dense_from_level(v: FockElement, level: int) -> DenseTensor:
-    return dense_from_antisym(v.level(level))
+    """Full signed expansion of one canonical level: every permutation
+    of a stored tuple carries the stored coefficient times its parity."""
+    gens = v.space.gens
+    out = DenseTensor(gens, v.space.basis.dim, level)
+    for t, x in v.parts.get(level, {}).items():
+        a = WeylElement(gens, x)
+        for perm in itertools.permutations(range(level)):
+            out.add_into(tuple(t[i] for i in perm), _parity(perm) * a)
+    return out
 
 
 def weyl_dev(a: WeylElement, b: WeylElement) -> float:
@@ -241,11 +240,12 @@ def run_equivalence(module: FreeBimodule, seed: int, cases_per_op: int) -> dict[
             got = dense_from_level(out, l - 1)
             worst["annihilate"] = max(worst["annihilate"], got.max_deviation(ref))
 
-        # nested algebra-valued scalar product
+        # nested algebra-valued scalar product; w shares v's tuples, or
+        # most pairs would share none and compare zero with zero
         l = rng.randint(1, 3)
         v = rand_wedge(rng, module, l)
-        w = rand_wedge(rng, module, l)
-        lhs = antisym_inner(v.level(l), w.level(l))
+        w = v + rand_wedge(rng, module, l)
+        lhs = fock_inner(v, w)
         rhs = oracle_nested_inner(dense_from_level(v, l), dense_from_level(w, l), u_of)
         worst["inner"] = max(worst["inner"], weyl_dev(lhs, rhs))
     return worst

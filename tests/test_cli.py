@@ -199,6 +199,12 @@ def test_run_config_rejects_bad_checks():
             "car.free[0][0][0]: exponents must be 2 integers",
         ),
         ({"check": "gauge_invariance", "angles": [True]}, "gauge_invariance.angles: expected"),
+        # a count of zero or less would test nothing
+        ({"check": "adjointness", "cases": 0}, "adjointness.cases: expected a count of at least 1"),
+        ({"check": "adjointness", "cases": -3}, "adjointness.cases: expected a count of at least"),
+        ({"check": "weyl_exactness", "cases": -1}, "weyl_exactness.cases: expected a count"),
+        ({"check": "norm_recovery", "cases": 0}, "norm_recovery.cases: expected a count"),
+        ({"check": "gram_positivity", "size": 0}, "gram_positivity.size: expected a count"),
     ):
         with pytest.raises(ConfigError, match=re.escape(path)):
             run_config(broken(checks=[check]))
@@ -325,6 +331,13 @@ def test_main_config_errors(tmp_path, capsys):
     bad = tmp_path / "bad_schema.json"
     bad.write_text(json.dumps({"schema": "wrong"}))
     assert main(["model", "--config", str(bad)]) == 2
+    capsys.readouterr()
+    # a directory, or a file that is not UTF-8, is no readable config
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes('{"name": "caf\xe9"}'.encode("latin-1"))
+    for spec in (tmp_path, latin):
+        assert main(["model", "--config", str(spec)]) == 2
+        assert f"fockmod: {spec}: cannot read a UTF-8 file" in capsys.readouterr().err
 
 
 def _main_exit(tmp_path, cfg) -> int:
@@ -361,11 +374,53 @@ def test_main_reports_relative_locality_failure(tmp_path, check, label):
         ({"truncation": True}, "truncation"),
         ({"grid": {"dimension": 1, "points": 3, "components": True}}, "grid.components"),
         ({"grid": {"dimension": 1, "points": "x"}}, "grid.points"),
+        # int() would truncate these
+        ({"seed": 1.5}, "seed"),
+        ({"truncation": 2.7}, "truncation"),
     ),
 )
 def test_main_config_type_errors_exit_2(tmp_path, capsys, patch, field):
     assert _main_exit(tmp_path, broken(**patch)) == 2
     assert f"fockmod: {field}: expected an integer" in capsys.readouterr().err
+
+
+def _set(path: tuple, value) -> dict:
+    """tiny_config with the entry at path, a tuple of keys, set to value."""
+    cfg = tiny_config()
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "cfg, message",
+    (
+        (_set(("generators", 0, "s0", "center"), None), "generators[0].s0.center: expected"),
+        (
+            _set(("vectors", "wA", "profile"), {"shape": "box", "center": 2, "width": None}),
+            "vectors.wA.profile.width: expected",
+        ),
+        (_set(("generators", 1, "s0", "amplitude"), None), "generators[1].s0.amplitude: expected"),
+        ([tiny_config()], "config: expected a JSON object"),
+        ("tiny", "config: expected a JSON object"),
+        (_set(("vectors",), [1]), "vectors: expected an object"),
+        (_set(("vectors", "wA", "sector"), ["+"]), "vectors.wA.sector: use '+' or '-'"),
+    ),
+    ids=(
+        "null_center",
+        "null_width",
+        "null_amplitude",
+        "list_config",
+        "string_config",
+        "vectors_list",
+        "sector_list",
+    ),
+)
+def test_main_malformed_config_exits_2(tmp_path, capsys, cfg, message):
+    assert _main_exit(tmp_path, cfg) == 2
+    assert f"fockmod: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -377,7 +432,7 @@ def test_main_nonfinite_angle_exits_2(tmp_path, capsys, angle):
     assert "gauge_invariance.angles: expected finite numbers" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spacing", (float("nan"), float("inf")))
+@pytest.mark.parametrize("spacing", (float("nan"), float("inf"), True))
 def test_main_nonfinite_spacing_exits_2(tmp_path, capsys, spacing):
     cfg = tiny_config()
     cfg["grid"]["spacing"] = spacing

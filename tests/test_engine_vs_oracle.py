@@ -10,8 +10,8 @@ import random
 
 import pytest
 
-from fockmod.weyl import State
-from fockmod.fock import antisym_inner, tensor_of
+from fockmod.weyl import State, WeylElement
+from fockmod.fock import fock_inner, gns_inner, tensor_of
 from fockmod.oracle import DenseTensor, oracle_create, oracle_nested_inner
 
 from _support import (
@@ -51,7 +51,7 @@ def test_tensor_of_matches_plain_create(family):
         f2 = rand_vector(rng, module)
         t = tensor_of([f1, f2])
         scaled = DenseTensor.from_terms(
-            gens, dim, 2, {k: math.sqrt(2.0) * a for k, a in t.terms.items()}
+            gens, dim, 2, {k: math.sqrt(2.0) * WeylElement(gens, x) for k, x in t.items()}
         )
         seed = DenseTensor.from_terms(
             gens, dim, 1, {(b,): a for b, a in f2.entries.items()}
@@ -67,10 +67,14 @@ def test_gns_values_match_reference():
     for i in range(6):
         l = rng.randint(1, 3)
         v = rand_wedge(rng, module, l)
-        w = rand_wedge(rng, module, l)
-        lhs = antisym_inner(v.level(l), w.level(l))
+        # w shares v's tuples, so the pairing cannot vanish for want of
+        # a common basis tuple
+        w = v + rand_wedge(rng, module, l)
+        lhs = fock_inner(v, w)
         rhs = oracle_nested_inner(
             dense_from_level(v, l), dense_from_level(w, l), u_of
         )
         st = State(State.KINDS[i % 2])
+        assert abs(st(lhs)) > 0.1
         assert abs(st(lhs) - st(rhs)) <= TOL
+        assert gns_inner(v, w, st) == st(lhs)

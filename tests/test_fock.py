@@ -7,25 +7,21 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from fockmod.weyl import State, WeylElement
+from fockmod.weyl import State, WeylElement, maps_close
 from fockmod.bimodule import OneParticleVector, conjugate_vector, module_inner
 from fockmod.fock import (
     AnnihilateOp,
-    AntisymmetricElement,
     CreateOp,
     FieldOperator,
     FockElement,
-    TensorElement,
     annihilate,
     annihilation,
     anticommutator,
-    antisym_inner,
-    antisymmetrize,
     commutator,
     create,
     creation,
     dirac,
-    fock_from_antisymmetric,
+    fock_inner,
     fock_left_action,
     fock_right_mul,
     gns_inner,
@@ -38,7 +34,7 @@ from fockmod.fock import (
     weyl_mult,
 )
 
-from _support import rand_vector, rand_weyl, rand_wedge, tiny_module
+from _support import dense_from_level, rand_vector, rand_weyl, rand_wedge, tiny_module
 
 SQ2 = math.sqrt(2.0)
 
@@ -59,35 +55,20 @@ def basis_fock(module, t, truncation=3, coeff=None):
 def test_antisymmetrize_worked():
     module = tiny_module("trivial")
     one = unit_of(module)
-    t = TensorElement(module, 2, {(0, 1): one})
-    p = antisymmetrize(t)
-    assert p.terms[(0, 1)].close_to(0.5 * one)
-    assert p.terms[(1, 0)].close_to(-0.5 * one)
+    p = project_antisymmetric(module, {(0, 1): one.terms}, 3)
     # projecting stores only the increasing representative
-    a = project_antisymmetric(t)
-    assert set(a.terms) == {(0, 1)}
-    assert a.terms[(0, 1)].close_to(0.5 * one)
+    assert sorted(p.parts) == [2] and set(p.parts[2]) == {(0, 1)}
+    assert maps_close(p.parts[2][(0, 1)], (0.5 * one).terms, 1e-15)
+    # the signed expansion of P_-(e0 x e1) holds both orders
+    full = dense_from_level(p, 2)
+    assert full.entries[(0, 1)].close_to(0.5 * one)
+    assert full.entries[(1, 0)].close_to(-0.5 * one)
+    assert (p + project_antisymmetric(module, {(1, 0): one.terms}, 3)).is_zero()
 
 
 def test_repeated_slots_die():
     module = tiny_module("trivial")
-    t = TensorElement(module, 2, {(2, 2): unit_of(module)})
-    assert project_antisymmetric(t).terms == {}
-
-
-def test_projection_idempotent():
-    module = tiny_module("mixed")
-    rng = random.Random(5)
-    for _ in range(10):
-        l = rng.randint(1, 3)
-        terms = {
-            tuple(rng.randrange(6) for _ in range(l)): rand_weyl(rng, module.gens)
-            for _ in range(3)
-        }
-        t = TensorElement(module, l, terms)
-        once = antisymmetrize(t)
-        twice = antisymmetrize(once)
-        assert twice.close_to(once, 1e-12)
+    assert project_antisymmetric(module, {(2, 2): unit_of(module).terms}, 3).is_zero()
 
 
 @given(st.integers(0, 10**6))
@@ -95,17 +76,17 @@ def test_expand_project_roundtrip(seed):
     module = tiny_module("trivial")
     rng = random.Random(seed)
     l = rng.randint(1, 3)
-    v = rand_wedge(rng, module, l).level(l)
-    back = project_antisymmetric(v.expand())
-    assert back.close_to(v, 1e-12)
+    v = rand_wedge(rng, module, l)
+    full = {t: a.terms for t, a in dense_from_level(v, l).nonzero()}
+    assert project_antisymmetric(module, full, 3).close_to(v, 1e-12)
 
 
-def test_antisym_inner_factorial():
+def test_fock_inner_factorial():
     module = tiny_module("trivial")
     one = unit_of(module)
-    v = AntisymmetricElement(module, 2, {(0, 1): one})
-    val = antisym_inner(v, v)
-    assert val.close_to(2.0 * one)  # level! on equal tuples
+    v = basis_fock(module, (0, 1))
+    assert fock_inner(v, v).close_to(2.0 * one)  # level! on equal tuples
+    assert fock_inner(vacuum(module, 3), v).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +97,7 @@ def test_create_on_vacuum():
     module = tiny_module("trivial")
     out = create(module.basis_element(0), vacuum(module, 3))
     assert sorted(out.parts) == [1]
-    assert out.level(1).terms[(0,)].close_to(unit_of(module))
+    assert maps_close(out.parts[1][(0,)], unit_of(module).terms, 1e-12)
 
 
 def test_create_twice_is_wedge():
@@ -125,11 +106,11 @@ def test_create_twice_is_wedge():
     e0 = module.basis_element(0)
     e1 = module.basis_element(1)
     w01 = create(e0, create(e1, om))
-    assert set(w01.level(2).terms) == {(0, 1)}
-    assert w01.level(2).terms[(0, 1)].close_to((1.0 / SQ2) * unit_of(module))
+    assert set(w01.parts[2]) == {(0, 1)}
+    assert maps_close(w01.parts[2][(0, 1)], ((1.0 / SQ2) * unit_of(module)).terms, 1e-12)
     # reversed order flips the sign
     w10 = create(e1, create(e0, om))
-    assert w10.level(2).terms[(0, 1)].close_to((-1.0 / SQ2) * unit_of(module))
+    assert maps_close(w10.parts[2][(0, 1)], ((-1.0 / SQ2) * unit_of(module)).terms, 1e-12)
     assert (w01 + w10).is_zero()
     # unit vectors wedge to a unit GNS vector
     assert abs(gns_norm(w01, State("tracial")) - 1.0) <= 1e-15
@@ -154,14 +135,14 @@ def test_create_carries_group_coefficient():
     w = rand_wedge(random.Random(6), module, 2)
     first = create(g, w)
     assert create(g, w).parts == first.parts
-    assert out.level(1).terms[(0,)].close_to(WeylElement.monomial(gens, n))
+    assert maps_close(out.parts[1][(0,)], WeylElement.monomial(gens, n).terms, 1e-12)
     # the standing slot is rotated by u(n): point 0 picks up e^{-i}
     out2 = create(f, basis_fock(module, (1,)))
-    (key,) = set(out2.level(2).terms)
+    (key,) = set(out2.parts[2])
     assert key == (0, 1)
     phase = module.twist.matrix(n)[1, 1]
     expect = (phase / SQ2) * WeylElement.monomial(gens, n)
-    assert out2.level(2).terms[key].close_to(expect, 1e-14)
+    assert maps_close(out2.parts[2][key], expect.terms, 1e-14)
 
 
 def test_annihilate_inverts_on_wedge():
@@ -298,15 +279,13 @@ def test_fock_arithmetic_and_guards():
     v = basis_fock(module, (0, 1))
     w = basis_fock(module, (0, 2))
     s = v + w
-    assert set(s.level(2).terms) == {(0, 1), (0, 2)}
+    assert set(s.parts[2]) == {(0, 1), (0, 2)}
     assert (2.0 * v - v - v).is_zero()
     assert sorted(v.parts) == [2]
     with pytest.raises(ValueError):
         v._require_same(basis_fock(module, (0, 1), truncation=2))
     with pytest.raises(ValueError):
-        v.level(0)
-    with pytest.raises(ValueError):
-        fock_from_antisymmetric(AntisymmetricElement(module, 3, {}), 2)
+        project_antisymmetric(module, {(0, 1, 2): unit_of(module).terms}, 2)
     # Weyl coefficients go in and come back out unchanged; zero ones and
     # empty levels are not stored
     gens = module.gens
@@ -315,8 +294,7 @@ def test_fock_arithmetic_and_guards():
     x = FockElement(module, 3, {0: {(): a}, 1: {(2,): zero}, 2: {(0, 1): a, (1, 2): zero}})
     assert sorted(x.parts) == [0, 2]
     assert x.scalar.terms == a.terms and x.scalar.gens is gens
-    assert x.level(2).terms.keys() == {(0, 1)} and x.level(2).terms[(0, 1)].terms == a.terms
-    assert x.level(1).terms == {}
+    assert x.parts[2] == {(0, 1): a.terms}
     assert FockElement(module, 3, {0: {(): zero}}).is_zero()
     assert FockElement(module, 3).scalar.is_zero()
 
@@ -452,7 +430,7 @@ def test_nonfock_nested_vs_slotwise():
     f2 = module.basis_element(1, WeylElement.monomial(gens, (-1, 0)))
     g1 = module.basis_element(0)
     g2 = module.basis_element(1)
-    nested = state(tensor_inner(tensor_of([f1, f2]), tensor_of([g1, g2])))
+    nested = state(tensor_inner(gens, tensor_of([f1, f2]), tensor_of([g1, g2])))
     slotwise = state(module_inner(f1, g1)) * state(module_inner(f2, g2))
     assert abs(nested - slotwise) == 1.0
 
@@ -465,7 +443,7 @@ def test_tensor_of_crossing_twist():
     f1 = module.basis_element(0, WeylElement.monomial(gens, n))
     f2 = module.basis_element(0)
     t = tensor_of([f1, f2])
-    (key,) = set(t.terms)
+    (key,) = set(t)
     assert key == (0, 0)
     phase = module.twist.matrix(n)[0, 0]  # e^{-i} at the smeared point
-    assert t.terms[key].close_to(phase * WeylElement.monomial(gens, n), 1e-14)
+    assert maps_close(t[key], (phase * WeylElement.monomial(gens, n)).terms, 1e-14)
