@@ -14,6 +14,7 @@ every admissible twist.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,9 +70,6 @@ class OneParticleBasis:
 
     def point_of(self, i: int) -> int:
         return (i % self._block) // self.grid.components
-
-    def comp_of(self, i: int) -> int:
-        return i % self.grid.components
 
     def conj_index(self, i: int) -> int:
         """Partner index under charge conjugation (same point/component)."""
@@ -176,6 +174,71 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# determinants for Twist.wedge; wedges stay tiny (<= 4 slots)
+
+_PERM_CACHE: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+
+
+def _perms(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """All permutations of range(n) with parity signs."""
+    got = _PERM_CACHE.get(n)
+    if got is not None:
+        return got
+    out = []
+    for p in itertools.permutations(range(n)):
+        inv = sum(
+            1
+            for i in range(n)
+            for j in range(i + 1, n)
+            if p[i] > p[j]
+        )
+        out.append((p, -1 if inv % 2 else 1))
+    _PERM_CACHE[n] = out
+    return out
+
+
+def _det(mat: list[list[complex]]) -> complex:
+    m = len(mat)
+    if m == 0:
+        return 1.0 + 0.0j
+    if m == 1:
+        return mat[0][0]
+    if m == 2:
+        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    if m == 3:
+        a, b, c = mat[0]
+        d, e, f = mat[1]
+        g, h, i = mat[2]
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    total = 0.0 + 0.0j
+    for p, sign in _perms(m):
+        prod = 1.0 + 0.0j
+        for j in range(m):
+            prod *= mat[p[j]][j]
+            if prod == 0:
+                break
+        total += sign * prod
+    return total
+
+
+def _wedge_from_columns(cols: list[dict[int, complex]]) -> dict[tuple[int, ...], complex]:
+    """Canonical coefficients {s: det M_s} of the exterior product.
+
+    M_s[j][k] = cols[k][s_j]; the result equals m! P_-(v_1 x ... x v_m)
+    read off in canonical storage, i.e. applying one operator slotwise to
+    a canonical wedge needs no extra factorial.
+    """
+    m = len(cols)
+    union = sorted(set().union(*[c.keys() for c in cols])) if cols else []
+    out: dict[tuple[int, ...], complex] = {}
+    for s in itertools.combinations(union, m):
+        mat = [[cols[k].get(row, 0.0) for k in range(m)] for row in s]
+        d = _det(mat)
+        if abs(d) > PRUNE_TOL:
+            out[s] = d
+    return out
+
+
 class Twist:
     """Commuting unitaries U_k, one per Weyl generator, defining u(n).
 
@@ -191,9 +254,15 @@ class Twist:
     validates and applies it entrywise: the operator norms above are
     then maxima over entries, diagonal unitaries commute exactly, and
     u(n) e_b is a single phase.  Any other family is kept dense.
+
+    The twist owns its exterior powers: ``wedge(n, t)`` is the image of
+    the canonical wedge e_t under the exterior power of u(n), as
+    canonical minors {s: det u(n)[s, t]}.  Creation, annihilation and
+    the Fock left action all read it; it is cached per (n, t), as u(n)
+    is per n.
     """
 
-    __slots__ = ("basis", "gens", "_diagonal", "_factors", "_cache", "__weakref__")
+    __slots__ = ("basis", "gens", "_diagonal", "_factors", "_cache", "_wedges", "__weakref__")
 
     def __init__(self, basis: OneParticleBasis, gens: GeneratorSet, unitaries) -> None:
         unitaries = tuple(np.asarray(u, dtype=complex) for u in unitaries)
@@ -208,6 +277,7 @@ class Twist:
         self.basis = basis
         self.gens = gens
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._wedges: dict[tuple, dict[tuple[int, ...], complex]] = {}
         self._diagonal = all(
             u.ndim == 1 or np.count_nonzero(u) == np.count_nonzero(np.diagonal(u))
             for u in unitaries
@@ -288,6 +358,16 @@ class Twist:
         col = self.matrix(n)[:, b]
         return {i: complex(col[i]) for i in np.nonzero(np.abs(col) > PRUNE_TOL)[0]}
 
+    def wedge(self, n: tuple[int, ...], t: tuple[int, ...]) -> dict[tuple[int, ...], complex]:
+        """Canonical minors {s: det u(n)[s, t]} of the wedge e_t's image;
+        u(0) fixes e_t exactly."""
+        if all(v == 0 for v in n):
+            return {t: 1.0 + 0.0j}
+        got = self._wedges.get((n, t))
+        if got is None:
+            got = self._wedges[n, t] = _wedge_from_columns([self.column(n, b) for b in t])
+        return got
+
     def apply(self, n: tuple[int, ...], vec: OneParticleVector) -> OneParticleVector:
         out: dict[int, complex] = {}
         for b, c in vec.coeffs.items():
@@ -312,9 +392,6 @@ class FreeBimodule:
         self.gens = gens
         self.twist = twist
         self.conj = Conjugation(basis)
-
-    def vector(self, entries: dict) -> "ModuleVector":
-        return ModuleVector(self, entries)
 
     def basis_element(self, i: int, coeff: WeylElement | None = None) -> "ModuleVector":
         """e_i . A with A defaulting to the unit."""

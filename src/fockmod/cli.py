@@ -63,16 +63,13 @@ def _is_int(value) -> bool:
 
 
 def _int(value, where: str) -> int:
-    """int(value), or a ConfigError naming the field; a float must be
-    integral, since int() would truncate it."""
+    """value as an int, or a ConfigError naming the field; a float must be
+    integral, since int() would truncate it, and a string is refused."""
     _require(
-        not isinstance(value, bool) and not (isinstance(value, float) and not value.is_integer()),
+        _is_int(value) or (isinstance(value, float) and value.is_integer()),
         f"{where}: expected an integer, got {value!r}",
     )
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"{where}: expected an integer, got {value!r}") from e
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +116,12 @@ def _parse_grid(d: dict) -> GridSpec:
 
 def _parse_profile(grid: GridSpec, spec, what: str):
     _require(isinstance(spec, dict), f"{what}: profile must be an object")
-    for key in ("center", "width", "amplitude"):
-        _require(spec.get(key, 0) is not None, f"{what}.{key}: expected a number, got null")
+    center = spec.get("center", 0)
+    for c in center if isinstance(center, list) else [center]:
+        _int(c, f"{what}.center")
+    for key in ("width", "amplitude"):
+        x = spec.get(key, 1.0)
+        _require(_is_int(x) or isinstance(x, float), f"{what}.{key}: expected a number, got {x!r}")
     try:
         return profile_array(grid, spec)
     except (KeyError, ValueError, IndexError, TypeError) as e:

@@ -15,17 +15,19 @@ representative carries in the full signed expansion.  WeylElement objects
 appear only at the edges: the FockElement constructor takes them, and
 ``scalar``, ``tensor_inner`` and ``fock_inner`` return them.
 
-Creation prepends a one-particle column and reantisymmetrizes through
-exterior-algebra minors; annihilation contracts against the bra vector,
-conjugate-twisting the surviving slots and pulling the adjoint group
-unitary into the right coefficient.  Both are exact on coefficients.
+Every operator moves the standing slots of a wedge through the twist by
+reading ``Twist.wedge``, the cached exterior power of u(n); this module
+computes no minors of u(n).  Creation inserts the one-particle vector
+in front of that image (a Laplace expansion along its column);
+annihilation contracts against the bra vector, conjugate-twisting the
+surviving slots and pulling the adjoint group unitary into the right
+coefficient.  Both are exact on coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,6 @@ from .bimodule import (
     FreeBimodule,
     ModuleVector,
     OneParticleVector,
-    Twist,
     conjugate_vector,
 )
 from .weyl import (
@@ -80,27 +81,7 @@ __all__ = [
 SQRT2 = math.sqrt(2.0)
 
 # ---------------------------------------------------------------------------
-# permutation and determinant helpers (levels stay tiny, <= 4)
-
-_PERM_CACHE: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-
-
-def _perms(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """All permutations of range(n) with parity signs."""
-    got = _PERM_CACHE.get(n)
-    if got is not None:
-        return got
-    out = []
-    for p in itertools.permutations(range(n)):
-        inv = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if p[i] > p[j]
-        )
-        out.append((p, -1 if inv % 2 else 1))
-    _PERM_CACHE[n] = out
-    return out
+# canonical ordering (levels stay tiny, <= 4)
 
 
 def _sort_sign(t: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
@@ -116,65 +97,6 @@ def _sort_sign(t: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
             return None
     inv = sum(1 for i in range(n) for j in range(i + 1, n) if order[i] > order[j])
     return s, (-1 if inv % 2 else 1)
-
-
-def _det(mat: list[list[complex]]) -> complex:
-    m = len(mat)
-    if m == 0:
-        return 1.0 + 0.0j
-    if m == 1:
-        return mat[0][0]
-    if m == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if m == 3:
-        a, b, c = mat[0]
-        d, e, f = mat[1]
-        g, h, i = mat[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    total = 0.0 + 0.0j
-    for p, sign in _perms(m):
-        prod = 1.0 + 0.0j
-        for j in range(m):
-            prod *= mat[p[j]][j]
-            if prod == 0:
-                break
-        total += sign * prod
-    return total
-
-
-def _wedge_from_columns(cols: list[dict[int, complex]]) -> dict[tuple[int, ...], complex]:
-    """Canonical coefficients {s: det M_s} of the exterior product.
-
-    M_s[j][k] = cols[k][s_j]; the result equals m! P_-(v_1 x ... x v_m)
-    read off in canonical storage, i.e. applying one operator slotwise to
-    a canonical wedge needs no extra factorial.
-    """
-    m = len(cols)
-    union = sorted(set().union(*[c.keys() for c in cols])) if cols else []
-    out: dict[tuple[int, ...], complex] = {}
-    for s in itertools.combinations(union, m):
-        mat = [[cols[k].get(row, 0.0) for k in range(m)] for row in s]
-        d = _det(mat)
-        if abs(d) > PRUNE_TOL:
-            out[s] = d
-    return out
-
-
-# per-twist memo of compound (exterior-power) images of basis wedges
-_COMPOUND_CACHE: "weakref.WeakKeyDictionary[Twist, dict]" = weakref.WeakKeyDictionary()
-
-
-def _compound_apply(twist: Twist, n: tuple[int, ...], t: tuple[int, ...]) -> dict[tuple[int, ...], complex]:
-    """Image of the canonical wedge e_t under the exterior power of u(n)."""
-    if all(v == 0 for v in n):
-        return {t: 1.0 + 0.0j}
-    memo = _COMPOUND_CACHE.setdefault(twist, {})
-    key = (n, t)
-    got = memo.get(key)
-    if got is None:
-        got = _wedge_from_columns([twist.column(n, b) for b in t])
-        memo[key] = got
-    return got
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +302,12 @@ def project_antisymmetric(space: FreeBimodule, terms: dict, truncation: int) -> 
 def create(f: ModuleVector, v: FockElement) -> FockElement:
     """Fermionic creation: sqrt(l+1) P_-(f x .) levelwise.
 
-    Per group component f_n . W(n): prepend the column f_n, rotate the
-    standing slots by u(n), take exterior minors, multiply W(n) into the
-    right coefficient.  The top level of the window is dropped and
-    flagged, never folded back.
+    Per group component f_n . W(n): rotate the standing slots by u(n)
+    through ``Twist.wedge``, insert each entry of f_n in front and sort
+    it into place with its sign (the Laplace expansion of the minors of
+    [f_n | u(n) e_t] along f_n's column), multiply W(n) into the right
+    coefficient.  The top level of the window is dropped and flagged,
+    never folded back.
     """
     space = v.space
     if f.space is not space:
@@ -401,10 +325,14 @@ def create(f: ModuleVector, v: FockElement) -> FockElement:
         for n, cvec in groups.items():
             for t, a in terms.items():
                 coeff = map_monomial_product(gens, n, _ONE, a)
-                cols = [cvec.coeffs]
-                cols.extend(space.twist.column(n, b) for b in t)
-                for s, det in _wedge_from_columns(cols).items():
-                    _accumulate(target, s, map_scaled(det * scale, coeff))
+                # Laplace expansion of det[f_n | u(n) e_t] along f_n's column
+                for u, det in space.twist.wedge(n, t).items():
+                    for b0, c0 in cvec.coeffs.items():
+                        ss = _sort_sign((b0,) + u)
+                        if ss is None:
+                            continue  # b0 already stands in u
+                        s, sign = ss
+                        _accumulate(target, s, map_scaled(sign * (c0 * det) * scale, coeff))
     return FockElement._of(space, v.truncation, out, truncated)
 
 
@@ -441,7 +369,7 @@ def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
                     sign = -scale if k % 2 else scale
                     w = sign * z.conjugate()
                     tail = t[:k] + t[k + 1 :]
-                    for s, det in _compound_apply(space.twist, neg, tail).items():
+                    for s, det in space.twist.wedge(neg, tail).items():
                         _accumulate(target, s, map_scaled(w * det, coeff))
     return FockElement._of(space, v.truncation, out, v.truncated)
 
@@ -462,7 +390,7 @@ def fock_left_action(a: WeylElement, v: FockElement) -> FockElement:
                 if l == 0:
                     _accumulate(target, (), coeff)
                     continue
-                for s, det in _compound_apply(space.twist, n, t).items():
+                for s, det in space.twist.wedge(n, t).items():
                     _accumulate(target, s, map_scaled(det, coeff))
     return FockElement._of(space, v.truncation, out, v.truncated)
 

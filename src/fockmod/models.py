@@ -621,7 +621,7 @@ def check_car(
     pairs = list(pairs)
     module = ctx.module
     n = ctx.truncation
-    sweep = level_basis(module, n, min(2, n - 1)) if n >= 2 else level_basis(module, n, 0)
+    sweep = level_basis(module, n, min(2, n - 1))
     sweep_cre = level_basis(module, n, min(2, max(n - 2, 0)))
     claims = []
     for idx, (f, g, expect_free) in enumerate(pairs):

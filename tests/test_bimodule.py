@@ -2,6 +2,7 @@
 action, algebra-valued inner product, charge conjugation, freeness."""
 
 import cmath
+import itertools
 import math
 import random
 
@@ -182,6 +183,23 @@ def test_twist_powers_match_matrix_powers(family):
     assert twist.column((0, 0), 4) == {4: 1.0 + 0.0j}
     with pytest.raises(ValueError):
         twist.matrix((1,))
+
+
+@pytest.mark.parametrize("family", ("mixed", "poisson"))
+def test_twist_wedge_matches_minors(family):
+    twist = tiny_module(family).twist
+    for n in [(0, 0), (1, 0), (0, -1), (2, -1), (-1, 3)]:
+        u = twist.matrix(n)
+        for b in range(6):
+            assert twist.wedge(n, (b,)) == {(i,): c for i, c in twist.column(n, b).items()}
+        for k in range(1, 5):
+            for t in itertools.combinations(range(6), k):
+                got = twist.wedge(n, t)
+                # |t| = 4 takes _det's permutation branch
+                for s in itertools.combinations(range(6), k):
+                    minor = np.linalg.det(u[np.ix_(s, t)])
+                    assert abs(got.get(s, 0.0) - minor) <= 1e-12, (n, t, s)
+                assert set(got) <= set(itertools.combinations(range(6), k))
 
 
 def test_trivial_twist_identity():

@@ -377,6 +377,14 @@ def test_main_reports_relative_locality_failure(tmp_path, check, label):
         # int() would truncate these
         ({"seed": 1.5}, "seed"),
         ({"truncation": 2.7}, "truncation"),
+        # int() would parse these strings
+        ({"seed": "3"}, "seed"),
+        ({"truncation": "3"}, "truncation"),
+        ({"grid": {"dimension": 1, "points": "3"}}, "grid.points"),
+        (
+            {"vectors": {"wA": {"component": "0", "profile": {"shape": "point", "center": 2}}}},
+            "vectors.wA.component",
+        ),
     ),
 )
 def test_main_config_type_errors_exit_2(tmp_path, capsys, patch, field):
@@ -394,6 +402,10 @@ def _set(path: tuple, value) -> dict:
     return cfg
 
 
+WA_CENTER = ("vectors", "wA", "profile", "center")
+G1_AMPLITUDE = ("generators", 1, "s0", "amplitude")
+
+
 @pytest.mark.parametrize(
     "cfg, message",
     (
@@ -407,6 +419,16 @@ def _set(path: tuple, value) -> dict:
         ("tiny", "config: expected a JSON object"),
         (_set(("vectors",), [1]), "vectors: expected an object"),
         (_set(("vectors", "wA", "sector"), ["+"]), "vectors.wA.sector: use '+' or '-'"),
+        # profile fields obey the integer and number rules of the other fields
+        (_set(WA_CENTER, 2.7), "vectors.wA.profile.center: expected an integer"),
+        (_set(WA_CENTER, "2"), "vectors.wA.profile.center: expected an integer"),
+        (_set(("generators", 0, "s0", "center"), ["0"]), "generators[0].s0.center: expected"),
+        (_set(G1_AMPLITUDE, "1.5"), "generators[1].s0.amplitude: expected a number"),
+        (_set(G1_AMPLITUDE, True), "generators[1].s0.amplitude: expected a number"),
+        (
+            _set(("vectors", "wA", "profile"), {"shape": "box", "center": 2, "width": "2"}),
+            "vectors.wA.profile.width: expected a number",
+        ),
     ),
     ids=(
         "null_center",
@@ -416,6 +438,12 @@ def _set(path: tuple, value) -> dict:
         "string_config",
         "vectors_list",
         "sector_list",
+        "fractional_center",
+        "string_center",
+        "string_center_entry",
+        "string_amplitude",
+        "bool_amplitude",
+        "string_width",
     ),
 )
 def test_main_malformed_config_exits_2(tmp_path, capsys, cfg, message):
