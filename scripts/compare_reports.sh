@@ -7,8 +7,9 @@
 # of a pull request.  Both trees run `fockmod all --seed N` for N = 1, 2, 3,
 # `fockmod all --seed 1 --truncation 4` (the only run that reaches Fock
 # level 4) and `fockmod model --config NAME` for each bundled scenario, all
-# with `--format json`; the script prints one line per report and exits 1 if
-# any report differs byte for byte.  Set PYTHON to pick the interpreter.
+# with `--format json`; the script prints one line per report, followed by
+# the first 40 lines of `diff -u` for a report that differs byte for byte,
+# and exits 1 if any report differs.  Set PYTHON to pick the interpreter.
 set -eu
 [ $# -eq 1 ] || { echo "usage: $0 BASE_DIR" >&2; exit 2; }
 base=$(cd "$1" && pwd)
@@ -32,6 +33,7 @@ for args in \
         echo "identical  $args"
     else
         echo "DIFFERENT  $args"
+        diff -u "$out/base.json" "$out/head.json" | head -n 40
         status=1
     fi
 done

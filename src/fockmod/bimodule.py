@@ -174,6 +174,14 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def parity(p) -> int:
+    """Sign of the permutation that sorts the distinct entries of p: +1
+    for an even number of inversions, -1 for an odd one."""
+    n = len(p)
+    inv = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+    return -1 if inv % 2 else 1
+
+
 # determinants for Twist.wedge; wedges stay tiny (<= 4 slots)
 
 _PERM_CACHE: dict[int, list[tuple[tuple[int, ...], int]]] = {}
@@ -182,19 +190,9 @@ _PERM_CACHE: dict[int, list[tuple[tuple[int, ...], int]]] = {}
 def _perms(n: int) -> list[tuple[tuple[int, ...], int]]:
     """All permutations of range(n) with parity signs."""
     got = _PERM_CACHE.get(n)
-    if got is not None:
-        return got
-    out = []
-    for p in itertools.permutations(range(n)):
-        inv = sum(
-            1
-            for i in range(n)
-            for j in range(i + 1, n)
-            if p[i] > p[j]
-        )
-        out.append((p, -1 if inv % 2 else 1))
-    _PERM_CACHE[n] = out
-    return out
+    if got is None:
+        got = _PERM_CACHE[n] = [(p, parity(p)) for p in itertools.permutations(range(n))]
+    return got
 
 
 def _det(mat: list[list[complex]]) -> complex:
@@ -525,15 +523,12 @@ class FreenessReport:
     free: bool
     failures: tuple = field(default_factory=tuple)
 
-    def __bool__(self) -> bool:
-        return self.free
 
-
-def mutually_free(f: ModuleVector, g: ModuleVector, tol: float = FREE_TOL) -> FreenessReport:
+def mutually_free(f: ModuleVector, g: ModuleVector) -> FreenessReport:
     """Check the sufficient splitting conditions pair by pair.
 
     For every pair of group elements n (from f) and m (from g) demand
-    eta(n, m) = 0, u(n) g_m = g_m and u(m) f_n = f_n, all within tol.
+    eta(n, m) = 0, u(n) g_m = g_m and u(m) f_n = f_n, all within FREE_TOL.
     The decision is sound for declaring freeness; failures carry the
     offending pair and residual.
     """
@@ -545,12 +540,12 @@ def mutually_free(f: ModuleVector, g: ModuleVector, tol: float = FREE_TOL) -> Fr
     for n, fvec in fd.items():
         for m, gvec in gd.items():
             eta = space.gens.eta(n, m)
-            if abs(eta) > tol:
+            if abs(eta) > FREE_TOL:
                 failures.append((n, m, "weyl_commutator", abs(eta)))
             r = (space.twist.apply(n, gvec) - gvec).norm()
-            if r > tol:
+            if r > FREE_TOL:
                 failures.append((n, m, "twist_moves_partner", r))
             r = (space.twist.apply(m, fvec) - fvec).norm()
-            if r > tol:
+            if r > FREE_TOL:
                 failures.append((n, m, "twist_moves_self", r))
     return FreenessReport(free=not failures, failures=tuple(failures))

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import random
 import sys
@@ -72,6 +71,16 @@ def _int(value, where: str) -> int:
     return int(value)
 
 
+def _real(value, where: str, positive: bool = False) -> float:
+    """value as a finite float, or a ConfigError naming the field; a bool,
+    a string or a list is refused, and with positive so is a value <= 0."""
+    _require(_is_int(value) or isinstance(value, float), f"{where}: expected a number, got {value!r}")
+    # the bound fails for NaN and inf, and for an int no float can hold
+    _require(abs(value) <= sys.float_info.max, f"{where}: expected a finite number, got {value!r}")
+    _require(not positive or value > 0, f"{where}: expected a positive number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # config loading and scenario assembly
 
@@ -101,13 +110,12 @@ def _parse_grid(d: dict) -> GridSpec:
     dimension = _int(d.get("dimension", 1), "grid.dimension")
     points = _int(d.get("points", 16), "grid.points")
     components = _int(d.get("components", 1), "grid.components")
-    spacing = d.get("spacing", 1.0)
-    _require(not isinstance(spacing, bool), f"grid.spacing: expected a number, got {spacing!r}")
+    spacing = _real(d.get("spacing", 1.0), "grid.spacing", positive=True)
     try:
         return GridSpec(
             dimension=dimension,
             points_per_axis=points,
-            spacing=float(spacing),
+            spacing=spacing,
             components=components,
         )
     except (TypeError, ValueError, OverflowError) as e:
@@ -119,9 +127,13 @@ def _parse_profile(grid: GridSpec, spec, what: str):
     center = spec.get("center", 0)
     for c in center if isinstance(center, list) else [center]:
         _int(c, f"{what}.center")
-    for key in ("width", "amplitude"):
-        x = spec.get(key, 1.0)
-        _require(_is_int(x) or isinstance(x, float), f"{what}.{key}: expected a number, got {x!r}")
+    _real(spec.get("width", 1.0), f"{what}.width", positive=True)
+    _real(spec.get("amplitude", 1.0), f"{what}.amplitude")
+    if spec.get("shape", "values") == "values":
+        values = spec.get("values")
+        _require(isinstance(values, list), f"{what}.values: expected a list of numbers")
+        for i, x in enumerate(values):
+            _real(x, f"{what}.values[{i}]")
     try:
         return profile_array(grid, spec)
     except (KeyError, ValueError, IndexError, TypeError) as e:
@@ -156,13 +168,7 @@ def build_scenario(config: dict):
     _require(kind in SIGMA_KINDS, f"sigma.kind: {kind!r} not in {SIGMA_KINDS}")
     radius = sigma.get("radius")
     if kind == "bump":
-        _require(
-            isinstance(radius, (int, float))
-            and not isinstance(radius, bool)
-            and 0 < radius < math.inf,
-            "sigma.radius: bump needs a positive finite radius",
-        )
-        radius = float(radius)
+        radius = _real(radius, "sigma.radius", positive=True)
     state = config.get("state", "tracial")
     _require(state in State.KINDS, f"state: {state!r} not in {State.KINDS}")
     truncation = _int(config.get("truncation", 3), "truncation")
@@ -311,16 +317,8 @@ def _disjoint(ctx, params, name):
 
 def _angles(ctx, params, name):
     angles = params.get("angles", [0.7, 2.4])
-    # the bound fails for NaN and inf, and for an int no float can hold
-    _require(
-        isinstance(angles, list)
-        and all(
-            (_is_int(a) or isinstance(a, float)) and abs(a) <= sys.float_info.max
-            for a in angles
-        ),
-        f"{name}.angles: expected finite numbers",
-    )
-    return angles
+    _require(isinstance(angles, list), f"{name}.angles: expected a list")
+    return [_real(a, f"{name}.angles[{i}]") for i, a in enumerate(angles)]
 
 
 # check name -> parsers of the positional arguments of models.check_<name>
@@ -402,10 +400,8 @@ def run_config(
     tolerance: float | None = None,
 ) -> dict:
     """Run one scenario and return its serialized record."""
-    _require(
-        tolerance is None or (isinstance(tolerance, (int, float)) and 0 < tolerance < math.inf),
-        f"tolerance: expected a finite positive number, got {tolerance!r}",
-    )
+    if tolerance is not None:
+        tolerance = _real(tolerance, "tolerance", positive=True)
     _require(isinstance(config, dict), "config: expected a JSON object")
     config = dict(config)
     if seed is not None:

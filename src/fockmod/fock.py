@@ -37,6 +37,7 @@ from .bimodule import (
     ModuleVector,
     OneParticleVector,
     conjugate_vector,
+    parity,
 )
 from .weyl import (
     PRUNE_TOL,
@@ -79,6 +80,8 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
+# relative Gram eigenvalue at or below which operator_matrix drops a direction
+RANK_TOL = 1e-10
 
 # ---------------------------------------------------------------------------
 # canonical ordering (levels stay tiny, <= 4)
@@ -95,8 +98,7 @@ def _sort_sign(t: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
     for a, b in zip(s, s[1:]):
         if a == b:
             return None
-    inv = sum(1 for i in range(n) for j in range(i + 1, n) if order[i] > order[j])
-    return s, (-1 if inv % 2 else 1)
+    return s, parity(order)
 
 
 # ---------------------------------------------------------------------------
@@ -633,14 +635,12 @@ class OperatorMatrixResult:
     rank: int
 
 
-def operator_matrix(
-    op: FieldOperator, basis: list[FockElement], state: State, tol: float = 1e-10
-) -> OperatorMatrixResult:
+def operator_matrix(op: FieldOperator, basis: list[FockElement], state: State) -> OperatorMatrixResult:
     """Compression of op to the span of basis, orthonormalized via the
     GNS Gram matrix; the norm estimate is the largest singular value.
 
-    A Gram eigenvalue at or below tol (relative to the largest) drops
-    that direction and flags the result as degenerate.
+    A Gram eigenvalue at or below RANK_TOL (relative to the largest)
+    drops that direction and flags the result as degenerate.
     """
     k = len(basis)
     gram = np.zeros((k, k), dtype=complex)
@@ -651,7 +651,7 @@ def operator_matrix(
             gram[i, j] = gns_inner(basis[i], basis[j], state)
             tmat[i, j] = gns_inner(basis[i], images[j], state)
     eigvals, eigvecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    cutoff = tol * max(1.0, float(eigvals.max(initial=0.0)))
+    cutoff = RANK_TOL * max(1.0, float(eigvals.max(initial=0.0)))
     keep = eigvals > cutoff
     rank = int(np.count_nonzero(keep))
     if rank == 0:

@@ -12,10 +12,15 @@ four kinds:
 
 Check functions evaluate operator identities on explicit witness
 vectors and return CheckResult records that the report layer serializes.
-The sweep checks (car, relative and bilinear locality, the
-anticommutator model, the observable net, covariance phase, the neutral
-commutant) only build Claim records, each a list of (operator, probes)
-sweeps that must vanish or must act, and one evaluator runs them all.
+Every check measures its cases as Claim records, each a residual that
+must vanish or must act, or a failed precondition, and one reducer,
+``_evaluate``, turns them into the result; the sweep checks (car,
+relative and bilinear locality, the anticommutator model, the observable
+net, covariance phase, the neutral commutant) measure each claim as the
+worst GNS norm over (operator, probes) sweeps.  Three reports have a
+shape the reducer does not make and are built directly: weyl_exactness
+(two vanishing residuals), pauli (a witness on a pass too) and the
+nonzero-mean precondition of neutral_commutant.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from .bimodule import (
     Twist,
     SECTOR_MINUS,
     SECTOR_PLUS,
+    FREE_TOL,
     conjugate_vector,
     module_inner,
     mutually_free,
@@ -107,6 +113,10 @@ __all__ = [
 ]
 
 SIGMA_KINDS = ("delta", "bump", "poisson", "lebesgue")
+
+# an acting residual must exceed this: the designed violations and the
+# non-Fock gap are of order one
+THRESHOLD = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -441,18 +451,6 @@ def level_basis(
     return out
 
 
-def _max_residual(sweeps, state: State) -> tuple[float, int]:
-    """Largest GNS norm over (operator, probes) sweeps, and the index of
-    the probe it came from within its sweep."""
-    worst, at = 0.0, -1
-    for op, witnesses in sweeps:
-        for i, v in enumerate(witnesses):
-            r = gns_norm(op.apply(v), state)
-            if r > worst:
-                worst, at = r, i
-    return worst, at
-
-
 @dataclass
 class CheckResult:
     """One verified claim: status, measured residuals, witness data."""
@@ -482,57 +480,70 @@ def _result(name, ok, residuals, tolerance, witness=None, details=None) -> Check
 
 @dataclass
 class Claim:
-    """One case of a sweep check: operators that must vanish or act.
+    """One measured case of a check: a residual that must vanish or act.
 
-    The claim's residual is the largest GNS norm any operator of
-    ``sweeps``, a list of (operator, probes), leaves on its probes; no
-    sweeps give residual 0.  A vanishing claim needs it at most tol, an
-    acting one above threshold; ``label`` names the case in a failure
-    witness.  ``fault`` is the witness of a precondition the case already
-    failed; it fails the check and the sweeps still run.
+    A vanishing claim needs ``residual`` at most tol, an acting one above
+    THRESHOLD; ``label`` names the case in a failure witness.  ``at`` is
+    the index of the probe that set a swept residual, and None when the
+    residual was not swept.  ``fault`` is the witness of a precondition
+    the case failed; it fails the check whatever the residual.
     """
 
     label: dict
-    sweeps: list
+    residual: float = 0.0
     vanish: bool = True
     fault: dict | None = None
+    at: int | None = None
+
+
+def _swept(label: dict, sweeps, state: State, vanish: bool = True, fault: dict | None = None) -> Claim:
+    """Claim on the largest GNS norm any operator of ``sweeps``, a list of
+    (operator, probes), leaves on its probes; ``at`` is that probe's index
+    in its sweep, -1 when no probe left a nonzero image."""
+    worst, at = 0.0, -1
+    for op, witnesses in sweeps:
+        for i, v in enumerate(witnesses):
+            r = gns_norm(op.apply(v), state)
+            if r > worst:
+                worst, at = r, i
+    return Claim(label, worst, vanish, fault, at)
 
 
 def _evaluate(
-    ctx: ModelContext,
     name: str,
     claims,
     tol: float,
-    threshold: float = 0.1,
     keys: tuple = ("max", None),
     details: dict | None = None,
 ) -> CheckResult:
-    """Sweep the claims in order into one result.
+    """Reduce the measured claims, in order, to one result.
 
-    Reports the worst vanishing residual under keys[0] and, when any claim
-    must act, the smallest acting residual under keys[1].  The witness is
-    the last fault, or the last case that set a new extreme and broke its
-    claim, whichever came later; its witness_vector is the probe's index
-    in its sweep, -1 when no probe left a nonzero image.
+    Reports the worst vanishing residual under keys[0], unless keys[0] is
+    None, and, when any claim must act, the smallest acting residual
+    under keys[1].  The witness is the last fault, or the last case that
+    set a new extreme and broke its claim, whichever came later; a swept
+    case's witness also gives its probe as witness_vector.
     """
     worst, best, faulty, wit = 0.0, None, False, None
     for c in claims:
         if c.fault is not None:
             faulty, wit = True, c.fault
-        r, at = _max_residual(c.sweeps, ctx.state)
+        r, broke = c.residual, False
         if c.vanish and r > worst:
-            worst = r
-            if r > tol:
-                wit = {**c.label, "residual": r, "witness_vector": at}
+            worst, broke = r, r > tol
         elif not c.vanish and (best is None or r < best):
-            best = r
-            if r <= threshold:
-                wit = {**c.label, "residual": r, "witness_vector": at}
-    residuals, tols = {keys[0]: worst}, {keys[0]: tol}
+            best, broke = r, r <= THRESHOLD
+        if broke:
+            wit = {**c.label, "residual": r}
+            if c.at is not None:
+                wit["witness_vector"] = c.at
+    residuals, tols = {}, {}
+    if keys[0] is not None:
+        residuals[keys[0]], tols[keys[0]] = worst, tol
     ok = not faulty and worst <= tol
     if best is not None:
-        residuals[keys[1]], tols[keys[1]] = best, threshold
-        ok = ok and best > threshold
+        residuals[keys[1]], tols[keys[1]] = best, THRESHOLD
+        ok = ok and best > THRESHOLD
     return _result(name, ok, residuals, tols, wit, details)
 
 
@@ -590,33 +601,25 @@ def check_gram_positivity(gens: GeneratorSet, seed: int, size: int = 8, tol: flo
             n = tuple(rng.randint(-1, 1) for _ in range(m))
             terms[n] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
         elems.append(WeylElement(gens, terms))
-    worst = 0.0
+    claims = []
     for kind in State.KINDS:
         g = gram_matrix(State(kind), elems)
         eig = np.linalg.eigvalsh((g + g.conj().T) / 2.0)
-        worst = max(worst, max(0.0, -float(eig.min())))
-    return _result(
-        "gram_positivity", worst <= tol, {"negativity": worst}, {"negativity": tol}
-    )
+        claims.append(Claim({"state": kind}, max(0.0, -float(eig.min()))))
+    return _evaluate("gram_positivity", claims, tol, ("negativity", None))
 
 
 # ---------------------------------------------------------------------------
 # CAR battery
 
 
-def check_car(
-    ctx: ModelContext,
-    pairs,
-    tol: float = 1e-10,
-    threshold: float = 0.1,
-    name: str = "car",
-) -> CheckResult:
+def check_car(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
     """Anticommutation relations on every wedge witness.
 
     pairs: iterable of (f, g, expect_free).  Free pairs must satisfy all
     three relations within tol on every basis vector of the stated
     levels; designed non-free pairs must show a mixed residual above
-    threshold somewhere.  Freeness decisions must match expectations.
+    THRESHOLD somewhere.  Freeness decisions must match expectations.
     """
     pairs = list(pairs)
     module = ctx.module
@@ -637,24 +640,25 @@ def check_car(
                 (anticommutator(creation(f), creation(g)), sweep_cre),
             ]
         label = "free_residual" if expect_free else "nonfree_too_small"
-        claims.append(Claim({"pair": idx, "problem": label}, sweeps, expect_free, fault))
-    keys = ("free_max", "nonfree_min")
-    return _evaluate(ctx, name, claims, tol, threshold, keys, {"pairs": len(pairs)})
+        claims.append(_swept({"pair": idx, "problem": label}, sweeps, ctx.state, expect_free, fault))
+    return _evaluate("car", claims, tol, ("free_max", "nonfree_min"), {"pairs": len(pairs)})
 
 
-def _random_weyl(rng, gens, max_terms=2, max_exp=1) -> WeylElement:
+def _random_weyl(rng, gens) -> WeylElement:
+    """One or two terms with exponents in {-1, 0, 1}."""
     terms = {}
     m = len(gens)
-    for _ in range(rng.randint(1, max_terms)):
-        n = tuple(rng.randint(-max_exp, max_exp) for _ in range(m))
+    for _ in range(rng.randint(1, 2)):
+        n = tuple(rng.randint(-1, 1) for _ in range(m))
         terms[n] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return WeylElement(gens, terms)
 
 
-def _random_module_vector(rng, module, max_entries=2) -> ModuleVector:
+def _random_module_vector(rng, module) -> ModuleVector:
+    """One or two entries with random Weyl coefficients."""
     dim = module.basis.dim
     entries = {}
-    for _ in range(rng.randint(1, max_entries)):
+    for _ in range(rng.randint(1, 2)):
         entries[rng.randrange(dim)] = _random_weyl(rng, module.gens)
     return ModuleVector(module, entries)
 
@@ -676,7 +680,7 @@ def check_adjointness(ctx: ModelContext, seed: int, cases: int = 100, tol: float
     rng = random.Random(seed)
     module = ctx.module
     n = ctx.truncation
-    worst = 0.0
+    claims = []
     states = [State(k) for k in State.KINDS]
     for i in range(cases):
         f = _random_module_vector(rng, module)
@@ -685,10 +689,8 @@ def check_adjointness(ctx: ModelContext, seed: int, cases: int = 100, tol: float
         st = states[i % 2]
         lhs = gns_inner(v, annihilate(f, w), st)
         rhs = gns_inner(create(f, v), w, st)
-        worst = max(worst, abs(lhs - rhs))
-    return _result(
-        "adjointness", worst <= tol, {"max": worst}, {"max": tol}, details={"cases": cases}
-    )
+        claims.append(Claim({"case": i}, abs(lhs - rhs)))
+    return _evaluate("adjointness", claims, tol, details={"cases": cases})
 
 
 def check_covariance(ctx: ModelContext, seed: int, cases: int = 100, tol: float = 1e-12) -> CheckResult:
@@ -699,7 +701,7 @@ def check_covariance(ctx: ModelContext, seed: int, cases: int = 100, tol: float 
     gens = module.gens
     n_tr = ctx.truncation
     m = len(gens)
-    worst = 0.0
+    claims = []
     states = [State(k) for k in State.KINDS]
     for i in range(cases):
         n = tuple(rng.randint(-1, 1) for _ in range(m))
@@ -721,15 +723,15 @@ def check_covariance(ctx: ModelContext, seed: int, cases: int = 100, tol: float 
         st = states[i % 2]
         lhs = weyl_mult(module, wmono) @ creation(f)
         rhs = creation(fu) @ weyl_mult(module, wmono)
-        worst = max(worst, gns_norm((lhs - rhs).apply(probe), st))
+        r = gns_norm((lhs - rhs).apply(probe), st)
+        claims.append(Claim({"case": i, "relation": "creation"}, r))
         neg = tuple(-x for x in n)
         fd = module.embed(module.twist.apply(neg, wv))
         lhs2 = weyl_mult(module, wmono) @ annihilation(fd)
         rhs2 = annihilation(f) @ weyl_mult(module, wmono)
-        worst = max(worst, gns_norm((lhs2 - rhs2).apply(probe), st))
-    return _result(
-        "covariance", worst <= tol, {"max": worst}, {"max": tol}, details={"cases": cases}
-    )
+        r = gns_norm((lhs2 - rhs2).apply(probe), st)
+        claims.append(Claim({"case": i, "relation": "annihilation"}, r))
+    return _evaluate("covariance", claims, tol, details={"cases": cases})
 
 
 def check_norm_recovery(ctx: ModelContext, seed: int, cases: int = 20, tol: float = 1e-8) -> CheckResult:
@@ -738,9 +740,8 @@ def check_norm_recovery(ctx: ModelContext, seed: int, cases: int = 20, tol: floa
     module = ctx.module
     dim = module.basis.dim
     state = State("tracial")
-    worst = 0.0
-    degenerate = False
-    for _ in range(cases):
+    claims = []
+    for i in range(cases):
         size = rng.randint(1, 3)
         picks = rng.sample(range(dim), size)
         coeffs = {b: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for b in picks}
@@ -751,18 +752,13 @@ def check_norm_recovery(ctx: ModelContext, seed: int, cases: int = 20, tol: floa
         span = sorted(set(picks) | set(extras))
         basis = level_basis(module, ctx.truncation, ctx.truncation, span)
         res = operator_matrix(annihilation(module.embed(vec)), basis, state)
-        degenerate = degenerate or res.degenerate
-        worst = max(worst, abs(res.norm_estimate - 1.0))
-    return _result(
-        "norm_recovery",
-        worst <= tol and not degenerate,
-        {"max_error": worst},
-        {"max_error": tol},
-        details={"cases": cases, "degenerate": degenerate},
-    )
+        fault = {"case": i, "problem": "degenerate"} if res.degenerate else None
+        claims.append(Claim({"case": i}, abs(res.norm_estimate - 1.0), fault=fault))
+    details = {"cases": cases, "degenerate": any(c.fault is not None for c in claims)}
+    return _evaluate("norm_recovery", claims, tol, ("max_error", None), details)
 
 
-def check_nonfock(ctx: ModelContext, threshold: float = 0.1) -> CheckResult:
+def check_nonfock(ctx: ModelContext) -> CheckResult:
     """The nested scalar product is not the slotwise product.
 
     Witness: v = (e_x W(n)) x (e_y W(-n)), w = e_x x e_y.  The nested
@@ -786,17 +782,12 @@ def check_nonfock(ctx: ModelContext, threshold: float = 0.1) -> CheckResult:
     w = tensor_of([g1, g2])
     nested = state(tensor_inner(gens, v, w))
     slotwise = state(module_inner(f1, g1)) * state(module_inner(f2, g2))
-    gap = abs(nested - slotwise)
-    return _result(
-        "nonfock_witness",
-        gap > threshold,
-        {"gap": gap},
-        {"gap": threshold},
-        details={"nested": repr(nested), "slotwise": repr(slotwise)},
-    )
+    claims = [Claim({"slots": [x, y]}, abs(nested - slotwise), vanish=False)]
+    details = {"nested": repr(nested), "slotwise": repr(slotwise)}
+    return _evaluate("nonfock_witness", claims, 0.0, (None, "gap"), details)
 
 
-def check_pauli(ctx: ModelContext, threshold: float = 0.1, tol: float = 1e-12) -> CheckResult:
+def check_pauli(ctx: ModelContext, tol: float = 1e-12) -> CheckResult:
     """Wedge of a mutually free pair antisymmetrizes to zero; a twisted
     self-pair does not."""
     module = ctx.module
@@ -839,12 +830,12 @@ def check_pauli(ctx: ModelContext, threshold: float = 0.1, tol: float = 1e-12) -
         if nrm > twisted_norm:
             twisted_norm = nrm
             witness = {"generator": k, "points": [p1, p2]}
-    ok = free_norm <= tol and twisted_norm > threshold
+    ok = free_norm <= tol and twisted_norm > THRESHOLD
     return _result(
         "pauli",
         ok,
         {"free": free_norm, "twisted": twisted_norm},
-        {"free": tol, "twisted": threshold},
+        {"free": tol, "twisted": THRESHOLD},
         witness,
     )
 
@@ -853,13 +844,12 @@ def check_dirac_adjoint(ctx: ModelContext, seed: int, cases: int = 10, tol: floa
     """The field adjoint is charge conjugation on the argument."""
     rng = random.Random(seed)
     module = ctx.module
-    ok = True
-    for _ in range(cases):
+    claims = []
+    for i in range(cases):
         f = _random_module_vector(rng, module)
         if not dirac(f).adjoint().equivalent(dirac(conjugate_vector(f)), tol):
-            ok = False
-            break
-    return _result("dirac_adjoint", ok, {}, {}, details={"cases": cases})
+            claims.append(Claim({"case": i}, fault={"case": i, "problem": "not_conjugation"}))
+    return _evaluate("dirac_adjoint", claims, tol, (None, None), {"cases": cases})
 
 
 # ---------------------------------------------------------------------------
@@ -884,59 +874,40 @@ def _generator_op(ctx: ModelContext, k: int) -> FieldOperator:
     return weyl_mult(ctx.module, WeylElement.monomial(gens, gens.unit(k)))
 
 
-def check_relative_locality(
-    ctx: ModelContext,
-    local_pairs,
-    witness_pairs,
-    tol: float = 1e-12,
-    threshold: float = 0.1,
-) -> CheckResult:
+def check_relative_locality(ctx: ModelContext, local_pairs, witness_pairs, tol: float = 1e-12) -> CheckResult:
     """[psi(w), W] vanishes when the twist leaves w alone, and is seen
     to act otherwise.  Pairs are (vector, generator index)."""
     claims = []
     for tag, pairs in (("local", local_pairs), ("witness", witness_pairs)):
         for w, k in pairs:
             sweeps = [(commutator(electron(w), _generator_op(ctx, k)), _witnesses_for(ctx, [w]))]
-            claims.append(Claim({"pair": [tag, k]}, sweeps, tag == "local"))
-    keys = ("local_max", "witness_min")
-    return _evaluate(ctx, "relative_locality", claims, tol, threshold, keys)
+            claims.append(_swept({"pair": [tag, k]}, sweeps, ctx.state, tag == "local"))
+    return _evaluate("relative_locality", claims, tol, ("local_max", "witness_min"))
 
 
-def check_bilinear_locality(
-    ctx: ModelContext,
-    commuting,
-    witnesses,
-    tol: float = 1e-10,
-    threshold: float = 0.1,
-) -> CheckResult:
+def check_bilinear_locality(ctx: ModelContext, commuting, witnesses, tol: float = 1e-10) -> CheckResult:
     """[W, psi(w1) psi*(w2)] on triples (gen index, w1, w2)."""
     claims = []
     for tag, triples in (("commuting", commuting), ("witness", witnesses)):
         for k, w1, w2 in triples:
             op = commutator(_generator_op(ctx, k), electron(w1) @ electron_star(w2))
             sweeps = [(op, _witnesses_for(ctx, [w1, w2]))]
-            claims.append(Claim({"triple": [tag, k]}, sweeps, tag == "commuting"))
-    keys = ("commuting_max", "witness_min")
-    return _evaluate(ctx, "bilinear_locality", claims, tol, threshold, keys)
+            claims.append(_swept({"triple": [tag, k]}, sweeps, ctx.state, tag == "commuting"))
+    return _evaluate("bilinear_locality", claims, tol, ("commuting_max", "witness_min"))
 
 
-def check_anticommutator_model(
-    ctx: ModelContext,
-    pairs,
-    tol: float = 1e-10,
-    name: str = "anticommutator_model",
-) -> CheckResult:
+def check_anticommutator_model(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
     """[psi*(f), psi(g)]_+ collapses to left multiplication by <f, g>
     for mutually free pairs of + sector vectors."""
     claims = []
     for idx, (f, g) in enumerate(pairs):
         if not mutually_free(f, g).free:
-            claims.append(Claim({"pair": idx}, [], fault={"pair": idx, "problem": "not_free"}))
+            claims.append(Claim({"pair": idx}, fault={"pair": idx, "problem": "not_free"}))
             continue
         inner = weyl_mult(ctx.module, module_inner(f, g))
         op = anticommutator(electron_star(f), electron(g)) - inner
-        claims.append(Claim({"pair": idx}, [(op, _witnesses_for(ctx, [f, g]))]))
-    return _evaluate(ctx, name, claims, tol)
+        claims.append(_swept({"pair": idx}, [(op, _witnesses_for(ctx, [f, g]))], ctx.state))
+    return _evaluate("anticommutator_model", claims, tol)
 
 
 def check_observable_net(
@@ -958,16 +929,16 @@ def check_observable_net(
     headroom = max(ctx.truncation, 1 + 3)
     probes = _witnesses_for(ctx, vecs, max_level=1, truncation=headroom)
     claims = [
-        Claim({"pair": [i, j]}, [(commutator(ops[i], ops[j]), probes)]) for i, j in disjoint_pairs
+        _swept({"pair": [i, j]}, [(commutator(ops[i], ops[j]), probes)], ctx.state)
+        for i, j in disjoint_pairs
     ]
     details = {"effective_truncation": headroom}
-    return _evaluate(ctx, "observable_net", claims, tol, details=details)
+    return _evaluate("observable_net", claims, tol, details=details)
 
 
 def check_gauge_invariance(ctx: ModelContext, specs, angles) -> CheckResult:
     """Gauge transforms fix each bilinear term by term, exactly."""
-    ok = True
-    wit = None
+    claims = []
     for idx, (s, w1, w2) in enumerate(specs):
         op = observable(s, w1, w2)
         for theta in angles:
@@ -978,9 +949,9 @@ def check_gauge_invariance(ctx: ModelContext, specs, angles) -> CheckResult:
                 for (s1, p1), (s2, p2) in zip(op.terms, moved.terms)
             )
             if not same:
-                ok = False
-                wit = {"observable": idx, "angle": float(theta)}
-    return _result("gauge_invariance", ok, {}, {}, wit, {"exact": True})
+                fault = {"observable": idx, "angle": float(theta)}
+                claims.append(Claim(fault, fault=fault))
+    return _evaluate("gauge_invariance", claims, 0.0, (None, None), {"exact": True})
 
 
 def check_covariance_phase(
@@ -999,8 +970,8 @@ def check_covariance_phase(
         # alpha(W) = exp(+i <s0>) W restores plain commutation
         alpha = phase.conjugate() * wop
         sweeps = [(wop @ psi - phase * (psi @ wop), probes), (alpha @ psi - psi @ wop, probes)]
-        claims.append(Claim({"generator": k}, sweeps))
-    return _evaluate(ctx, "covariance_phase", claims, tol)
+        claims.append(_swept({"generator": k}, sweeps, ctx.state))
+    return _evaluate("covariance_phase", claims, tol)
 
 
 def check_neutral_commutant(
@@ -1024,34 +995,22 @@ def check_neutral_commutant(
     claims = []
     for w, k in pairs:
         op = commutator(_generator_op(ctx, k), electron(w))
-        claims.append(Claim({"generator": k}, [(op, _witnesses_for(ctx, [w]))]))
-    return _evaluate(ctx, "neutral_commutant", claims, tol)
+        claims.append(_swept({"generator": k}, [(op, _witnesses_for(ctx, [w]))], ctx.state))
+    return _evaluate("neutral_commutant", claims, tol)
 
 
 def check_mutual_freeness(ctx: ModelContext, free_pairs, nonfree_pairs) -> CheckResult:
     """Operational freeness decisions match the support geometry."""
     free_pairs = list(free_pairs)
     nonfree_pairs = list(nonfree_pairs)
-    ok = True
-    wit = None
-    worst = 0.0
+    claims = []
     for idx, (f, g) in enumerate(free_pairs):
-        rep = mutually_free(f, g)
-        if not rep.free:
-            ok = False
-            r = max((x[3] for x in rep.failures), default=0.0)
-            worst = max(worst, r)
-            wit = {"pair": idx, "expected": "free", "residual": r}
+        # a pair tests free exactly when it has no failure above FREE_TOL
+        r = max((x[3] for x in mutually_free(f, g).failures), default=0.0)
+        claims.append(Claim({"pair": idx, "expected": "free"}, r))
     for idx, (f, g) in enumerate(nonfree_pairs):
-        rep = mutually_free(f, g)
-        if rep.free:
-            ok = False
-            wit = {"pair": idx, "expected": "nonfree"}
-    return _result(
-        "mutual_freeness",
-        ok,
-        {"false_free_residual": worst},
-        {"false_free_residual": 1e-10},
-        wit,
-        {"free": len(free_pairs), "nonfree": len(nonfree_pairs)},
-    )
+        if mutually_free(f, g).free:
+            fault = {"pair": idx, "expected": "nonfree"}
+            claims.append(Claim(fault, fault=fault))
+    details = {"free": len(free_pairs), "nonfree": len(nonfree_pairs)}
+    return _evaluate("mutual_freeness", claims, FREE_TOL, ("false_free_residual", None), details)

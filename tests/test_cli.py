@@ -198,7 +198,7 @@ def test_run_config_rejects_bad_checks():
             {"check": "car", "free": [[[["wA", [0, True]]], [["wB", [0, 0]]]]]},
             "car.free[0][0][0]: exponents must be 2 integers",
         ),
-        ({"check": "gauge_invariance", "angles": [True]}, "gauge_invariance.angles: expected"),
+        ({"check": "gauge_invariance", "angles": [True]}, "gauge_invariance.angles[0]: expected"),
         # a count of zero or less would test nothing
         ({"check": "adjointness", "cases": 0}, "adjointness.cases: expected a count of at least 1"),
         ({"check": "adjointness", "cases": -3}, "adjointness.cases: expected a count of at least"),
@@ -210,6 +210,9 @@ def test_run_config_rejects_bad_checks():
             run_config(broken(checks=[check]))
     with pytest.raises(ConfigError, match=re.escape("seed: expected an integer")):
         run_config(broken(seed=True))
+    # a bool tolerance would run with tolerance 1.0
+    with pytest.raises(ConfigError, match=re.escape("tolerance: expected a number, got True")):
+        run_config(tiny_config(), tolerance=True)
 
 
 def test_check_table_matches_configs_and_models():
@@ -404,6 +407,7 @@ def _set(path: tuple, value) -> dict:
 
 WA_CENTER = ("vectors", "wA", "profile", "center")
 G1_AMPLITUDE = ("generators", 1, "s0", "amplitude")
+G1_VALUES = ("generators", 1, "s1", "values")
 
 
 @pytest.mark.parametrize(
@@ -429,6 +433,12 @@ G1_AMPLITUDE = ("generators", 1, "s0", "amplitude")
             _set(("vectors", "wA", "profile"), {"shape": "box", "center": 2, "width": "2"}),
             "vectors.wA.profile.width: expected a number",
         ),
+        # spacing and profile values obey the number rule too
+        (_set(("grid", "spacing"), "2"), "grid.spacing: expected a number"),
+        (_set(G1_VALUES, ["0", "0", "1.5"]), "generators[1].s1.values[0]: expected a number"),
+        (_set(G1_VALUES, [True, False, True]), "generators[1].s1.values[0]: expected a number"),
+        (_set(G1_VALUES, [[0.0], [0.0], [1.0]]), "generators[1].s1.values[0]: expected a number"),
+        (_set(G1_VALUES, None), "generators[1].s1.values: expected a list of numbers"),
     ),
     ids=(
         "null_center",
@@ -444,6 +454,11 @@ G1_AMPLITUDE = ("generators", 1, "s0", "amplitude")
         "string_amplitude",
         "bool_amplitude",
         "string_width",
+        "string_spacing",
+        "string_values",
+        "bool_values",
+        "nested_values",
+        "null_values",
     ),
 )
 def test_main_malformed_config_exits_2(tmp_path, capsys, cfg, message):
@@ -457,7 +472,7 @@ def test_main_malformed_config_exits_2(tmp_path, capsys, cfg, message):
 def test_main_nonfinite_angle_exits_2(tmp_path, capsys, angle):
     cfg = broken(checks=[{"check": "gauge_invariance", "angles": [0.7, angle]}])
     assert _main_exit(tmp_path, cfg) == 2
-    assert "gauge_invariance.angles: expected finite numbers" in capsys.readouterr().err
+    assert "gauge_invariance.angles[1]: expected a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spacing", (float("nan"), float("inf"), True))
@@ -472,11 +487,11 @@ def test_main_nonfinite_profile_exits_2(tmp_path, capsys):
     cfg = tiny_config()
     cfg["generators"][0]["s0"]["amplitude"] = float("nan")
     assert _main_exit(tmp_path, cfg) == 2
-    assert "generators[0].s0: amplitude must be finite" in capsys.readouterr().err
+    assert "generators[0].s0.amplitude: expected a finite number" in capsys.readouterr().err
     cfg = tiny_config()
     cfg["vectors"]["wA"]["profile"] = {"shape": "values", "values": [0.0, 0.0, float("inf")]}
     assert _main_exit(tmp_path, cfg) == 2
-    assert "vectors.wA.profile: values must be finite" in capsys.readouterr().err
+    assert "vectors.wA.profile.values[2]: expected a finite number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tolerance", ("0", "-1", "nan", "inf"))

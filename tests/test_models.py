@@ -379,6 +379,21 @@ def test_check_norm_recovery():
     assert not res.details["degenerate"]
 
 
+def test_check_failure_witness_names_case():
+    # at tol 1e-300 the rounding residuals (about 1e-16) fail, and the
+    # witness names the case that set the largest one
+    ctx = delta_ctx()
+    for res in (
+        check_adjointness(ctx, seed=11, cases=10, tol=1e-300),
+        check_norm_recovery(ctx, seed=13, cases=3, tol=1e-300),
+    ):
+        assert not res.passed
+        (worst,) = res.residuals.values()
+        assert worst > 0.0
+        assert set(res.witness) == {"case", "residual"}
+        assert res.witness["residual"] == worst
+
+
 def test_check_nonfock_gap_is_one():
     res = check_nonfock(delta_ctx())
     assert res.passed
@@ -490,6 +505,12 @@ def test_check_mutual_freeness():
     assert not flipped.passed
     assert flipped.witness["expected"] == "free"
     assert flipped.residuals["false_free_residual"] > 0.0
+    # of two false-free pairs, the witness names the larger residual's:
+    # eta((2,0),(0,1)) = 1.5 before eta((1,0),(0,1)) = 0.75
+    worse_f = ctx.module.basis_element(0, WeylElement.monomial(ctx.gens, (2, 0)))
+    both = check_mutual_freeness(ctx, [(worse_f, bad_g), (bad_f, bad_g)], [])
+    assert both.witness == {"pair": 0, "expected": "free", "residual": 1.5}
+    assert both.residuals["false_free_residual"] == 1.5
 
 
 def test_sigma_kinds_is_exhaustive():
