@@ -313,6 +313,11 @@ class Twist:
                     raise ValueError(f"twist generators {a} and {b} do not commute")
 
     @property
+    def diagonal(self) -> bool:
+        """True when every generator is diagonal, so u(n) e_b = phase_n(b) e_b."""
+        return self._diagonal
+
+    @property
     def unitaries(self) -> tuple[np.ndarray, ...]:
         """The generators U_k as dense matrices."""
         if self._diagonal:

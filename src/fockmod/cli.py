@@ -405,9 +405,9 @@ def run_config(
     _require(isinstance(config, dict), "config: expected a JSON object")
     config = dict(config)
     if seed is not None:
-        config["seed"] = int(seed)
+        config["seed"] = _int(seed, "seed")
     if truncation is not None:
-        config["truncation"] = int(truncation)
+        config["truncation"] = _int(truncation, "truncation")
     base_seed = _int(config.get("seed", 0), "seed")
     ctx = build_scenario(config)
     items = config.get("checks")

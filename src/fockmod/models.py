@@ -451,6 +451,59 @@ def level_basis(
     return out
 
 
+def _support(module: FreeBimodule, vectors) -> set[int]:
+    """Every index the vectors touch, with its charge-conjugate partner."""
+    idx: set[int] = set()
+    for f in vectors:
+        idx |= set(f.entries)
+        idx |= {module.basis.conj_index(b) for b in f.entries}
+    return idx
+
+
+def _witnesses_for(
+    ctx: ModelContext, vectors, max_level: int = 2, truncation: int | None = None
+) -> list[FockElement]:
+    """Vacuum and wedges over every index the given vectors touch."""
+    n = ctx.truncation if truncation is None else truncation
+    return level_basis(ctx.module, n, min(max_level, n - 1), sorted(_support(ctx.module, vectors)))
+
+
+def _spectators_drop_out(ctx: ModelContext) -> bool:
+    """Whether ``_spectator_witnesses`` may reduce: a diagonal twist under
+    the tracial state."""
+    return ctx.module.twist.diagonal and ctx.state.kind == "tracial"
+
+
+def _spectator_witnesses(ctx: ModelContext, vectors, max_level: int) -> list[FockElement]:
+    """Vacuum and wedges of level <= max_level over the support of
+    ``vectors``, their charge-conjugate partners and max_level spectators,
+    taken from the front and back of the indices outside that set (for
+    max_level 2 the first and the last).  Without a diagonal twist and the
+    tracial state, the whole ``level_basis``.
+
+    Why this is exact for an operator built from the vectors: a spectator b
+    is never filled or contracted, and each primitive (creation,
+    annihilation, left multiplication) only multiplies b's slot by
+    phase_n(b), n the label it moves into the coefficient.  So a term whose
+    label moved by L carries phase_L(b), a unimodular factor shared by
+    every term of that label.  Under the tracial state terms of different
+    labels are orthogonal, so the factor drops out of the GNS norm, and the
+    sign from sorting b into a tuple is the same for every term reaching
+    that tuple.  The norm on e_s ^ e_B thus depends on the spectator set B
+    through its size alone, and max_level spectators reach every size a
+    witness of that level can hold.  Only the order in which terms are
+    summed changes with B, which can move a residual by an ulp.
+    """
+    module = ctx.module
+    n = ctx.truncation
+    if not _spectators_drop_out(ctx):
+        return level_basis(module, n, max_level)
+    idx = _support(module, vectors)
+    rest = [b for b in range(module.basis.dim) if b not in idx]
+    idx.update(rest[: (max_level + 1) // 2], rest[len(rest) - max_level // 2 :])
+    return level_basis(module, n, max_level, idx)
+
+
 @dataclass
 class CheckResult:
     """One verified claim: status, measured residuals, witness data."""
@@ -484,28 +537,33 @@ class Claim:
 
     A vanishing claim needs ``residual`` at most tol, an acting one above
     THRESHOLD; ``label`` names the case in a failure witness.  ``at`` is
-    the index of the probe that set a swept residual, and None when the
-    residual was not swept.  ``fault`` is the witness of a precondition
-    the case failed; it fails the check whatever the residual.
+    the slots of the probe wedge that set a swept residual, [] for the
+    vacuum, and None when the residual was not swept.  ``fault`` is the
+    witness of a precondition the case failed; it fails the check whatever
+    the residual.
     """
 
     label: dict
     residual: float = 0.0
     vanish: bool = True
     fault: dict | None = None
-    at: int | None = None
+    at: list[int] | None = None
 
 
 def _swept(label: dict, sweeps, state: State, vanish: bool = True, fault: dict | None = None) -> Claim:
     """Claim on the largest GNS norm any operator of ``sweeps``, a list of
-    (operator, probes), leaves on its probes; ``at`` is that probe's index
-    in its sweep, -1 when no probe left a nonzero image."""
-    worst, at = 0.0, -1
+    (operator, probes), leaves on its probes, each a basis wedge; ``at`` is
+    the slots of the first probe that reached it."""
+    worst, at = 0.0, None
     for op, witnesses in sweeps:
-        for i, v in enumerate(witnesses):
+        for v in witnesses:
             r = gns_norm(op.apply(v), state)
-            if r > worst:
-                worst, at = r, i
+            if at is None or r > worst:
+                worst, at = r, v
+    if at is not None:
+        # a basis wedge holds one tuple on one level
+        ((slots,),) = at.parts.values()
+        at = list(slots)
     return Claim(label, worst, vanish, fault, at)
 
 
@@ -522,7 +580,7 @@ def _evaluate(
     None, and, when any claim must act, the smallest acting residual
     under keys[1].  The witness is the last fault, or the last case that
     set a new extreme and broke its claim, whichever came later; a swept
-    case's witness also gives its probe as witness_vector.
+    case's witness also gives its probe wedge's slots as witness_slots.
     """
     worst, best, faulty, wit = 0.0, None, False, None
     for c in claims:
@@ -536,7 +594,7 @@ def _evaluate(
         if broke:
             wit = {**c.label, "residual": r}
             if c.at is not None:
-                wit["witness_vector"] = c.at
+                wit["witness_slots"] = c.at
     residuals, tols = {}, {}
     if keys[0] is not None:
         residuals[keys[0]], tols[keys[0]] = worst, tol
@@ -614,20 +672,29 @@ def check_gram_positivity(gens: GeneratorSet, seed: int, size: int = 8, tol: flo
 
 
 def check_car(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
-    """Anticommutation relations on every wedge witness.
+    """Anticommutation relations on wedge witnesses.
 
     pairs: iterable of (f, g, expect_free).  Free pairs must satisfy all
-    three relations within tol on every basis vector of the stated
-    levels; designed non-free pairs must show a mixed residual above
-    THRESHOLD somewhere.  Freeness decisions must match expectations.
+    three relations within tol on every witness; designed non-free pairs
+    must show a mixed residual above THRESHOLD somewhere.  Freeness
+    decisions must match expectations.
+
+    The witnesses of a pair are the vacuum and the wedges of level up to
+    min(2, n - 1), and up to min(2, n - 2) for {a*(f), a*(g)}, over the
+    support of f and g, its charge-conjugate partners and one spectator
+    per level (``_spectator_witnesses``, which says why that is exact).
+    On a twist that is not diagonal, or under the quasifree state, every
+    pair is swept on those levels over the whole basis instead, built once
+    for the check.
     """
     pairs = list(pairs)
     module = ctx.module
     n = ctx.truncation
-    sweep = level_basis(module, n, min(2, n - 1))
-    sweep_cre = level_basis(module, n, min(2, max(n - 2, 0)))
+    tops = (min(2, n - 1), min(2, max(n - 2, 0)))
+    full = None if _spectators_drop_out(ctx) else [level_basis(module, n, t) for t in tops]
     claims = []
     for idx, (f, g, expect_free) in enumerate(pairs):
+        sweep, sweep_cre = full or [_spectator_witnesses(ctx, (f, g), t) for t in tops]
         got = mutually_free(f, g).free
         fault = None
         if got != expect_free:
@@ -854,18 +921,6 @@ def check_dirac_adjoint(ctx: ModelContext, seed: int, cases: int = 10, tol: floa
 
 # ---------------------------------------------------------------------------
 # model-specific checks
-
-
-def _witnesses_for(
-    ctx: ModelContext, vectors, max_level: int = 2, truncation: int | None = None
-) -> list[FockElement]:
-    """Vacuum and wedges over every index the given vectors touch."""
-    idx: set[int] = set()
-    for f in vectors:
-        idx |= set(f.entries)
-        idx |= {ctx.module.basis.conj_index(b) for b in f.entries}
-    n = ctx.truncation if truncation is None else truncation
-    return level_basis(ctx.module, n, min(max_level, n - 1), sorted(idx))
 
 
 def _generator_op(ctx: ModelContext, k: int) -> FieldOperator:

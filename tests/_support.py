@@ -19,17 +19,25 @@ from fockmod.bimodule import (
     ModuleVector,
     OneParticleBasis,
     Twist,
+    module_inner,
+    mutually_free,
     trivial_twist,
 )
+from fockmod.cli import SCHEMA
 from fockmod.fock import (
     FockElement,
     annihilate,
+    annihilation,
+    anticommutator,
     create,
+    creation,
     fock_inner,
     fock_left_action,
     fock_right_mul,
+    gns_norm,
+    weyl_mult,
 )
-from fockmod.models import kernel_value, make_twist
+from fockmod.models import THRESHOLD, kernel_value, level_basis, make_twist
 from fockmod.oracle import (
     DenseTensor,
     _parity,
@@ -123,6 +131,109 @@ def ref_sigma_convolve(kind: str, grid: GridSpec, s0, radius=None) -> np.ndarray
             acc += kernel_value(kind, grid, disp, radius) * sy
         out[xi] = acc * vol
     return out
+
+
+def ref_car_sweep(ctx, pairs, tol: float = 1e-10) -> dict:
+    """Independent route to check_car's verdict: every pair swept on the
+    vacuum and every wedge of level <= min(2, n - 1), <= min(2, n - 2) for
+    {a*(f), a*(g)}, over the whole one-particle basis.  Returns the status,
+    the problem of the last broken case (None on a pass), free_max and
+    nonfree_min."""
+    module = ctx.module
+    n = ctx.truncation
+    sweep = level_basis(module, n, min(2, n - 1))
+    sweep_cre = level_basis(module, n, min(2, max(n - 2, 0)))
+    free_max, nonfree_min, problem = 0.0, None, None
+    for f, g, expect_free in pairs:
+        if mutually_free(f, g).free != expect_free:
+            problem = "freeness_decision"
+        ops = [(anticommutator(annihilation(f), creation(g)) - weyl_mult(module, module_inner(f, g)), sweep)]
+        if expect_free:
+            ops.append((anticommutator(annihilation(f), annihilation(g)), sweep))
+            ops.append((anticommutator(creation(f), creation(g)), sweep_cre))
+        worst = 0.0
+        for op, probes in ops:
+            for v in probes:
+                worst = max(worst, gns_norm(op.apply(v), ctx.state))
+        if expect_free:
+            free_max = max(free_max, worst)
+            if worst > tol:
+                problem = "free_residual"
+        else:
+            nonfree_min = worst if nonfree_min is None else min(nonfree_min, worst)
+            if worst <= THRESHOLD:
+                problem = "nonfree_too_small"
+    return {
+        "status": "pass" if problem is None else "fail",
+        "problem": problem,
+        "free_max": free_max,
+        "nonfree_min": nonfree_min,
+    }
+
+
+def poisson_2d_config(points: int, components: int = 2) -> dict:
+    """2D Poisson scenario with a 13-free, 2-non-free CAR battery.
+
+    Generator 0 is a dipole +4 at (0, 1), -4 at (2, 1), generator 1 one
+    +4 at (3, 0), -4 at (3, 2).  Every point of the line x = 1 is equally
+    far from generator 0's two charges, and every point of y = 1 from
+    generator 1's, so that generator's phase there is exactly zero.  The
+    free pairs sit on those lines, the non-free ones on a charge, where the
+    phase is about 1.2.
+    """
+    n_points = points * points
+
+    def dipole(plus, minus):
+        vals = [0.0] * n_points
+        vals[plus[0] * points + plus[1]] = 4.0
+        vals[minus[0] * points + minus[1]] = -4.0
+        return {"s0": {"shape": "values", "values": vals}}
+
+    def vec(at, component=0):
+        return {"sector": "+", "component": component, "profile": {"shape": "point", "center": list(at)}}
+
+    vectors = {
+        "calm": vec((1, 1)),
+        "calm1": vec((1, 1), components - 1),
+        "q0a": vec((1, 0)),
+        "q0b": vec((1, 3), components - 1),
+        "q0c": vec((1, 2)),
+        "q1a": vec((0, 1), components - 1),
+        "q1b": vec((3, 1)),
+        "in0": vec((0, 1)),
+        "in1": vec((3, 0), components - 1),
+    }
+    free = [
+        [[["calm", [1, 1]]], [["calm1", [0, 1]]]],
+        [[["calm", [1, 0]]], [["q0a", [1, 0]]]],
+        [[["q0a", [1, 0]]], [["q0b", [1, 0]]]],
+        [[["q0a", [1, 0]]], [["q0c", [0, 0]]]],
+        [[["q0b", [2, 0]]], [["q0c", [1, 0]]]],
+        [[["q1a", [0, 1]]], [["q1b", [0, 1]]]],
+        [[["q1b", [0, 1]]], [["calm1", [0, 2]]]],
+        [[["q1a", [0, 1]]], [["q1b", [0, 0]]]],
+        [[["q0a", [1, 0]], ["q0c", [1, 0]]], [["q0b", [0, 0]]]],
+        [[["calm", [1, 1]], ["calm1", [1, 1]]], [["calm", [0, 0]]]],
+        [[["in0", [0, 0]]], [["in1", [0, 0]]]],
+        [[["q1a", [0, 1]], ["q1b", [0, 1]]], [["calm", [0, 1]]]],
+        [[["q0c", [1, 0]]], [["calm1", [1, 0]]]],
+    ]
+    nonfree = [
+        [[["in0", [1, 0]]], [["in0", [0, 0]]]],
+        [[["in1", [0, 1]]], [["in1", [0, 0]]]],
+    ]
+    return {
+        "schema": SCHEMA,
+        "name": f"poisson_2d_{points}",
+        "grid": {"dimension": 2, "points": points, "spacing": 1.0, "components": components},
+        "sigma": {"kind": "poisson"},
+        "state": "tracial",
+        "truncation": 3,
+        "seed": 1,
+        "generators": [dipole((0, 1), (2, 1)), dipole((3, 0), (3, 2))],
+        "vectors": vectors,
+        "checks": [{"check": "car", "free": free, "nonfree": nonfree}],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -155,6 +155,7 @@ def test_twist_takes_phase_vectors():
     rot = mixing_twist(basis, gens).unitaries[0]
     dense = Twist(basis, gens, [rot, np.ones(6)])
     assert np.array_equal(dense.unitaries[1], np.eye(6))
+    assert as_vectors.diagonal and as_matrices.diagonal and not dense.diagonal
     for bad in (np.ones(5), np.ones((6, 1))):
         with pytest.raises(ValueError, match="wrong shape"):
             Twist(basis, gens, [bad, np.ones(6)])

@@ -215,6 +215,19 @@ def test_run_config_rejects_bad_checks():
         run_config(tiny_config(), tolerance=True)
 
 
+def test_run_config_overrides_are_validated(tmp_path):
+    # overrides go through the readers of the config fields they replace
+    with pytest.raises(ConfigError, match=re.escape("seed: expected an integer, got True")):
+        run_config(tiny_config(), seed=True)
+    with pytest.raises(ConfigError, match=re.escape("truncation: expected an integer, got 2.7")):
+        run_config(tiny_config(), truncation=2.7)
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps(tiny_config()))
+    out = tmp_path / "r.json"
+    assert main(["model", "--config", str(p), "--seed", "3", "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["runs"][0]["config"]["seed"] == 3
+
+
 def test_check_table_matches_configs_and_models():
     named = {c["check"] for name in BUNDLED for c in load_config(name)["checks"]}
     named |= {c["check"] for kind in SIGMA_KINDS for c in builtin_car_config(kind)["checks"]}
@@ -364,7 +377,10 @@ def test_main_reports_relative_locality_failure(tmp_path, check, label):
     record = json.loads((tmp_path / "r.json").read_text())["runs"][0]["checks"][0]
     assert record["status"] == "fail"
     witness = record["witness"]
-    assert witness["pair"] == label and {"residual", "witness_vector"} <= set(witness)
+    assert witness["pair"] == label and "residual" in witness
+    # the commutator with wC is worst on the wedge of its charge-conjugate
+    # partner, e_3; wA's residual 0 is reached first on the vacuum
+    assert witness["witness_slots"] == {"local": [3], "witness": []}[label[0]]
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ designed tiny scenarios whose pass/fail outcome is known by hand.
 """
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 
 from fockmod.weyl import GeneratorSet, GridSpec, TestFunctionPair, WeylElement
 from fockmod.bimodule import SECTOR_MINUS, SECTOR_PLUS, ModuleVector, OneParticleBasis
+from fockmod.cli import _car_pairs, build_scenario, builtin_car_config
 from fockmod.fock import AnnihilateOp, CreateOp, dirac
+from fockmod import models
 from fockmod.models import (
     SIGMA_KINDS,
     build_context,
@@ -47,7 +50,15 @@ from fockmod.models import (
     term_charge,
 )
 
-from _support import ref_sigma_convolve, tiny_gens, tiny_grid, tiny_pairs
+from _support import (
+    poisson_2d_config,
+    ref_car_sweep,
+    ref_sigma_convolve,
+    tiny_gens,
+    tiny_grid,
+    tiny_module,
+    tiny_pairs,
+)
 
 GRID = tiny_grid()
 UNIT_W = WeylElement.unit
@@ -365,6 +376,90 @@ def test_check_car_flags_wrong_expectation():
     assert not res.passed
     # the wrong decision is flagged first, then the residual blows up
     assert res.witness["problem"] in ("freeness_decision", "free_residual")
+
+
+def _designed_pair(ctx):
+    """Non-free pair whose worst witnesses hold the spectator slot 2."""
+    gens = ctx.module.gens
+    f = ctx.module.basis_element(0, WeylElement.monomial(gens, (1, 0)))
+    g = ctx.module.basis_element(1, WeylElement.monomial(gens, (0, 1)))
+    return f, g
+
+
+def _car_case(case):
+    if case in SIGMA_KINDS:
+        cfg = builtin_car_config(case, 1)
+    elif case == "poisson_2d":
+        cfg = poisson_2d_config(4)
+    else:
+        ctx = delta_ctx()
+        return ctx, [(*_designed_pair(ctx), case == "claimed_free")]
+    ctx = build_scenario(cfg)
+    return ctx, _car_pairs(ctx, cfg["checks"][0], "car")
+
+
+def _within_ulps(a, b, ulps=4):
+    if a is None or b is None:
+        return a is b
+    return abs(a - b) <= ulps * math.ulp(max(abs(a), abs(b)))
+
+
+@pytest.mark.parametrize("case", (*SIGMA_KINDS, "poisson_2d", "designed", "claimed_free"))
+def test_check_car_matches_full_sweep(case):
+    ctx, pairs = _car_case(case)
+    got = check_car(ctx, pairs)
+    want = ref_car_sweep(ctx, pairs)
+    assert got.status == want["status"]
+    assert (got.witness or {}).get("problem") == want["problem"]
+    for key in ("free_max", "nonfree_min"):
+        assert _within_ulps(got.residuals.get(key), want[key]), key
+    if case == "claimed_free":
+        support = models._support(ctx.module, pairs[0][:2])
+        assert set(got.witness["witness_slots"]) - support == {2}
+
+
+def test_spectator_witnesses_fall_back_to_the_whole_basis():
+    diagonal = delta_ctx()
+    f, g = _designed_pair(diagonal)
+    mixed = dataclasses.replace(diagonal, module=tiny_module("mixed"))
+    f_mixed, g_mixed = _designed_pair(mixed)
+    for ctx, vecs in ((mixed, (f_mixed, g_mixed)), (delta_ctx(state_kind="quasifree"), (f, g))):
+        for top in (0, 1, 2):
+            got = models._spectator_witnesses(ctx, vecs, top)
+            assert [w.parts for w in got] == [w.parts for w in level_basis(ctx.module, 3, top)]
+    # diagonal and tracial: the support {0, 1, 3, 4} and one spectator per
+    # level, the first and then the last index outside it
+    for top, slots in ((1, [0, 1, 2, 3, 4]), (2, [0, 1, 2, 3, 4, 5])):
+        got = models._spectator_witnesses(diagonal, (f, g), top)
+        assert sorted({b for w in got for terms in w.parts.values() for t in terms for b in t}) == slots
+
+
+def test_check_car_builds_the_full_sweep_once(monkeypatch):
+    ctx = dataclasses.replace(delta_ctx(), module=tiny_module("mixed"))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return level_basis(*args)
+
+    monkeypatch.setattr(models, "level_basis", counted)
+    f, g = _designed_pair(ctx)
+    check_car(ctx, [(f, g, False)] * 3)
+    assert calls == [(2,), (1,)]
+
+
+def test_check_car_scales_to_2d_two_components():
+    cfg = poisson_2d_config(16)
+    ctx = build_scenario(cfg)
+    assert ctx.module.basis.dim == 1024
+    pairs = _car_pairs(ctx, cfg["checks"][0], "car")
+    assert len(pairs) == 15
+    res = check_car(ctx, pairs)
+    assert res.passed and res.residuals["nonfree_min"] > 1.0
+    for f, g, _ in pairs:
+        s = len(models._support(ctx.module, (f, g)))
+        bound = sum(math.comb(s + 2, j) for j in range(3))
+        assert len(models._spectator_witnesses(ctx, (f, g), 2)) <= bound
 
 
 def test_check_adjointness_and_covariance():
