@@ -5,11 +5,13 @@
 #
 # BASE_DIR is a second checkout of fockmod, for example the base commit
 # of a pull request.  Both trees run `fockmod all --seed N` for N = 1, 2, 3,
-# `fockmod all --seed 1 --truncation 4` (the only run that reaches Fock
-# level 4) and `fockmod model --config NAME` for each bundled scenario, all
-# with `--format json`; the script prints one line per report, followed by
-# the first 40 lines of `diff -u` for a report that differs byte for byte,
-# and exits 1 if any report differs.  Set PYTHON to pick the interpreter.
+# `fockmod all --seed 1 --truncation 2` (the smallest window in which every
+# check runs), `fockmod all --seed 1 --truncation 4` (the only run that
+# reaches Fock level 4) and `fockmod model --config NAME` for each bundled
+# scenario, all with `--format json`; the script prints one line per
+# report, followed by the first 40 lines of `diff -u` for a report that
+# differs byte for byte, and exits 1 if any report differs.  Set PYTHON to
+# pick the interpreter.
 set -eu
 [ $# -eq 1 ] || { echo "usage: $0 BASE_DIR" >&2; exit 2; }
 base=$(cd "$1" && pwd)
@@ -19,7 +21,8 @@ trap 'rm -rf "$out"' EXIT
 
 status=0
 for args in \
-    "all --seed 1" "all --seed 2" "all --seed 3" "all --seed 1 --truncation 4" \
+    "all --seed 1" "all --seed 2" "all --seed 3" \
+    "all --seed 1 --truncation 2" "all --seed 1 --truncation 4" \
     "model --config bump_freeness" "model --config car_suite" \
     "model --config delta_locality" "model --config lebesgue_gauge" \
     "model --config poisson_nonlocal"; do

@@ -26,7 +26,6 @@ __all__ = [
     "OneParticleVector",
     "Conjugation",
     "Twist",
-    "trivial_twist",
     "FreeBimodule",
     "ModuleVector",
     "left_action",
@@ -68,9 +67,6 @@ class OneParticleBasis:
     def sector_of(self, i: int) -> int:
         return SECTOR_PLUS if i < self._block else SECTOR_MINUS
 
-    def point_of(self, i: int) -> int:
-        return (i % self._block) // self.grid.components
-
     def conj_index(self, i: int) -> int:
         """Partner index under charge conjugation (same point/component)."""
         return i + self._block if i < self._block else i - self._block
@@ -98,10 +94,6 @@ class OneParticleVector:
                 if abs(c) > PRUNE_TOL:
                     self.coeffs[int(b)] = c
 
-    @classmethod
-    def basis_vector(cls, basis: OneParticleBasis, i: int) -> "OneParticleVector":
-        return cls(basis, {i: 1.0})
-
     def __add__(self, other: "OneParticleVector") -> "OneParticleVector":
         out = dict(self.coeffs)
         for b, c in other.coeffs.items():
@@ -118,16 +110,6 @@ class OneParticleVector:
         return OneParticleVector(
             self.basis, {b: scalar * c for b, c in self.coeffs.items()}
         )
-
-    def inner(self, other: "OneParticleVector") -> complex:
-        """Scalar product, antilinear in self."""
-        total = 0.0 + 0.0j
-        small, big = self.coeffs, other.coeffs
-        for b, c in small.items():
-            d = big.get(b)
-            if d is not None:
-                total += c.conjugate() * d
-        return total
 
     def norm(self) -> float:
         return sum(abs(c) ** 2 for c in self.coeffs.values()) ** 0.5
@@ -379,10 +361,6 @@ class Twist:
         return OneParticleVector(self.basis, out)
 
 
-def trivial_twist(basis: OneParticleBasis, gens: GeneratorSet) -> Twist:
-    return Twist(basis, gens, [np.ones(basis.dim)] * len(gens))
-
-
 class FreeBimodule:
     """Shared context tying together basis, generators, twist and kappa."""
 
@@ -449,10 +427,6 @@ class ModuleVector:
         return ModuleVector(
             self.space, {b: scalar * a for b, a in self.entries.items()}
         )
-
-    def right_mul(self, a: WeylElement) -> "ModuleVector":
-        """Right module action f . a."""
-        return ModuleVector(self.space, {b: x * a for b, x in self.entries.items()})
 
     def is_zero(self) -> bool:
         return not self.entries

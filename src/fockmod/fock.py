@@ -8,12 +8,11 @@ twisted structure.
 Every level is a dict {basis tuple: coefficient map}, the map
 {group label n: complex} being the bare store of a Weyl element; the
 operators below compute on the maps with the helpers of ``fockmod.weyl``.
-``tensor_of`` returns such a dict for a plain (unsymmetrized) tensor
-product.  A FockElement stores one per level, on strictly increasing
-tuples only: the stored map is the coefficient the increasing
-representative carries in the full signed expansion.  WeylElement objects
-appear only at the edges: the FockElement constructor takes them, and
-``scalar``, ``tensor_inner`` and ``fock_inner`` return them.
+A FockElement stores one per level, on strictly increasing tuples only:
+the stored map is the coefficient the increasing representative carries
+in the full signed expansion.  WeylElement objects appear only at the
+edges: the FockElement constructor takes them, and ``scalar`` and
+``fock_inner`` return them.
 
 Every operator moves the standing slots of a wedge through the twist by
 reading ``Twist.wedge``, the cached exterior power of u(n); this module
@@ -26,7 +25,6 @@ coefficient.  Both are exact on coefficients.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,13 +33,10 @@ import numpy as np
 from .bimodule import (
     FreeBimodule,
     ModuleVector,
-    OneParticleVector,
     conjugate_vector,
     parity,
 )
 from .weyl import (
-    PRUNE_TOL,
-    GeneratorSet,
     State,
     WeylElement,
     map_adjoint,
@@ -55,9 +50,6 @@ from .weyl import (
 __all__ = [
     "FockElement",
     "vacuum",
-    "tensor_of",
-    "project_antisymmetric",
-    "tensor_inner",
     "create",
     "annihilate",
     "fock_left_action",
@@ -228,73 +220,6 @@ def vacuum(space: FreeBimodule, truncation: int, coeff: WeylElement | None = Non
     if coeff is None:
         coeff = WeylElement.unit(space.gens)
     return FockElement(space, truncation, {0: {(): coeff}})
-
-
-# ---------------------------------------------------------------------------
-# plain tensors and the antisymmetric projection
-
-
-def tensor_of(factors: list[ModuleVector]) -> dict:
-    """Normal form {basis tuple: coefficient map} of f_1 x ... x f_m,
-    coefficients pushed to the right.
-
-    Each coefficient crossing a slot twists it, so a factor's group part
-    u(n)-rotates every slot already to its right.  A tuple whose map
-    cancels keeps its place in the summation order until the end.
-    """
-    if not factors:
-        raise ValueError("need at least one factor")
-    space = factors[0].space
-    for f in factors:
-        if f.space is not space:
-            raise ValueError("factors live in different bimodules")
-    gens = space.gens
-    # rightmost factor seeds the suffix; walk left, twisting the suffix
-    terms = {(b,): dict(a.terms) for b, a in factors[-1].entries.items()}
-    for f in reversed(factors[:-1]):
-        new: dict[tuple[int, ...], dict] = {}
-        for n, cvec in f.by_group().items():
-            for t, a in terms.items():
-                coeff = map_monomial_product(gens, n, _ONE, a)
-                cols = [space.twist.column(n, b) for b in t]
-                for combo in itertools.product(*[c.items() for c in cols]):
-                    w = 1.0 + 0.0j
-                    for _, val in combo:
-                        w *= val
-                    if abs(w) <= PRUNE_TOL:
-                        continue
-                    tail = tuple(idx for idx, _ in combo)
-                    for b0, c0 in cvec.coeffs.items():
-                        _accumulate(new, (b0,) + tail, map_scaled(c0 * w, coeff))
-        terms = new
-    return {t: x for t, x in terms.items() if x}
-
-
-def tensor_inner(gens: GeneratorSet, v: dict, w: dict) -> WeylElement:
-    """Algebra-valued scalar product of normal forms; nesting collapses
-    to A* (slotwise deltas) B because slots hold plain basis vectors."""
-    total: dict[tuple[int, ...], complex] = {}
-    for t, a in v.items():
-        b = w.get(t)
-        if b is not None:
-            map_merge(total, map_product(gens, map_adjoint(a), b))
-    return WeylElement(gens, total)
-
-
-def project_antisymmetric(space: FreeBimodule, terms: dict, truncation: int) -> FockElement:
-    """P_- of a normal form, stored on increasing representatives."""
-    parts: dict[int, dict[tuple[int, ...], dict]] = {}
-    for key, x in terms.items():
-        level = len(key)
-        if level > truncation:
-            raise ValueError("level above truncation")
-        ss = _sort_sign(key)
-        if ss is None:
-            continue  # repeated slot, antisymmetry kills it
-        s, sign = ss
-        scale = 1.0 / math.factorial(level)
-        _accumulate(parts.setdefault(level, {}), s, map_scaled(sign * scale, x))
-    return FockElement._of(space, truncation, parts, False)
 
 
 # ---------------------------------------------------------------------------

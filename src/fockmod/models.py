@@ -69,9 +69,6 @@ from .fock import (
     gns_inner,
     gns_norm,
     operator_matrix,
-    project_antisymmetric,
-    tensor_inner,
-    tensor_of,
     vacuum,
     weyl_mult,
 )
@@ -825,19 +822,27 @@ def check_norm_recovery(ctx: ModelContext, seed: int, cases: int = 20, tol: floa
     return _evaluate("norm_recovery", claims, tol, ("max_error", None), details)
 
 
+def _two_sites(basis) -> tuple[int, int]:
+    """The + sector indices of component 0 at points 0 and 1.  A one-point
+    grid has no point 1, so there the second index is basis index 1: two
+    equal slots would wedge to zero."""
+    x = basis.index(0, 0, SECTOR_PLUS)
+    y = basis.index(min(1, basis.grid.n_points - 1), 0, SECTOR_PLUS)
+    return x, (y if y != x else x + 1)
+
+
 def check_nonfock(ctx: ModelContext) -> CheckResult:
     """The nested scalar product is not the slotwise product.
 
-    Witness: v = (e_x W(n)) x (e_y W(-n)), w = e_x x e_y.  The nested
-    value sees the coefficients cancel inside the tensor; the slotwise
-    product evaluates each factor separately and dies in the trace.
+    Witness: v = a*(e_x W(n)) a*(e_y W(-n)) Omega, w = a*(e_x) a*(e_y) Omega.
+    The nested value <v, w> sees the coefficients cancel inside the wedge;
+    the slotwise product evaluates each factor separately and dies in the
+    trace.
     """
     module = ctx.module
-    basis = module.basis
     gens = module.gens
     state = State("tracial")
-    x = basis.index(0, 0, SECTOR_PLUS)
-    y = basis.index(min(1, basis.grid.n_points - 1), 0, SECTOR_PLUS)
+    x, y = _two_sites(module.basis)
     n = gens.unit(0)
     wn = WeylElement.monomial(gens, n)
     wneg = WeylElement.monomial(gens, tuple(-v for v in n))
@@ -845,9 +850,9 @@ def check_nonfock(ctx: ModelContext) -> CheckResult:
     f2 = module.basis_element(y, wneg)
     g1 = module.basis_element(x)
     g2 = module.basis_element(y)
-    v = tensor_of([f1, f2])
-    w = tensor_of([g1, g2])
-    nested = state(tensor_inner(gens, v, w))
+    vac = vacuum(module, ctx.truncation)
+    # <v, w> = <a(g2) a(g1) v, Omega>: w's creators moved over as annihilators
+    nested = gns_inner(annihilate(g2, annihilate(g1, create(f1, create(f2, vac)))), vac, state)
     slotwise = state(module_inner(f1, g1)) * state(module_inner(f2, g2))
     claims = [Claim({"slots": [x, y]}, abs(nested - slotwise), vanish=False)]
     details = {"nested": repr(nested), "slotwise": repr(slotwise)}
@@ -861,12 +866,12 @@ def check_pauli(ctx: ModelContext, tol: float = 1e-12) -> CheckResult:
     basis = module.basis
     gens = module.gens
     state = State("tracial")
+    vac = vacuum(module, ctx.truncation)
     # free pair: plain one-particle vectors at distinct sites
-    a = module.basis_element(basis.index(0, 0, SECTOR_PLUS))
-    b = module.basis_element(basis.index(min(1, basis.grid.n_points - 1), 0, SECTOR_PLUS))
-    sym = project_antisymmetric(module, tensor_of([a, b]), ctx.truncation)
-    sym = sym + project_antisymmetric(module, tensor_of([b, a]), ctx.truncation)
-    free_norm = gns_norm(sym, state)
+    x, y = _two_sites(basis)
+    a = module.basis_element(x)
+    b = module.basis_element(y)
+    free_norm = gns_norm(create(a, create(b, vac)) + create(b, create(a, vac)), state)
     # twisted self-pair: spread over two sites the twist phases apart
     twisted_norm = 0.0
     witness = None
@@ -892,8 +897,8 @@ def check_pauli(ctx: ModelContext, tol: float = 1e-12) -> CheckResult:
             },
         )
         f = module.embed(vec, WeylElement.monomial(gens, gens.unit(k)))
-        wedge = project_antisymmetric(module, tensor_of([f, f]), ctx.truncation)
-        nrm = gns_norm(wedge, state)
+        # a*(f) a*(f) Omega = sqrt 2 P_-(f x f)
+        nrm = gns_norm(create(f, create(f, vac)), state) / math.sqrt(2)
         if nrm > twisted_norm:
             twisted_norm = nrm
             witness = {"generator": k, "points": [p1, p2]}

@@ -122,9 +122,6 @@ class TestFunctionPair:
             raise ValueError("grid mismatch")
         return TestFunctionPair(self.grid, self.s0 + other.s0, self.s1 + other.s1)
 
-    def scaled(self, factor: float) -> "TestFunctionPair":
-        return TestFunctionPair(self.grid, factor * self.s0, factor * self.s1)
-
 
 def symplectic_form(s: TestFunctionPair, t: TestFunctionPair) -> float:
     """Antisymmetric pairing eta(s, t) by rectangle-rule quadrature."""
@@ -337,9 +334,6 @@ class WeylElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, n) -> complex:
-        return self.terms.get(tuple(int(v) for v in n), 0.0 + 0.0j)
 
     def close_to(self, other: "WeylElement", tol: float = COEFF_TOL) -> bool:
         self._require_same(other)

@@ -21,7 +21,6 @@ from fockmod.bimodule import (
     Twist,
     module_inner,
     mutually_free,
-    trivial_twist,
 )
 from fockmod.cli import SCHEMA
 from fockmod.fock import (
@@ -102,7 +101,7 @@ def tiny_module(family: str = "trivial", seed: int = 0) -> FreeBimodule:
     gens = GeneratorSet(grid, tiny_pairs(grid))
     basis = OneParticleBasis(grid)
     if family == "trivial":
-        twist = trivial_twist(basis, gens)
+        twist = Twist(basis, gens, [np.ones(basis.dim)] * len(gens))
     elif family == "mixed":
         twist = mixing_twist(basis, gens, seed + 5)
     else:

@@ -340,6 +340,20 @@ def test_main_reports_failure(tmp_path):
     assert report["runs"][0]["checks"][0]["witness"] is not None
 
 
+def test_main_truncation_one_reports_failures(capsys):
+    # a window of one particle cannot hold the level-2 witnesses: the run
+    # still writes its report, and the checks that need level 2 fail
+    assert main(["all", "--truncation", "1", "--format", "json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["summary"]["status"] == "fail"
+    status = {}
+    for run in report["runs"]:
+        for check in run["checks"]:
+            status.setdefault(check["name"], set()).add(check["status"])
+    assert status["pauli"] == {"fail"}
+    assert status["nonfock_witness"] == {"fail"}
+
+
 def test_main_config_errors(tmp_path, capsys):
     assert main(["model", "--config", "missing_file.json"]) == 2
     err = capsys.readouterr().err

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from fockmod.weyl import State, WeylElement, maps_close
 from fockmod.bimodule import OneParticleVector, conjugate_vector, module_inner
+from fockmod.oracle import DenseTensor, oracle_antisymmetrize
 from fockmod.fock import (
     AnnihilateOp,
     CreateOp,
@@ -27,9 +28,6 @@ from fockmod.fock import (
     gns_inner,
     gns_norm,
     operator_matrix,
-    project_antisymmetric,
-    tensor_inner,
-    tensor_of,
     vacuum,
     weyl_mult,
 )
@@ -52,23 +50,34 @@ def basis_fock(module, t, truncation=3, coeff=None):
 # antisymmetric calculus
 
 
+def plain_dense(module, terms):
+    """Dense plain tensor {basis tuple: WeylElement}, unprojected."""
+    level = len(next(iter(terms)))
+    return DenseTensor.from_terms(module.gens, module.basis.dim, level, terms)
+
+
 def test_antisymmetrize_worked():
     module = tiny_module("trivial")
     one = unit_of(module)
-    p = project_antisymmetric(module, {(0, 1): one.terms}, 3)
-    # projecting stores only the increasing representative
-    assert sorted(p.parts) == [2] and set(p.parts[2]) == {(0, 1)}
-    assert maps_close(p.parts[2][(0, 1)], (0.5 * one).terms, 1e-15)
-    # the signed expansion of P_-(e0 x e1) holds both orders
+    # P_-(e0 x e1) is stored on its increasing representative alone
+    p = FockElement(module, 3, {2: {(0, 1): 0.5 * one}})
+    # its signed expansion holds both orders
     full = dense_from_level(p, 2)
     assert full.entries[(0, 1)].close_to(0.5 * one)
     assert full.entries[(1, 0)].close_to(-0.5 * one)
-    assert (p + project_antisymmetric(module, {(1, 0): one.terms}, 3)).is_zero()
+    assert full.close_to(oracle_antisymmetrize(plain_dense(module, {(0, 1): one})), 1e-15)
+    # the reversed order projects to the negative
+    flipped = oracle_antisymmetrize(plain_dense(module, {(1, 0): one}))
+    assert dense_from_level(-1.0 * p, 2).close_to(flipped, 1e-15)
 
 
 def test_repeated_slots_die():
+    # antisymmetry kills e2 x e2, and the signed expansion of a wedge never
+    # fills a repeated slot
     module = tiny_module("trivial")
-    assert project_antisymmetric(module, {(2, 2): unit_of(module).terms}, 3).is_zero()
+    assert not list(oracle_antisymmetrize(plain_dense(module, {(2, 2): unit_of(module)})).nonzero())
+    full = dense_from_level(rand_wedge(random.Random(3), module, 3), 3)
+    assert all(len(set(t)) == 3 for t, _ in full.nonzero())
 
 
 @given(st.integers(0, 10**6))
@@ -77,8 +86,14 @@ def test_expand_project_roundtrip(seed):
     rng = random.Random(seed)
     l = rng.randint(1, 3)
     v = rand_wedge(rng, module, l)
-    full = {t: a.terms for t, a in dense_from_level(v, l).nonzero()}
-    assert project_antisymmetric(module, full, 3).close_to(v, 1e-12)
+    full = dense_from_level(v, l)
+    # the expansion is antisymmetric, so projecting it changes nothing ...
+    assert oracle_antisymmetrize(full).max_deviation(full) <= 1e-12
+    # ... and its increasing entries are exactly the stored coefficients
+    increasing = {t: a.terms for t, a in full.nonzero() if list(t) == sorted(t)}
+    assert increasing.keys() == v.parts[l].keys()
+    for t, x in v.parts[l].items():
+        assert maps_close(increasing[t], x, 1e-15)
 
 
 def test_fock_inner_factorial():
@@ -284,8 +299,6 @@ def test_fock_arithmetic_and_guards():
     assert sorted(v.parts) == [2]
     with pytest.raises(ValueError):
         v._require_same(basis_fock(module, (0, 1), truncation=2))
-    with pytest.raises(ValueError):
-        project_antisymmetric(module, {(0, 1, 2): unit_of(module).terms}, 2)
     # Weyl coefficients go in and come back out unchanged; zero ones and
     # empty levels are not stored
     gens = module.gens
@@ -421,7 +434,7 @@ def test_operator_matrix_norms():
 
 
 def test_nonfock_nested_vs_slotwise():
-    # coefficients inside the tensor cancel; slotwise evaluation cannot
+    # coefficients inside the wedge cancel; slotwise evaluation cannot
     module = tiny_module("delta")
     gens = module.gens
     state = State("tracial")
@@ -430,20 +443,7 @@ def test_nonfock_nested_vs_slotwise():
     f2 = module.basis_element(1, WeylElement.monomial(gens, (-1, 0)))
     g1 = module.basis_element(0)
     g2 = module.basis_element(1)
-    nested = state(tensor_inner(gens, tensor_of([f1, f2]), tensor_of([g1, g2])))
+    vac = vacuum(module, 3)
+    nested = gns_inner(annihilate(g2, annihilate(g1, create(f1, create(f2, vac)))), vac, state)
     slotwise = state(module_inner(f1, g1)) * state(module_inner(f2, g2))
     assert abs(nested - slotwise) == 1.0
-
-
-def test_tensor_of_crossing_twist():
-    # a group coefficient crossing a slot rotates it
-    module = tiny_module("delta")
-    gens = module.gens
-    n = (1, 0)
-    f1 = module.basis_element(0, WeylElement.monomial(gens, n))
-    f2 = module.basis_element(0)
-    t = tensor_of([f1, f2])
-    (key,) = set(t)
-    assert key == (0, 0)
-    phase = module.twist.matrix(n)[0, 0]  # e^{-i} at the smeared point
-    assert maps_close(t[key], (phase * WeylElement.monomial(gens, n)).terms, 1e-14)

@@ -490,17 +490,28 @@ def test_check_failure_witness_names_case():
 
 
 def test_check_nonfock_gap_is_one():
-    res = check_nonfock(delta_ctx())
-    assert res.passed
-    assert res.residuals["gap"] == 1.0
+    # a one-point grid has no second point: the witness must still pick
+    # two distinct slots, or e_x ^ e_x = 0 would lose the gap
+    point = GridSpec(dimension=1, points_per_axis=1)
+    contexts = [
+        delta_ctx(),
+        build_context("delta", point, [TestFunctionPair(point, [1.0], [0.0])]),
+        build_scenario(poisson_2d_config(4)),
+    ]
+    for ctx in contexts:
+        res = check_nonfock(ctx)
+        assert res.passed
+        assert res.residuals["gap"] == 1.0
 
 
 def test_check_pauli_delta():
-    res = check_pauli(delta_ctx())
-    assert res.passed
-    assert res.residuals["free"] == 0.0
-    assert 0.1 < res.residuals["twisted"] < 1.0
-    assert res.witness["points"] == [0, 1]
+    # and on the 2D x 4^2 two-component Poisson context
+    for ctx in (delta_ctx(), build_scenario(poisson_2d_config(4))):
+        res = check_pauli(ctx)
+        assert res.passed
+        assert res.residuals["free"] == 0.0
+        assert 0.1 < res.residuals["twisted"] < 1.0
+        assert res.witness["points"] == [0, 1]
 
 
 def test_check_dirac_adjoint():
