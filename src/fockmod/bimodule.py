@@ -14,7 +14,7 @@ every admissible twist.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,66 +156,29 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def parity(p) -> int:
-    """Sign of the permutation that sorts the distinct entries of p: +1
-    for an even number of inversions, -1 for an odd one."""
-    n = len(p)
-    inv = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-    return -1 if inv % 2 else 1
+def wedge_insert(
+    col: dict[int, complex], image: dict[tuple[int, ...], complex]
+) -> dict[tuple[int, ...], complex]:
+    """Canonical coefficients of v ^ w for the one-particle vector
+    v = col and a canonical wedge image w, before any pruning.
 
-
-# determinants for Twist.wedge; wedges stay tiny (<= 4 slots)
-
-_PERM_CACHE: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-
-
-def _perms(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """All permutations of range(n) with parity signs."""
-    got = _PERM_CACHE.get(n)
-    if got is None:
-        got = _PERM_CACHE[n] = [(p, parity(p)) for p in itertools.permutations(range(n))]
-    return got
-
-
-def _det(mat: list[list[complex]]) -> complex:
-    m = len(mat)
-    if m == 0:
-        return 1.0 + 0.0j
-    if m == 1:
-        return mat[0][0]
-    if m == 2:
-        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    if m == 3:
-        a, b, c = mat[0]
-        d, e, f = mat[1]
-        g, h, i = mat[2]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    total = 0.0 + 0.0j
-    for p, sign in _perms(m):
-        prod = 1.0 + 0.0j
-        for j in range(m):
-            prod *= mat[p[j]][j]
-            if prod == 0:
-                break
-        total += sign * prod
-    return total
-
-
-def _wedge_from_columns(cols: list[dict[int, complex]]) -> dict[tuple[int, ...], complex]:
-    """Canonical coefficients {s: det M_s} of the exterior product.
-
-    M_s[j][k] = cols[k][s_j]; the result equals m! P_-(v_1 x ... x v_m)
-    read off in canonical storage, i.e. applying one operator slotwise to
-    a canonical wedge needs no extra factorial.
+    Every entry c e_b of v not already standing in a term det e_u of w
+    slides into its sorted place p in u past p smaller slots, so c det
+    lands on u[:p] + (b,) + u[p:] signed (-1)^p; the terms that land on
+    one tuple are summed in the order met.  With w the minors of a block
+    of columns this is the Laplace expansion of the minors of [v | block]
+    along v's column.
     """
-    m = len(cols)
-    union = sorted(set().union(*[c.keys() for c in cols])) if cols else []
     out: dict[tuple[int, ...], complex] = {}
-    for s in itertools.combinations(union, m):
-        mat = [[cols[k].get(row, 0.0) for k in range(m)] for row in s]
-        d = _det(mat)
-        if abs(d) > PRUNE_TOL:
-            out[s] = d
+    for u, det in image.items():
+        for b, c in col.items():
+            p = bisect_left(u, b)
+            if p < len(u) and u[p] == b:
+                continue  # b already stands in u
+            s = u[:p] + (b,) + u[p:]
+            x = (-1 if p & 1 else 1) * (c * det)
+            got = out.get(s)
+            out[s] = x if got is None else got + x
     return out
 
 
@@ -237,9 +200,11 @@ class Twist:
 
     The twist owns its exterior powers: ``wedge(n, t)`` is the image of
     the canonical wedge e_t under the exterior power of u(n), as
-    canonical minors {s: det u(n)[s, t]}.  Creation, annihilation and
-    the Fock left action all read it; it is cached per (n, t), as u(n)
-    is per n.
+    canonical minors {s: det u(n)[s, t]}.  ``wedge_insert`` builds it by
+    inserting the column u(n) e_t0 into the image of the rest of t, so
+    on a diagonal twist it is a product of phases with no second code
+    path.  Creation, annihilation and the Fock left action all read it;
+    it is cached per (n, t), as u(n) is per n.
     """
 
     __slots__ = ("basis", "gens", "_diagonal", "_factors", "_cache", "_wedges", "__weakref__")
@@ -344,13 +309,16 @@ class Twist:
         return {i: complex(col[i]) for i in np.nonzero(np.abs(col) > PRUNE_TOL)[0]}
 
     def wedge(self, n: tuple[int, ...], t: tuple[int, ...]) -> dict[tuple[int, ...], complex]:
-        """Canonical minors {s: det u(n)[s, t]} of the wedge e_t's image;
-        u(0) fixes e_t exactly."""
-        if all(v == 0 for v in n):
+        """Canonical minors {s: det u(n)[s, t]} of the wedge e_t's image,
+        expanded along the first column: u(n) e_t0 inserted into the
+        image of the rest of t.  The empty wedge and u(0) fix e_t
+        exactly."""
+        if not t or all(v == 0 for v in n):
             return {t: 1.0 + 0.0j}
         got = self._wedges.get((n, t))
         if got is None:
-            got = self._wedges[n, t] = _wedge_from_columns([self.column(n, b) for b in t])
+            img = wedge_insert(self.column(n, t[0]), self.wedge(n, t[1:]))
+            got = self._wedges[n, t] = {s: d for s, d in img.items() if abs(d) > PRUNE_TOL}
         return got
 
     def apply(self, n: tuple[int, ...], vec: OneParticleVector) -> OneParticleVector:

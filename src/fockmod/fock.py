@@ -17,10 +17,13 @@ edges: the FockElement constructor takes them, and ``scalar`` and
 Every operator moves the standing slots of a wedge through the twist by
 reading ``Twist.wedge``, the cached exterior power of u(n); this module
 computes no minors of u(n).  Creation inserts the one-particle vector
-in front of that image (a Laplace expansion along its column);
+into that image with ``bimodule.wedge_insert``, the kernel that builds
+the image itself (a Laplace expansion along the vector's column);
 annihilation contracts against the bra vector, conjugate-twisting the
 surviving slots and pulling the adjoint group unitary into the right
-coefficient.  Both are exact on coefficients.
+coefficient.  Both sum their complex weights per output tuple first and
+scale the coefficient map once per tuple; both are exact on
+coefficients.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .bimodule import (
     FreeBimodule,
     ModuleVector,
     conjugate_vector,
-    parity,
+    wedge_insert,
 )
 from .weyl import (
     State,
@@ -74,24 +77,6 @@ __all__ = [
 SQRT2 = math.sqrt(2.0)
 # relative Gram eigenvalue at or below which operator_matrix drops a direction
 RANK_TOL = 1e-10
-
-# ---------------------------------------------------------------------------
-# canonical ordering (levels stay tiny, <= 4)
-
-
-def _sort_sign(t: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
-    """Sorted copy of t and the parity of the sorting permutation.
-
-    Returns None when t has a repeated entry (killed by antisymmetry).
-    """
-    n = len(t)
-    order = sorted(range(n), key=lambda i: t[i])
-    s = tuple(t[i] for i in order)
-    for a, b in zip(s, s[1:]):
-        if a == b:
-            return None
-    return s, parity(order)
-
 
 # ---------------------------------------------------------------------------
 # truncated Fock elements
@@ -252,14 +237,9 @@ def create(f: ModuleVector, v: FockElement) -> FockElement:
         for n, cvec in groups.items():
             for t, a in terms.items():
                 coeff = map_monomial_product(gens, n, _ONE, a)
-                # Laplace expansion of det[f_n | u(n) e_t] along f_n's column
-                for u, det in space.twist.wedge(n, t).items():
-                    for b0, c0 in cvec.coeffs.items():
-                        ss = _sort_sign((b0,) + u)
-                        if ss is None:
-                            continue  # b0 already stands in u
-                        s, sign = ss
-                        _accumulate(target, s, map_scaled(sign * (c0 * det) * scale, coeff))
+                img = wedge_insert(cvec.coeffs, space.twist.wedge(n, t))
+                for s, x in img.items():
+                    _accumulate(target, s, map_scaled(x * scale, coeff))
     return FockElement._of(space, v.truncation, out, truncated)
 
 
@@ -286,18 +266,22 @@ def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
             neg = tuple(-x for x in n)
             coeffs = cvec.coeffs
             for t, a in terms.items():
-                coeff = None
+                img: dict[tuple[int, ...], complex] = {}
                 for k, b in enumerate(t):
                     z = coeffs.get(b)
                     if z is None:
                         continue
-                    if coeff is None:
-                        coeff = map_monomial_product(gens, neg, _ONE, a)
                     sign = -scale if k % 2 else scale
                     w = sign * z.conjugate()
-                    tail = t[:k] + t[k + 1 :]
-                    for s, det in space.twist.wedge(neg, tail).items():
-                        _accumulate(target, s, map_scaled(w * det, coeff))
+                    for s, det in space.twist.wedge(neg, t[:k] + t[k + 1 :]).items():
+                        x = w * det
+                        got = img.get(s)
+                        img[s] = x if got is None else got + x
+                if not img:
+                    continue
+                coeff = map_monomial_product(gens, neg, _ONE, a)
+                for s, x in img.items():
+                    _accumulate(target, s, map_scaled(x, coeff))
     return FockElement._of(space, v.truncation, out, v.truncated)
 
 

@@ -198,10 +198,16 @@ def make_twist(
 ) -> Twist:
     """Diagonal model twist: exp(-i phi) on +, its conjugate on -, passed
     to Twist as one phase vector per generator."""
+    return _phase_twist(
+        basis, gens, [sigma_convolve(kind, basis.grid, pair.s0, radius) for pair in gens.pairs]
+    )
+
+
+def _phase_twist(basis: OneParticleBasis, gens: GeneratorSet, phis) -> Twist:
+    """make_twist on the profiles phi = sigma * s0, one per generator."""
     grid = basis.grid
     phases = []
-    for pair in gens.pairs:
-        phi = sigma_convolve(kind, grid, pair.s0, radius)
+    for phi in phis:
         diag = np.ones(basis.dim, dtype=complex)
         for p in range(grid.n_points):
             plus_phase = cmath.exp(-1j * phi[p])
@@ -243,6 +249,8 @@ class ModelContext:
     truncation: int
     radius: float | None = None
     vectors: dict[str, ModuleVector] = field(default_factory=dict)
+    # sigma * s0 per generator: the phase profiles of the model twist
+    phis: tuple[np.ndarray, ...] = ()
 
 
 def build_context(
@@ -255,8 +263,8 @@ def build_context(
 ) -> ModelContext:
     gens = GeneratorSet(grid, gen_pairs)
     basis = OneParticleBasis(grid)
-    twist = make_twist(kind, basis, gens, radius)
-    module = FreeBimodule(basis, gens, twist)
+    phis = tuple(sigma_convolve(kind, grid, pair.s0, radius) for pair in gens.pairs)
+    module = FreeBimodule(basis, gens, _phase_twist(basis, gens, phis))
     return ModelContext(
         kind=kind,
         grid=grid,
@@ -265,6 +273,7 @@ def build_context(
         state=State(state_kind),
         truncation=truncation,
         radius=radius,
+        phis=phis,
     )
 
 
@@ -875,8 +884,7 @@ def check_pauli(ctx: ModelContext, tol: float = 1e-12) -> CheckResult:
     # twisted self-pair: spread over two sites the twist phases apart
     twisted_norm = 0.0
     witness = None
-    for k, pair in enumerate(gens.pairs):
-        phi = sigma_convolve(ctx.kind, basis.grid, pair.s0, ctx.radius)
+    for k, phi in enumerate(ctx.phis):
         pts = [p for p in range(basis.grid.n_points)]
         best = None
         for p1 in pts:

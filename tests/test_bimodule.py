@@ -195,11 +195,27 @@ def test_twist_wedge_matches_minors(family):
         for k in range(1, 5):
             for t in itertools.combinations(range(6), k):
                 got = twist.wedge(n, t)
-                # |t| = 4 takes _det's permutation branch
+                # |t| = 4 expands through three nested column insertions
                 for s in itertools.combinations(range(6), k):
                     minor = np.linalg.det(u[np.ix_(s, t)])
                     assert abs(got.get(s, 0.0) - minor) <= 1e-12, (n, t, s)
                 assert set(got) <= set(itertools.combinations(range(6), k))
+
+
+@pytest.mark.parametrize("family", ("delta", "poisson"))
+def test_diagonal_wedge_is_the_phase_product(family):
+    # the byte-identical reports rest on this exact rounding: the Laplace
+    # insertion multiplies the phases from the last slot to the first
+    twist = tiny_module(family).twist
+    assert twist.diagonal
+    for n in [(1, 0), (0, -1), (2, -1), (-1, 3)]:
+        p = [complex(c) for c in np.diagonal(twist.matrix(n))]
+        for t in itertools.combinations(range(6), 1):
+            assert twist.wedge(n, t) == {t: p[t[0]]}
+        for t in itertools.combinations(range(6), 2):
+            assert twist.wedge(n, t) == {t: p[t[0]] * p[t[1]]}
+        for t in itertools.combinations(range(6), 3):
+            assert twist.wedge(n, t) == {t: p[t[0]] * (p[t[1]] * p[t[2]])}
 
 
 def test_trivial_twist_identity():

@@ -1,9 +1,11 @@
 """Fock layer: canonical antisymmetric calculus, creation and
 annihilation, GNS evaluation, symbolic field operators."""
 
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -206,6 +208,51 @@ def test_adjoint_check_random():
                 w = rand_wedge(rng, module, rng.randint(1, 3))
                 lhs = gns_inner(v, annihilate(f, w), st_)
                 assert abs(lhs - gns_inner(create(f, v), w, st_)) <= 1e-12
+
+
+@pytest.mark.parametrize("family", ["mixed", "poisson"])
+def test_create_into_level_four_is_the_minor(family):
+    # only truncation 4 reaches level 4: a*(f_n . W(n)) e_t with |t| = 3
+    # holds, on each s, the minor det [f_n | u(n)[:, t]][s] times 1/sqrt(4)
+    module = tiny_module(family)
+    gens = module.gens
+    d = module.basis.dim
+    rng = np.random.default_rng(43)
+    for n in [(1, 0), (2, -1)]:
+        u = module.twist.matrix(n)
+        for t in itertools.combinations(range(d), 3):
+            fn = rng.normal(size=d) + 1j * rng.normal(size=d)
+            vec = OneParticleVector(module.basis, dict(enumerate(fn)))
+            f = module.embed(vec, WeylElement.monomial(gens, n))
+            level = create(f, basis_fock(module, t, truncation=4)).parts[4]
+            assert set(level) <= set(itertools.combinations(range(d), 4))
+            for s in itertools.combinations(range(d), 4):
+                want = np.linalg.det(np.column_stack([fn, u[:, t]])[list(s)]) / 2
+                got = level.get(s, {})
+                assert set(got) <= {n}
+                assert abs(got.get(n, 0.0) - want) <= 1e-12, (n, t, s)
+
+
+@pytest.mark.parametrize("family", ["mixed", "poisson"])
+def test_adjoint_at_level_four(family):
+    rng = random.Random(67)
+    module = tiny_module(family)
+    acting = 0
+    for kind in State.KINDS:
+        st_ = State(kind)
+        for _ in range(12):
+            f = rand_vector(rng, module, max_entries=4)
+            w = rand_wedge(rng, module, 4, truncation=4)
+            # one level-3 term under a tuple of w, so that the pair can act
+            t = rng.choice(sorted(w.parts[4]))
+            k = rng.randrange(4)
+            under = FockElement(module, 4, {3: {t[:k] + t[k + 1 :]: rand_weyl(rng, module.gens)}})
+            v = rand_wedge(rng, module, 3, truncation=4) + under
+            rhs = gns_inner(create(f, v), w, st_)
+            assert abs(gns_inner(v, annihilate(f, w), st_) - rhs) <= 1e-12
+            acting += abs(rhs) > 1e-3
+    # the identity was met on pairs that do not pair to zero
+    assert acting >= 4
 
 
 # ---------------------------------------------------------------------------
