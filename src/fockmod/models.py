@@ -480,34 +480,64 @@ def _spectators_drop_out(ctx: ModelContext) -> bool:
     return ctx.module.twist.diagonal and ctx.state.kind == "tracial"
 
 
-def _spectator_witnesses(ctx: ModelContext, vectors, max_level: int) -> list[FockElement]:
-    """Vacuum and wedges of level <= max_level over the support of
-    ``vectors``, their charge-conjugate partners and max_level spectators,
-    taken from the front and back of the indices outside that set (for
-    max_level 2 the first and the last).  Without a diagonal twist and the
-    tracial state, the whole ``level_basis``.
+def _touched(op: FieldOperator) -> set[int]:
+    """Every slot a creation or annihilation of ``op`` can fill or
+    contract: the entries of its primitives' vectors."""
+    return {
+        b
+        for _, prims in op.terms
+        for p in prims
+        if not isinstance(p, LeftMultOp)
+        for b in p.vector.entries
+    }
 
-    Why this is exact for an operator built from the vectors: a spectator b
-    is never filled or contracted, and each primitive (creation,
-    annihilation, left multiplication) only multiplies b's slot by
-    phase_n(b), n the label it moves into the coefficient.  So a term whose
-    label moved by L carries phase_L(b), a unimodular factor shared by
-    every term of that label.  Under the tracial state terms of different
-    labels are orthogonal, so the factor drops out of the GNS norm, and the
-    sign from sorting b into a tuple is the same for every term reaching
-    that tuple.  The norm on e_s ^ e_B thus depends on the spectator set B
-    through its size alone, and max_level spectators reach every size a
-    witness of that level can hold.  Only the order in which terms are
-    summed changes with B, which can move a residual by an ulp.
+
+def _spectator_witnesses(ctx: ModelContext, op: FieldOperator, max_level: int) -> list[FockElement]:
+    """Vacuum and the wedges e_s ^ e_{B_k} of level <= max_level, for every
+    s inside the touched set T of ``op`` (``_touched``) and every k <=
+    max_level - |s|, where B_k is one fixed set of k spectators, untouched
+    indices taken from the front and back of those outside T (B_1 the
+    first, B_2 the first and the last); a size above the number of
+    untouched indices is skipped.  In ``level_basis`` order.  Without a
+    diagonal twist and the tracial state, the whole ``level_basis``.
+
+    Why this is exact: a spectator b is never filled or contracted, since
+    no creation or annihilation of ``op`` has an entry at b, and on a
+    diagonal twist each primitive (creation, annihilation, left
+    multiplication) only multiplies b's slot by phase_n(b), n the label it
+    moves into the coefficient.  So a term whose label moved by L carries
+    phase_L(b), a unimodular factor shared by every term of that label.
+    Under the tracial state terms of different labels are orthogonal, so
+    the factor drops out of the GNS norm, and the sign from sorting b into
+    a tuple is the same for every term reaching that tuple.  The norm on
+    e_s ^ e_B thus depends on the spectator set B through its size alone,
+    and one set per size reaches every witness of the level; a
+    charge-conjugate partner that no primitive touches is a spectator too.
+    Only the order in which terms are summed changes with B, which can
+    move a residual by an ulp.
     """
     module = ctx.module
     n = ctx.truncation
     if not _spectators_drop_out(ctx):
         return level_basis(module, n, max_level)
-    idx = _support(module, vectors)
-    rest = [b for b in range(module.basis.dim) if b not in idx]
-    idx.update(rest[: (max_level + 1) // 2], rest[len(rest) - max_level // 2 :])
-    return level_basis(module, n, max_level, idx)
+    touched = sorted(_touched(op))
+    rest = sorted(set(range(module.basis.dim)).difference(touched))
+    # k <= len(rest) keeps the front and back picks of B_k disjoint
+    spectators = [
+        tuple(rest[: (k + 1) // 2] + rest[len(rest) - k // 2 :])
+        for k in range(min(max_level, len(rest)) + 1)
+    ]
+    slots = sorted(
+        (
+            tuple(sorted(s + spectators[k]))
+            for j in range(min(max_level, len(touched)) + 1)
+            for s in itertools.combinations(touched, j)
+            for k in range(min(max_level - j, len(rest)) + 1)
+        ),
+        key=lambda t: (len(t), t),
+    )
+    unit = WeylElement.unit(module.gens)
+    return [FockElement(module, n, {len(t): {t: unit}}) for t in slots]
 
 
 @dataclass
@@ -685,13 +715,15 @@ def check_car(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
     must show a mixed residual above THRESHOLD somewhere.  Freeness
     decisions must match expectations.
 
-    The witnesses of a pair are the vacuum and the wedges of level up to
-    min(2, n - 1), and up to min(2, n - 2) for {a*(f), a*(g)}, over the
-    support of f and g, its charge-conjugate partners and one spectator
-    per level (``_spectator_witnesses``, which says why that is exact).
+    Each relation is swept on the vacuum and the wedges of level up to
+    min(2, n - 1), and up to min(2, n - 2) for {a*(f), a*(g)}.  On a
+    diagonal twist under the tracial state those wedges are built from
+    the swept operator: every subset of the slots its creations and
+    annihilations touch, joined with one fixed spectator set of each size
+    that fits (``_spectator_witnesses``, which says why that is exact).
     On a twist that is not diagonal, or under the quasifree state, every
-    pair is swept on those levels over the whole basis instead, built once
-    for the check.
+    relation is swept on those levels over the whole basis instead, built
+    once for the check.
     """
     pairs = list(pairs)
     module = ctx.module
@@ -700,18 +732,18 @@ def check_car(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
     full = None if _spectators_drop_out(ctx) else [level_basis(module, n, t) for t in tops]
     claims = []
     for idx, (f, g, expect_free) in enumerate(pairs):
-        sweep, sweep_cre = full or [_spectator_witnesses(ctx, (f, g), t) for t in tops]
         got = mutually_free(f, g).free
         fault = None
         if got != expect_free:
             fault = {"pair": idx, "problem": "freeness_decision", "got": got}
         inner = weyl_mult(f.space, module_inner(f, g))
-        sweeps = [(anticommutator(annihilation(f), creation(g)) - inner, sweep)]
+        ops = [(anticommutator(annihilation(f), creation(g)) - inner, 0)]
         if expect_free:
-            sweeps += [
-                (anticommutator(annihilation(f), annihilation(g)), sweep),
-                (anticommutator(creation(f), creation(g)), sweep_cre),
+            ops += [
+                (anticommutator(annihilation(f), annihilation(g)), 0),
+                (anticommutator(creation(f), creation(g)), 1),
             ]
+        sweeps = [(op, full[k] if full else _spectator_witnesses(ctx, op, tops[k])) for op, k in ops]
         label = "free_residual" if expect_free else "nonfree_too_small"
         claims.append(_swept({"pair": idx, "problem": label}, sweeps, ctx.state, expect_free, fault))
     return _evaluate("car", claims, tol, ("free_max", "nonfree_min"), {"pairs": len(pairs)})

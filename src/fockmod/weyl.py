@@ -138,7 +138,7 @@ class GeneratorSet:
     exact integer arithmetic.
     """
 
-    __slots__ = ("grid", "pairs", "gram", "_products")
+    __slots__ = ("grid", "pairs", "gram", "_products", "_quasifree")
 
     def __init__(self, grid: GridSpec, pairs) -> None:
         pairs = tuple(pairs)
@@ -161,6 +161,8 @@ class GeneratorSet:
         self.pairs = pairs
         self.gram = gram
         self._products: dict[tuple, tuple[tuple[int, ...], complex]] = {}
+        # quasifree state values by label, filled by State.value
+        self._quasifree: dict[tuple[int, ...], complex] = {}
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -377,9 +379,12 @@ class State:
             return 1.0 + 0.0j
         if self.kind == "tracial":
             return 0.0 + 0.0j
-        s = gens.combine(n)
-        q = float(np.sum(s.s0 ** 2 + s.s1 ** 2)) * gens.grid.cell_volume
-        return complex(math.exp(-q / 4.0))
+        got = gens._quasifree.get(n)
+        if got is None:
+            s = gens.combine(n)
+            q = float(np.sum(s.s0 ** 2 + s.s1 ** 2)) * gens.grid.cell_volume
+            got = gens._quasifree[n] = complex(math.exp(-q / 4.0))
+        return got
 
     def __call__(self, element: WeylElement) -> complex:
         total = 0.0 + 0.0j

@@ -14,7 +14,7 @@ import pytest
 from fockmod.weyl import GeneratorSet, GridSpec, TestFunctionPair, WeylElement
 from fockmod.bimodule import SECTOR_MINUS, SECTOR_PLUS, ModuleVector, OneParticleBasis
 from fockmod.cli import _car_pairs, build_scenario, builtin_car_config
-from fockmod.fock import AnnihilateOp, CreateOp, dirac
+from fockmod.fock import AnnihilateOp, CreateOp, annihilation, anticommutator, creation, dirac
 from fockmod import models
 from fockmod.models import (
     SIGMA_KINDS,
@@ -386,7 +386,39 @@ def _designed_pair(ctx):
     return f, g
 
 
+def _one_point_case():
+    """1D x 1, one component (d = 2): at most one index is untouched, so
+    no spectator set of size 2 exists."""
+    grid = GridSpec(1, 1)
+    ctx = build_context("delta", grid, [TestFunctionPair(grid, [1.0], [0.0])])
+    plus, minus = ctx.module.basis_element(0), ctx.module.basis_element(1)
+    moved = ctx.module.basis_element(0, WeylElement.monomial(ctx.gens, (1,)))
+    return ctx, [(plus, minus, True), (moved, plus, False), (moved, minus, False)]
+
+
+def _both_sectors_case():
+    """Vectors with entries in both charge sectors, so partners are touched,
+    and coefficients of several Weyl labels, so each has several groups."""
+    ctx = delta_ctx()
+    module, gens = ctx.module, ctx.gens
+
+    def vec(entries):
+        return ModuleVector(module, {b: WeylElement(gens, terms) for b, terms in entries.items()})
+
+    # point 2 (slots 2, 5) and point 1 (slots 1, 4) are unmoved by labels
+    # (k, 0), which commute with each other
+    f = vec({2: {(1, 0): 1.0, (2, 0): 0.5}, 5: {(1, 0): -0.7j}})
+    g = vec({1: {(-1, 0): 1.0, (0, 0): 0.3}, 4: {(2, 0): 0.4 + 0.2j, (1, 0): 1.0}})
+    p = vec({0: {(1, 0): 1.0, (0, 1): 0.5}, 3: {(0, 1): 1.0}})
+    q = vec({1: {(0, 1): 1.0}, 4: {(1, 0): 1.0, (1, 1): -0.3}})
+    return ctx, [(f, g, True), (p, q, False), (q, p, False)]
+
+
 def _car_case(case):
+    if case == "one_point":
+        return _one_point_case()
+    if case == "both_sectors":
+        return _both_sectors_case()
     if case in SIGMA_KINDS:
         cfg = builtin_car_config(case, 1)
     elif case == "poisson_2d":
@@ -404,10 +436,26 @@ def _within_ulps(a, b, ulps=4):
     return abs(a - b) <= ulps * math.ulp(max(abs(a), abs(b)))
 
 
-@pytest.mark.parametrize("case", (*SIGMA_KINDS, "poisson_2d", "designed", "claimed_free"))
-def test_check_car_matches_full_sweep(case):
+@pytest.mark.parametrize(
+    "case", (*SIGMA_KINDS, "poisson_2d", "designed", "claimed_free", "one_point", "both_sectors")
+)
+def test_check_car_matches_full_sweep(case, monkeypatch):
     ctx, pairs = _car_case(case)
+    built = []
+    spectator_witnesses = models._spectator_witnesses
+
+    def recorded(*args):
+        built.append(spectator_witnesses(*args))
+        return built[-1]
+
+    monkeypatch.setattr(models, "_spectator_witnesses", recorded)
     got = check_car(ctx, pairs)
+    assert built
+    # no witness repeats a slot, and no two witnesses of a sweep coincide
+    for witnesses in built:
+        slots = [t for w in witnesses for terms in w.parts.values() for t in terms]
+        assert all(a < b for t in slots for a, b in zip(t, t[1:]))
+        assert len(set(slots)) == len(slots)
     want = ref_car_sweep(ctx, pairs)
     assert got.status == want["status"]
     assert (got.witness or {}).get("problem") == want["problem"]
@@ -423,15 +471,18 @@ def test_spectator_witnesses_fall_back_to_the_whole_basis():
     f, g = _designed_pair(diagonal)
     mixed = dataclasses.replace(diagonal, module=tiny_module("mixed"))
     f_mixed, g_mixed = _designed_pair(mixed)
-    for ctx, vecs in ((mixed, (f_mixed, g_mixed)), (delta_ctx(state_kind="quasifree"), (f, g))):
+    for ctx, (a, b) in ((mixed, (f_mixed, g_mixed)), (delta_ctx(state_kind="quasifree"), (f, g))):
         for top in (0, 1, 2):
-            got = models._spectator_witnesses(ctx, vecs, top)
+            got = models._spectator_witnesses(ctx, anticommutator(annihilation(a), creation(b)), top)
             assert [w.parts for w in got] == [w.parts for w in level_basis(ctx.module, 3, top)]
-    # diagonal and tracial: the support {0, 1, 3, 4} and one spectator per
-    # level, the first and then the last index outside it
-    for top, slots in ((1, [0, 1, 2, 3, 4]), (2, [0, 1, 2, 3, 4, 5])):
-        got = models._spectator_witnesses(diagonal, (f, g), top)
-        assert sorted({b for w in got for terms in w.parts.values() for t in terms for b in t}) == slots
+    # diagonal and tracial: every subset of the touched slots {0, 1} with
+    # the spectator sets {}, {2} (the first untouched index) and {2, 5}
+    # (the first and the last); the partners 3 and 4 are untouched
+    op = anticommutator(annihilation(f), creation(g))
+    level_1 = [(), (0,), (1,), (2,)]
+    for top, slots in ((1, level_1), (2, level_1 + [(0, 1), (0, 2), (1, 2), (2, 5)])):
+        got = models._spectator_witnesses(diagonal, op, top)
+        assert [t for w in got for terms in w.parts.values() for t in terms] == slots
 
 
 def test_check_car_builds_the_full_sweep_once(monkeypatch):
@@ -456,10 +507,13 @@ def test_check_car_scales_to_2d_two_components():
     assert len(pairs) == 15
     res = check_car(ctx, pairs)
     assert res.passed and res.residuals["nonfree_min"] > 1.0
+    # every subset s of the touched set T joined with each of the 3 - |s|
+    # spectator sets that fit in level 2
     for f, g, _ in pairs:
-        s = len(models._support(ctx.module, (f, g)))
-        bound = sum(math.comb(s + 2, j) for j in range(3))
-        assert len(models._spectator_witnesses(ctx, (f, g), 2)) <= bound
+        op = anticommutator(annihilation(f), creation(g))
+        touched = len(models._touched(op))
+        count = sum(math.comb(touched, j) * (3 - j) for j in range(3))
+        assert len(models._spectator_witnesses(ctx, op, 2)) == count
 
 
 def test_check_adjointness_and_covariance():

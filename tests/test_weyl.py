@@ -18,7 +18,7 @@ from fockmod.weyl import (
     symplectic_form,
 )
 
-from _support import tiny_gens, tiny_grid, rand_weyl
+from _support import tiny_gens, tiny_grid, tiny_pairs, rand_weyl
 
 GENS = tiny_gens()
 
@@ -202,6 +202,26 @@ def test_quasifree_value_frozen():
     assert abs(om.value(gens, (1,)) - math.exp(-0.25)) <= 1e-15
     assert abs(om.value(gens, (-1,)) - math.exp(-0.25)) <= 1e-15
     assert abs(om.value(gens, (2,)) - math.exp(-1.0)) <= 1e-15
+
+
+def test_quasifree_value_cached_per_label(monkeypatch):
+    grid = tiny_grid()
+    gens = GeneratorSet(grid, tiny_pairs(grid))
+    fresh = GeneratorSet(grid, tiny_pairs(grid))
+    om = State("quasifree")
+    labels = [(1, 0), (0, 1), (1, 1), (2, -1)]
+    want = [om.value(fresh, n) for n in labels]
+    combined = []
+    combine = GeneratorSet.combine
+
+    def counted(self, n):
+        combined.append(n)
+        return combine(self, n)
+
+    monkeypatch.setattr(GeneratorSet, "combine", counted)
+    for _ in range(3):
+        assert [om.value(gens, n) for n in labels] == want
+    assert combined == labels
 
 
 def test_quasifree_bounded_by_one():
