@@ -10,8 +10,12 @@
 # reaches Fock level 4) and `fockmod model --config NAME` for each bundled
 # scenario, all with `--format json`; the script prints one line per
 # report, followed by the first 40 lines of `diff -u` for a report that
-# differs byte for byte, and exits 1 if any report differs.  Set PYTHON to
-# pick the interpreter.
+# differs byte for byte.  No CLI run reaches a twist that is not diagonal,
+# so it also compares the `digest` field that
+# `python bench/sample.py dense_twist N` prints for N = 1, 2 (the
+# residuals of the benchmark's rotated-twist workload); it reads bench/
+# and writes nothing there.  It exits 1 if any report or digest differs.
+# Set PYTHON to pick the interpreter.
 set -eu
 [ $# -eq 1 ] || { echo "usage: $0 BASE_DIR" >&2; exit 2; }
 base=$(cd "$1" && pwd)
@@ -37,6 +41,23 @@ for args in \
     else
         echo "DIFFERENT  $args"
         diff -u "$out/base.json" "$out/head.json" | head -n 40
+        status=1
+    fi
+done
+# the digest of one dense_twist sample; no byte-code lands in bench/
+digest() {
+    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$1/src" "${PYTHON:-python}" "$1/bench/sample.py" dense_twist "$2" |
+        "${PYTHON:-python}" -c 'import json, sys; print(json.load(sys.stdin)["digest"])'
+}
+for seed in 1 2; do
+    old=$(digest "$base" $seed)
+    new=$(digest "$head" $seed)
+    if [ "$old" = "$new" ]; then
+        echo "identical  dense_twist digest, seed $seed"
+    else
+        echo "DIFFERENT  dense_twist digest, seed $seed"
+        echo "-$old"
+        echo "+$new"
         status=1
     fi
 done

@@ -5,13 +5,16 @@ moving a coefficient past a slot twists every slot it crosses, so the
 antisymmetrizer only ever permutes basis tuples and commutes with the
 twisted structure.
 
-Every level is a dict {basis tuple: coefficient map}, the map
-{group label n: complex} being the bare store of a Weyl element; the
-operators below compute on the maps with the helpers of ``fockmod.weyl``.
-A FockElement stores one per level, on strictly increasing tuples only:
-the stored map is the coefficient the increasing representative carries
-in the full signed expansion.  WeylElement objects appear only at the
-edges: the FockElement constructor takes them, and ``scalar`` and
+Every level is stored label-major, as the right A-module it is: an
+l-particle element sum_n (sum_t c_{n,t} e_t) . W(n) is the dict
+{group label n: {basis tuple t: complex c_{n,t}}}.  Creation,
+annihilation and the left action move the label of a whole group at
+once, so each computes the product W(n) W(m) once per (vector group n,
+label m) and then adds plain complex scalars into one {tuple: complex}
+target per output label.  Only strictly increasing tuples are stored:
+c_{n,t} is the coefficient the increasing representative carries in the
+full signed expansion.  WeylElement objects appear only at the edges:
+the FockElement constructor takes them, and ``scalar`` and
 ``fock_inner`` return them.
 
 Every operator moves the standing slots of a wedge through the twist by
@@ -21,14 +24,15 @@ into that image with ``bimodule.wedge_insert``, the kernel that builds
 the image itself (a Laplace expansion along the vector's column);
 annihilation contracts against the bra vector, conjugate-twisting the
 surviving slots and pulling the adjoint group unitary into the right
-coefficient.  Both sum their complex weights per output tuple first and
-scale the coefficient map once per tuple; both are exact on
+coefficient.  Both build the image of a tuple once per vector group and
+reuse it for every label the tuple carries; both are exact on
 coefficients.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,16 +43,7 @@ from .bimodule import (
     conjugate_vector,
     wedge_insert,
 )
-from .weyl import (
-    State,
-    WeylElement,
-    map_adjoint,
-    map_merge,
-    map_monomial_product,
-    map_product,
-    map_scaled,
-    maps_close,
-)
+from .weyl import PRUNE_TOL, State, WeylElement
 
 __all__ = [
     "FockElement",
@@ -81,34 +76,18 @@ RANK_TOL = 1e-10
 # ---------------------------------------------------------------------------
 # truncated Fock elements
 
-_ONE = complex(1.0)
-
-
-def _accumulate(target: dict, s: tuple[int, ...], x: dict) -> None:
-    """target[s] += x in place; the caller owns target's maps, and x is
-    stored as it is when s is new.
-
-    A map that cancels to empty keeps its key, so a later piece for s
-    lands in the same place of the summation order; building the element
-    drops it.
-    """
-    got = target.get(s)
-    if got is None:
-        target[s] = x
-    else:
-        map_merge(got, x)
-
 
 class FockElement:
     """Finite-level element: level 0 holds a Weyl coefficient, level
     l >= 1 canonical antisymmetric terms.  Levels above the truncation
     are dropped by the operators, which then set the truncated flag.
 
-    ``parts`` maps a level to {basis tuple: coefficient map}, level 0 to
-    the single key (); a coefficient map is the store of a WeylElement
-    (see ``weyl.map_product``).  The constructor takes WeylElement
-    values and ``scalar`` returns one; no map inside an element changes
-    after it is built.
+    ``parts[level][n][t]`` is the complex coefficient of e_t . W(n) on
+    that level, label-major (see the module docstring); level 0 uses the
+    single tuple ().  Entries at or below PRUNE_TOL, then empty labels and
+    empty levels, are dropped when an element is built.  The constructor
+    takes {level: {tuple: WeylElement}} and ``scalar`` returns a
+    WeylElement; no dict inside an element changes after it is built.
     """
 
     __slots__ = ("space", "truncation", "parts", "truncated")
@@ -126,12 +105,16 @@ class FockElement:
         for level, terms in (parts or {}).items():
             if not 0 <= level <= truncation:
                 raise ValueError("level outside truncation window")
-            maps[level] = {t: dict(a.terms) for t, a in terms.items()}
+            labels = maps[level] = {}
+            for t, a in terms.items():
+                for n, c in a.terms.items():
+                    labels.setdefault(n, {})[t] = c
         self._fill(space, truncation, maps, truncated)
 
     @classmethod
     def _of(cls, space: FreeBimodule, truncation: int, maps: dict, truncated: bool):
-        """Element over maps that nobody changes afterwards."""
+        """Element over label-major levels {level: {n: {t: complex}}}; it
+        takes the dicts over, so the caller must have built them."""
         v = cls.__new__(cls)
         v._fill(space, truncation, maps, truncated)
         return v
@@ -140,17 +123,25 @@ class FockElement:
         self.space = space
         self.truncation = truncation
         self.truncated = truncated
-        self.parts: dict[int, dict[tuple[int, ...], dict]] = {}
-        for level, terms in maps.items():
-            kept = {t: x for t, x in terms.items() if x}
-            if kept:
-                self.parts[level] = kept
+        # pruned in place: every caller hands over dicts it built
+        for level, labels in list(maps.items()):
+            for n, terms in list(labels.items()):
+                if terms and min(map(abs, terms.values())) > PRUNE_TOL:
+                    continue
+                for t in [t for t, c in terms.items() if abs(c) <= PRUNE_TOL]:
+                    del terms[t]
+                if not terms:
+                    del labels[n]
+            if not labels:
+                del maps[level]
+        self.parts: dict[int, dict[tuple[int, ...], dict[tuple[int, ...], complex]]] = maps
 
     # -- access ------------------------------------------------------
 
     @property
     def scalar(self) -> WeylElement:
-        return WeylElement(self.space.gens, self.parts.get(0, {}).get((), {}))
+        labels = self.parts.get(0, {})
+        return WeylElement(self.space.gens, {n: ts.get((), 0.0) for n, ts in labels.items()})
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -163,13 +154,9 @@ class FockElement:
 
     def __add__(self, other: "FockElement") -> "FockElement":
         self._require_same(other)
-        parts = {l: dict(ts) for l, ts in self.parts.items()}
-        for l, ts in other.parts.items():
-            mine = parts.setdefault(l, {})
-            for t, x in ts.items():
-                if t in mine:
-                    mine[t] = dict(mine[t])
-                _accumulate(mine, t, x)
+        parts = {l: {n: dict(ts) for n, ts in labels.items()} for l, labels in self.parts.items()}
+        for l, labels in other.parts.items():
+            _add_level(parts.setdefault(l, {}), labels, 1.0)
         return FockElement._of(
             self.space, self.truncation, parts, self.truncated or other.truncated
         )
@@ -180,24 +167,39 @@ class FockElement:
     def __rmul__(self, scalar: complex) -> "FockElement":
         s = complex(scalar)
         parts = {
-            l: {t: map_scaled(s, x) for t, x in ts.items()} for l, ts in self.parts.items()
+            l: {n: {t: s * c for t, c in ts.items()} for n, ts in labels.items()}
+            for l, labels in self.parts.items()
         }
         return FockElement._of(self.space, self.truncation, parts, self.truncated)
 
     def close_to(self, other: "FockElement", tol: float = 1e-12) -> bool:
         self._require_same(other)
         for l in self.parts.keys() | other.parts.keys():
-            a_terms = self.parts.get(l, {})
-            b_terms = other.parts.get(l, {})
-            for t in a_terms.keys() | b_terms.keys():
-                if not maps_close(a_terms.get(t, {}), b_terms.get(t, {}), tol):
+            a_labels = self.parts.get(l, {})
+            b_labels = other.parts.get(l, {})
+            for n in a_labels.keys() | b_labels.keys():
+                a = a_labels.get(n, {})
+                b = b_labels.get(n, {})
+                if any(abs(a.get(t, 0.0) - b.get(t, 0.0)) > tol for t in a.keys() | b.keys()):
                     return False
         return True
 
     def __repr__(self) -> str:
-        shape = {l: len(ts) for l, ts in sorted(self.parts.items())}
+        shape = {
+            l: len({t for ts in labels.values() for t in ts})
+            for l, labels in sorted(self.parts.items())
+        }
         flag = ", truncated" if self.truncated else ""
         return f"FockElement({shape}{flag})"
+
+
+def _add_level(level: dict, labels: dict, scalar: complex) -> None:
+    """level += scalar * labels in place, entry by entry; the caller owns
+    level's dicts."""
+    for n, ts in labels.items():
+        target = level.setdefault(n, {})
+        for t, c in ts.items():
+            target[t] = target.get(t, 0.0) + scalar * c
 
 
 def vacuum(space: FreeBimodule, truncation: int, coeff: WeylElement | None = None) -> FockElement:
@@ -218,28 +220,38 @@ def create(f: ModuleVector, v: FockElement) -> FockElement:
     through ``Twist.wedge``, insert each entry of f_n in front and sort
     it into place with its sign (the Laplace expansion of the minors of
     [f_n | u(n) e_t] along f_n's column), multiply W(n) into the right
-    coefficient.  The top level of the window is dropped and flagged,
-    never folded back.
+    coefficient, which moves label m to n + m.  The top level of the
+    window is dropped and flagged, never folded back.
     """
     space = v.space
     if f.space is not space:
         raise ValueError("vector lives in a different bimodule")
     gens = space.gens
+    wedge = space.twist.wedge
     groups = f.by_group()
-    out: dict[int, dict[tuple[int, ...], dict]] = {}
+    out: dict[int, dict] = {}
     truncated = v.truncated
-    for l, terms in v.parts.items():
+    for l, labels in v.parts.items():
         if l + 1 > v.truncation:
             truncated = True
             continue
-        target = out.setdefault(l + 1, {})
+        level = out.setdefault(l + 1, {})
         scale = 1.0 / math.sqrt(l + 1)
         for n, cvec in groups.items():
-            for t, a in terms.items():
-                coeff = map_monomial_product(gens, n, _ONE, a)
-                img = wedge_insert(cvec.coeffs, space.twist.wedge(n, t))
-                for s, x in img.items():
-                    _accumulate(target, s, map_scaled(x * scale, coeff))
+            col = cvec.coeffs
+            images: dict[tuple[int, ...], dict] = {}
+            for m, terms in labels.items():
+                key, phase = gens.product(n, m)
+                target = level.get(key)
+                if target is None:
+                    target = level[key] = {}
+                for t, b in terms.items():
+                    img = images.get(t)
+                    if img is None:
+                        img = images[t] = wedge_insert(col, wedge(n, t))
+                    w = b * phase
+                    for s, x in img.items():
+                        target[s] = target.get(s, 0.0) + x * scale * w
     return FockElement._of(space, v.truncation, out, truncated)
 
 
@@ -248,40 +260,51 @@ def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
 
     Contracting against f_n . W(n) conjugates the matched coefficient,
     rotates the surviving slots by u(-n) and pulls W(-n) into the right
-    coefficient; alternating signs come from moving the matched slot to
-    the front.  Level 0 is the kernel.
+    coefficient, which moves label m to m - n; alternating signs come
+    from moving the matched slot to the front.  Level 0 is the kernel.
     """
     space = v.space
     if f.space is not space:
         raise ValueError("vector lives in a different bimodule")
     gens = space.gens
+    wedge = space.twist.wedge
     groups = f.by_group()
-    out: dict[int, dict[tuple[int, ...], dict]] = {}
-    for l, terms in v.parts.items():
+    out: dict[int, dict] = {}
+    for l, labels in v.parts.items():
         if l == 0:
             continue
-        target = out.setdefault(l - 1, {})
+        level = out.setdefault(l - 1, {})
         scale = math.sqrt(l)
         for n, cvec in groups.items():
-            neg = tuple(-x for x in n)
+            neg = tuple(map(operator.neg, n))
             coeffs = cvec.coeffs
-            for t, a in terms.items():
-                img: dict[tuple[int, ...], complex] = {}
-                for k, b in enumerate(t):
-                    z = coeffs.get(b)
-                    if z is None:
-                        continue
-                    sign = -scale if k % 2 else scale
-                    w = sign * z.conjugate()
-                    for s, det in space.twist.wedge(neg, t[:k] + t[k + 1 :]).items():
-                        x = w * det
-                        got = img.get(s)
-                        img[s] = x if got is None else got + x
-                if not img:
-                    continue
-                coeff = map_monomial_product(gens, neg, _ONE, a)
-                for s, x in img.items():
-                    _accumulate(target, s, map_scaled(x, coeff))
+            images: dict[tuple[int, ...], dict] = {}
+            for m, terms in labels.items():
+                target = None
+                for t, b in terms.items():
+                    img = images.get(t)
+                    if img is None:
+                        # every slot k that f_n reaches is contracted against
+                        # conj(f_n(t_k)), signed (-1)^k for moving it to the
+                        # front; the surviving slots rotate by u(-n)
+                        img = images[t] = {}
+                        for k, e in enumerate(t):
+                            z = coeffs.get(e)
+                            if z is None:
+                                continue
+                            x = (-scale if k % 2 else scale) * z.conjugate()
+                            for s, det in wedge(neg, t[:k] + t[k + 1 :]).items():
+                                img[s] = img.get(s, 0.0) + x * det
+                    if not img:
+                        continue  # f_n reaches no slot of t
+                    if target is None:
+                        key, phase = gens.product(neg, m)
+                        target = level.get(key)
+                        if target is None:
+                            target = level[key] = {}
+                    w = b * phase
+                    for s, x in img.items():
+                        target[s] = target.get(s, 0.0) + x * w
     return FockElement._of(space, v.truncation, out, v.truncated)
 
 
@@ -292,30 +315,38 @@ def fock_left_action(a: WeylElement, v: FockElement) -> FockElement:
     if a.gens is not space.gens:
         raise ValueError("operator over wrong generator set")
     gens = space.gens
-    out: dict[int, dict[tuple[int, ...], dict]] = {}
+    wedge = space.twist.wedge
+    out: dict[int, dict] = {}
     for n, c in a.terms.items():
-        for l, terms in v.parts.items():
-            target = out.setdefault(l, {})
-            for t, x in terms.items():
-                coeff = map_monomial_product(gens, n, c, x)
-                if l == 0:
-                    _accumulate(target, (), coeff)
-                    continue
-                for s, det in space.twist.wedge(n, t).items():
-                    _accumulate(target, s, map_scaled(det, coeff))
+        for l, labels in v.parts.items():
+            level = out.setdefault(l, {})
+            for m, terms in labels.items():
+                key, phase = gens.product(n, m)
+                target = level.get(key)
+                if target is None:
+                    target = level[key] = {}
+                for t, b in terms.items():
+                    w = c * b * phase
+                    for s, det in wedge(n, t).items():
+                        target[s] = target.get(s, 0.0) + det * w
     return FockElement._of(space, v.truncation, out, v.truncated)
 
 
 def fock_right_mul(v: FockElement, a: WeylElement) -> FockElement:
-    """Right module action, coefficientwise on every level."""
+    """Right module action, labelwise on every level."""
     gens = v.space.gens
     if a.gens is not gens:
         raise ValueError("operator over wrong generator set")
-    parts = {
-        l: {t: map_product(gens, x, a.terms) for t, x in terms.items()}
-        for l, terms in v.parts.items()
-    }
-    return FockElement._of(v.space, v.truncation, parts, v.truncated)
+    out: dict[int, dict] = {}
+    for l, labels in v.parts.items():
+        level = out[l] = {}
+        for n, terms in labels.items():
+            for m, b in a.terms.items():
+                key, phase = gens.product(n, m)
+                target = level.setdefault(key, {})
+                for t, c in terms.items():
+                    target[t] = target.get(t, 0.0) + c * b * phase
+    return FockElement._of(v.space, v.truncation, out, v.truncated)
 
 
 # ---------------------------------------------------------------------------
@@ -326,22 +357,38 @@ def fock_inner(v: FockElement, w: FockElement) -> WeylElement:
     """Algebra-valued scalar product <v, w>, levelwise; a level-l pair of
     equal canonical tuples counts l! times, once per expansion term.
 
-    Every GNS value of the checks is a state applied to this pairing.
-    The oracle equivalence tests (acceptance 5 among them) compare it
-    with the slot-by-slot nested product on dense signed expansions.
+    Per level and pair of labels (n, m) the complex sum of
+    conj(c_{n,t}) c'_{m,t} over the tuples both carry is taken first and
+    lands on W(-n) W(m) once.  Every GNS value of the checks is a state
+    applied to this pairing.  The oracle equivalence tests (acceptance 5
+    among them) compare it with the slot-by-slot nested product on dense
+    signed expansions.
     """
     v._require_same(w)
     gens = v.space.gens
     total: dict[tuple[int, ...], complex] = {}
     for l in v.parts.keys() & w.parts.keys():
         scale = float(math.factorial(l))
-        vt = v.parts[l]
-        wt = w.parts[l]
-        for t in (vt if len(vt) <= len(wt) else wt):
-            a = vt.get(t)
-            b = wt.get(t)
-            if a is not None and b is not None:
-                map_merge(total, map_scaled(scale, map_product(gens, map_adjoint(a), b)))
+        w_labels = w.parts[l]
+        for n, vt in v.parts[l].items():
+            neg = tuple(map(operator.neg, n))
+            for m, wt in w_labels.items():
+                acc = None
+                if len(vt) <= len(wt):
+                    for t, c in vt.items():
+                        d = wt.get(t)
+                        if d is not None:
+                            x = c.conjugate() * d
+                            acc = x if acc is None else acc + x
+                else:
+                    for t, d in wt.items():
+                        c = vt.get(t)
+                        if c is not None:
+                            x = c.conjugate() * d
+                            acc = x if acc is None else acc + x
+                if acc is not None:
+                    key, phase = gens.product(neg, m)
+                    total[key] = total.get(key, 0.0) + scale * (acc * phase)
     return WeylElement(gens, total)
 
 
@@ -450,7 +497,7 @@ class FieldOperator:
         """Sum of the words' images; truncated if v or any word's image is."""
         if v.space is not self.space:
             raise ValueError("fock elements are not compatible")
-        parts: dict[int, dict[tuple[int, ...], dict]] = {}
+        parts: dict[int, dict] = {}
         truncated = v.truncated
         for scalar, prims in self.terms:
             acc = v
@@ -459,14 +506,8 @@ class FieldOperator:
                 if not acc.parts:
                     break
             truncated = truncated or acc.truncated
-            for l, ts in acc.parts.items():
-                mine = parts.setdefault(l, {})
-                for t, x in ts.items():
-                    _accumulate(mine, t, map_scaled(scalar, x))
-                    if not mine[t]:
-                        del mine[t]
-                if not mine:
-                    del parts[l]
+            for l, labels in acc.parts.items():
+                _add_level(parts.setdefault(l, {}), labels, scalar)
         return FockElement._of(self.space, v.truncation, parts, truncated)
 
     def equivalent(self, other: "FieldOperator", tol: float = 1e-12) -> bool:

@@ -597,8 +597,9 @@ def _swept(label: dict, sweeps, state: State, vanish: bool = True, fault: dict |
             if at is None or r > worst:
                 worst, at = r, v
     if at is not None:
-        # a basis wedge holds one tuple on one level
-        ((slots,),) = at.parts.values()
+        # a basis wedge holds one tuple under one label on one level
+        (labels,) = at.parts.values()
+        ((slots,),) = labels.values()
         at = list(slots)
     return Claim(label, worst, vanish, fault, at)
 
@@ -723,7 +724,9 @@ def check_car(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
     that fits (``_spectator_witnesses``, which says why that is exact).
     On a twist that is not diagonal, or under the quasifree state, every
     relation is swept on those levels over the whole basis instead, built
-    once for the check.
+    once for the check.  {a(f), a(g)} touches the slots of
+    {a(f), a*(g)} - <f, g>, so within a pair a witness set is built once
+    per touched set and level.
     """
     pairs = list(pairs)
     module = ctx.module
@@ -743,7 +746,16 @@ def check_car(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
                 (anticommutator(annihilation(f), annihilation(g)), 0),
                 (anticommutator(creation(f), creation(g)), 1),
             ]
-        sweeps = [(op, full[k] if full else _spectator_witnesses(ctx, op, tops[k])) for op, k in ops]
+        sweeps = []
+        built = {}  # this pair's witness sets by (touched slots, level)
+        for op, k in ops:
+            if full:
+                sweeps.append((op, full[k]))
+                continue
+            key = (frozenset(_touched(op)), tops[k])
+            if key not in built:
+                built[key] = _spectator_witnesses(ctx, op, tops[k])
+            sweeps.append((op, built[key]))
         label = "free_residual" if expect_free else "nonfree_too_small"
         claims.append(_swept({"pair": idx, "problem": label}, sweeps, ctx.state, expect_free, fault))
     return _evaluate("car", claims, tol, ("free_max", "nonfree_min"), {"pairs": len(pairs)})

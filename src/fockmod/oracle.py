@@ -27,7 +27,8 @@ __all__ = [
 ]
 
 MAX_DIM = 6
-MAX_LEVEL = 3
+# level 4 lets the oracle reach the top of a truncation-4 window
+MAX_LEVEL = 4
 
 
 def _guard(dim: int, level: int) -> None:

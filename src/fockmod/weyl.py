@@ -30,7 +30,6 @@ __all__ = [
     "PRUNE_TOL",
     "COEFF_TOL",
     "map_product",
-    "map_monomial_product",
     "map_scaled",
     "map_merge",
     "map_adjoint",
@@ -219,9 +218,11 @@ def _check_exponent(gens: GeneratorSet, n) -> tuple[int, ...]:
 # coefficient maps
 #
 # A coefficient map {n: c} is the store of a WeylElement: exponent tuples
-# to complex coefficients, each |c| > PRUNE_TOL.  The Fock layer keeps its
-# coefficients as bare maps; these helpers do its arithmetic and
-# WeylElement's, and each prunes where the operation it implements ends.
+# to complex coefficients, each |c| > PRUNE_TOL.  These helpers do
+# WeylElement's arithmetic, and each prunes where the operation it
+# implements ends.  The Fock layer stores its levels label-major, as
+# complex scalars per (label, basis tuple), and multiplies group labels
+# with GeneratorSet.product directly.
 
 
 def map_product(gens: GeneratorSet, x: dict, y: dict) -> dict:
@@ -232,17 +233,6 @@ def map_product(gens: GeneratorSet, x: dict, y: dict) -> dict:
             key, phase = gens.product(n, m)
             out[key] = out.get(key, 0.0) + a * b * phase
     return {n: c for n, c in out.items() if abs(c) > PRUNE_TOL}
-
-
-def map_monomial_product(gens: GeneratorSet, n: tuple[int, ...], c0: complex, y: dict) -> dict:
-    """(c0 W(n)) y; its keys n + m are distinct, so nothing is summed."""
-    out: dict[tuple[int, ...], complex] = {}
-    for m, b in y.items():
-        key, phase = gens.product(n, m)
-        c = 0.0 + c0 * b * phase
-        if abs(c) > PRUNE_TOL:
-            out[key] = c
-    return out
 
 
 def map_scaled(s: complex, x: dict) -> dict:

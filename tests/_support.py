@@ -260,11 +260,24 @@ def dense_from_level(v: FockElement, level: int) -> DenseTensor:
     of a stored tuple carries the stored coefficient times its parity."""
     gens = v.space.gens
     out = DenseTensor(gens, v.space.basis.dim, level)
-    for t, x in v.parts.get(level, {}).items():
-        a = WeylElement(gens, x)
-        for perm in itertools.permutations(range(level)):
-            out.add_into(tuple(t[i] for i in perm), _parity(perm) * a)
+    for n, terms in v.parts.get(level, {}).items():
+        for t, c in terms.items():
+            a = WeylElement.monomial(gens, n, c)
+            for perm in itertools.permutations(range(level)):
+                out.add_into(tuple(t[i] for i in perm), _parity(perm) * a)
     return out
+
+
+def level_tuples(v: FockElement, level: int) -> set[tuple[int, ...]]:
+    """The basis tuples one level of v stores, under any label."""
+    return {t for terms in v.parts.get(level, {}).values() for t in terms}
+
+
+def weyl_at(v: FockElement, level: int, t: tuple[int, ...]) -> WeylElement:
+    """The Weyl coefficient of e_t on one level: c_{n,t} W(n) summed over
+    the labels n."""
+    labels = v.parts.get(level, {})
+    return WeylElement(v.space.gens, {n: terms[t] for n, terms in labels.items() if t in terms})
 
 
 def weyl_dev(a: WeylElement, b: WeylElement) -> float:

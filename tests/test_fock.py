@@ -1,6 +1,7 @@
 """Fock layer: canonical antisymmetric calculus, creation and
 annihilation, GNS evaluation, symbolic field operators."""
 
+import functools
 import itertools
 import math
 import random
@@ -10,8 +11,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fockmod.weyl import State, WeylElement, maps_close
-from fockmod.bimodule import OneParticleVector, conjugate_vector, module_inner
-from fockmod.oracle import DenseTensor, oracle_antisymmetrize
+from fockmod.bimodule import ModuleVector, OneParticleVector, conjugate_vector, module_inner
+from fockmod.oracle import (
+    DenseTensor,
+    oracle_antisymmetrize,
+    oracle_fermi_annihilate,
+    oracle_fermi_create,
+    oracle_left_mult,
+    oracle_nested_inner,
+)
 from fockmod.fock import (
     AnnihilateOp,
     CreateOp,
@@ -34,7 +42,17 @@ from fockmod.fock import (
     weyl_mult,
 )
 
-from _support import dense_from_level, rand_vector, rand_weyl, rand_wedge, tiny_module
+from _support import (
+    dense_from_level,
+    level_tuples,
+    rand_vector,
+    rand_wedge,
+    rand_weyl,
+    raw_u_of,
+    tiny_module,
+    weyl_at,
+    weyl_dev,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -93,9 +111,9 @@ def test_expand_project_roundtrip(seed):
     assert oracle_antisymmetrize(full).max_deviation(full) <= 1e-12
     # ... and its increasing entries are exactly the stored coefficients
     increasing = {t: a.terms for t, a in full.nonzero() if list(t) == sorted(t)}
-    assert increasing.keys() == v.parts[l].keys()
-    for t, x in v.parts[l].items():
-        assert maps_close(increasing[t], x, 1e-15)
+    assert increasing.keys() == level_tuples(v, l)
+    for t in increasing:
+        assert maps_close(increasing[t], weyl_at(v, l, t).terms, 1e-15)
 
 
 def test_fock_inner_factorial():
@@ -114,7 +132,7 @@ def test_create_on_vacuum():
     module = tiny_module("trivial")
     out = create(module.basis_element(0), vacuum(module, 3))
     assert sorted(out.parts) == [1]
-    assert maps_close(out.parts[1][(0,)], unit_of(module).terms, 1e-12)
+    assert maps_close(weyl_at(out, 1, (0,)).terms, unit_of(module).terms, 1e-12)
 
 
 def test_create_twice_is_wedge():
@@ -123,11 +141,11 @@ def test_create_twice_is_wedge():
     e0 = module.basis_element(0)
     e1 = module.basis_element(1)
     w01 = create(e0, create(e1, om))
-    assert set(w01.parts[2]) == {(0, 1)}
-    assert maps_close(w01.parts[2][(0, 1)], ((1.0 / SQ2) * unit_of(module)).terms, 1e-12)
+    assert level_tuples(w01, 2) == {(0, 1)}
+    assert maps_close(weyl_at(w01, 2, (0, 1)).terms, ((1.0 / SQ2) * unit_of(module)).terms, 1e-12)
     # reversed order flips the sign
     w10 = create(e1, create(e0, om))
-    assert maps_close(w10.parts[2][(0, 1)], ((-1.0 / SQ2) * unit_of(module)).terms, 1e-12)
+    assert maps_close(weyl_at(w10, 2, (0, 1)).terms, ((-1.0 / SQ2) * unit_of(module)).terms, 1e-12)
     assert (w01 + w10).is_zero()
     # unit vectors wedge to a unit GNS vector
     assert abs(gns_norm(w01, State("tracial")) - 1.0) <= 1e-15
@@ -152,14 +170,14 @@ def test_create_carries_group_coefficient():
     w = rand_wedge(random.Random(6), module, 2)
     first = create(g, w)
     assert create(g, w).parts == first.parts
-    assert maps_close(out.parts[1][(0,)], WeylElement.monomial(gens, n).terms, 1e-12)
+    assert maps_close(weyl_at(out, 1, (0,)).terms, WeylElement.monomial(gens, n).terms, 1e-12)
     # the standing slot is rotated by u(n): point 0 picks up e^{-i}
     out2 = create(f, basis_fock(module, (1,)))
-    (key,) = set(out2.parts[2])
+    (key,) = level_tuples(out2, 2)
     assert key == (0, 1)
     phase = module.twist.matrix(n)[1, 1]
     expect = (phase / SQ2) * WeylElement.monomial(gens, n)
-    assert maps_close(out2.parts[2][key], expect.terms, 1e-14)
+    assert maps_close(weyl_at(out2, 2, key).terms, expect.terms, 1e-14)
 
 
 def test_annihilate_inverts_on_wedge():
@@ -224,13 +242,13 @@ def test_create_into_level_four_is_the_minor(family):
             fn = rng.normal(size=d) + 1j * rng.normal(size=d)
             vec = OneParticleVector(module.basis, dict(enumerate(fn)))
             f = module.embed(vec, WeylElement.monomial(gens, n))
-            level = create(f, basis_fock(module, t, truncation=4)).parts[4]
-            assert set(level) <= set(itertools.combinations(range(d), 4))
+            out = create(f, basis_fock(module, t, truncation=4))
+            assert level_tuples(out, 4) <= set(itertools.combinations(range(d), 4))
+            level = out.parts[4]
+            assert set(level) <= {n}
             for s in itertools.combinations(range(d), 4):
                 want = np.linalg.det(np.column_stack([fn, u[:, t]])[list(s)]) / 2
-                got = level.get(s, {})
-                assert set(got) <= {n}
-                assert abs(got.get(n, 0.0) - want) <= 1e-12, (n, t, s)
+                assert abs(level.get(n, {}).get(s, 0.0) - want) <= 1e-12, (n, t, s)
 
 
 @pytest.mark.parametrize("family", ["mixed", "poisson"])
@@ -244,7 +262,7 @@ def test_adjoint_at_level_four(family):
             f = rand_vector(rng, module, max_entries=4)
             w = rand_wedge(rng, module, 4, truncation=4)
             # one level-3 term under a tuple of w, so that the pair can act
-            t = rng.choice(sorted(w.parts[4]))
+            t = rng.choice(sorted(level_tuples(w, 4)))
             k = rng.randrange(4)
             under = FockElement(module, 4, {3: {t[:k] + t[k + 1 :]: rand_weyl(rng, module.gens)}})
             v = rand_wedge(rng, module, 3, truncation=4) + under
@@ -253,6 +271,59 @@ def test_adjoint_at_level_four(family):
             acting += abs(rhs) > 1e-3
     # the identity was met on pairs that do not pair to zero
     assert acting >= 4
+
+
+def test_two_groups_meet_on_one_label_against_the_oracle():
+    # On the mixed twist f and a carry the groups n = (1, 0) and
+    # n' = (0, 1), the element the labels m = (0, 1) and m' = (1, 0).
+    # Creation and the left action send both (n, m) and (n', m') to the
+    # label (1, 1), annihilation both (n, m') and (n', m) to (0, 0), and
+    # the pairing both (m, m) and (m', m') to (0, 0): two groups add into
+    # one output label of one level.
+    module = tiny_module("mixed")
+    gens = module.gens
+    d = module.basis.dim
+    u_of = functools.lru_cache(maxsize=None)(raw_u_of(module.twist))
+    rng = random.Random(29)
+    n, n2 = (1, 0), (0, 1)
+
+    def both():
+        z = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)]
+        return WeylElement(gens, {n: z[0], n2: z[1]})
+
+    def element(l):
+        tuples = rng.sample(list(itertools.combinations(range(d), l)), 2)
+        return FockElement(module, 4, {l: {t: both() for t in tuples}})
+
+    f = ModuleVector(module, {b: both() for b in range(d)})
+    a = both()
+    states = [State(kind) for kind in State.KINDS]
+    for l in range(1, 5):
+        v = element(l)
+        dense = dense_from_level(v, l)
+        if l < 4:
+            got = create(f, v)
+            assert (1, 1) in got.parts[l + 1]
+            want = oracle_fermi_create(f.entries, dense, u_of)
+            assert dense_from_level(got, l + 1).max_deviation(want) <= 1e-12, l
+        got = annihilate(f, v)
+        assert (0, 0) in got.parts[l - 1]
+        want = oracle_fermi_annihilate(f.entries, dense, u_of)
+        if l == 1:
+            assert weyl_dev(got.scalar, want) <= 1e-12
+        else:
+            assert dense_from_level(got, l - 1).max_deviation(want) <= 1e-12, l
+        got = fock_left_action(a, v)
+        assert (1, 1) in got.parts[l]
+        want = oracle_left_mult(a, dense, u_of)
+        assert dense_from_level(got, l).max_deviation(want) <= 1e-12, l
+        w = v + element(l)
+        got = fock_inner(v, w)
+        want = oracle_nested_inner(dense, dense_from_level(w, l), u_of)
+        assert (0, 0) in got.terms
+        assert weyl_dev(got, want) <= 1e-12, l
+        for st_ in states:
+            assert abs(gns_inner(v, w, st_) - st_(want)) <= 1e-12, (l, st_)
 
 
 # ---------------------------------------------------------------------------
@@ -336,12 +407,35 @@ def test_create_above_truncation_drops_and_flags():
     assert not annihilation(e0).apply(top).truncated
 
 
+def test_cancelled_words_leave_no_empty_dicts():
+    module = tiny_module("delta")
+    gens = module.gens
+    vac = vacuum(module, 3)
+    f = module.basis_element(0) + module.basis_element(2)
+    g = module.basis_element(0, WeylElement.monomial(gens, (1, 0))) + module.basis_element(1)
+    # {a*(f), a*(g)} vanishes on the vacuum, its two words cancelling exactly
+    anti = anticommutator(creation(f), creation(g))
+    assert anti.apply(vac).is_zero()
+    # with a*(g) added, level 2 cancels and level 1 stays: the image holds
+    # level 1 alone, so the peak level a tracer reads as max(parts) is 1
+    image = (anti + creation(g)).apply(vac)
+    assert sorted(image.parts) == [1] and max(image.parts) == 1
+    assert image.close_to(create(g, vac))
+    # one label of a tuple cancels and the other stays
+    a = WeylElement(gens, {(1, 0): 0.5, (0, 1): 2.0j})
+    mono = WeylElement.monomial(gens, (1, 0), 0.5)
+    left = basis_fock(module, (0, 1), coeff=a) - basis_fock(module, (0, 1), coeff=mono)
+    assert left.parts == {2: {(0, 1): {(0, 1): 2.0j}}}
+    for v in (image, left, anti.apply(left), (anti + creation(g)).apply(left)):
+        assert all(labels and all(labels.values()) for labels in v.parts.values())
+
+
 def test_fock_arithmetic_and_guards():
     module = tiny_module("trivial")
     v = basis_fock(module, (0, 1))
     w = basis_fock(module, (0, 2))
     s = v + w
-    assert set(s.parts[2]) == {(0, 1), (0, 2)}
+    assert level_tuples(s, 2) == {(0, 1), (0, 2)}
     assert (2.0 * v - v - v).is_zero()
     assert sorted(v.parts) == [2]
     with pytest.raises(ValueError):
@@ -354,7 +448,7 @@ def test_fock_arithmetic_and_guards():
     x = FockElement(module, 3, {0: {(): a}, 1: {(2,): zero}, 2: {(0, 1): a, (1, 2): zero}})
     assert sorted(x.parts) == [0, 2]
     assert x.scalar.terms == a.terms and x.scalar.gens is gens
-    assert x.parts[2] == {(0, 1): a.terms}
+    assert x.parts[2] == {n: {(0, 1): c} for n, c in a.terms.items()}
     assert FockElement(module, 3, {0: {(): zero}}).is_zero()
     assert FockElement(module, 3).scalar.is_zero()
 

@@ -453,7 +453,7 @@ def test_check_car_matches_full_sweep(case, monkeypatch):
     assert built
     # no witness repeats a slot, and no two witnesses of a sweep coincide
     for witnesses in built:
-        slots = [t for w in witnesses for terms in w.parts.values() for t in terms]
+        slots = [t for w in witnesses for labels in w.parts.values() for terms in labels.values() for t in terms]
         assert all(a < b for t in slots for a, b in zip(t, t[1:]))
         assert len(set(slots)) == len(slots)
     want = ref_car_sweep(ctx, pairs)
@@ -482,7 +482,7 @@ def test_spectator_witnesses_fall_back_to_the_whole_basis():
     level_1 = [(), (0,), (1,), (2,)]
     for top, slots in ((1, level_1), (2, level_1 + [(0, 1), (0, 2), (1, 2), (2, 5)])):
         got = models._spectator_witnesses(diagonal, op, top)
-        assert [t for w in got for terms in w.parts.values() for t in terms] == slots
+        assert [t for w in got for labels in w.parts.values() for terms in labels.values() for t in terms] == slots
 
 
 def test_check_car_builds_the_full_sweep_once(monkeypatch):
@@ -497,6 +497,24 @@ def test_check_car_builds_the_full_sweep_once(monkeypatch):
     f, g = _designed_pair(ctx)
     check_car(ctx, [(f, g, False)] * 3)
     assert calls == [(2,), (1,)]
+
+
+def test_check_car_builds_a_pair_witness_set_once(monkeypatch):
+    # {a(f), a(g)} touches the slots of {a(f), a*(g)} - <f, g> at the same
+    # level, so a free pair builds two witness sets and a non-free pair one
+    ctx, pairs = _car_case("delta")
+    calls = []
+    build = models._spectator_witnesses
+
+    def counted(ctx_, op, top):
+        calls.append(top)
+        return build(ctx_, op, top)
+
+    monkeypatch.setattr(models, "_spectator_witnesses", counted)
+    assert check_car(ctx, pairs).passed
+    free = sum(1 for *_, expect_free in pairs if expect_free)
+    assert 0 < free < len(pairs)
+    assert calls.count(2) == len(pairs) and calls.count(1) == free
 
 
 def test_check_car_scales_to_2d_two_components():

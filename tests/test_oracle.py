@@ -60,7 +60,7 @@ def test_dense_tensor_guards():
     with pytest.raises(ValueError):
         DenseTensor(GENS, 7, 1)
     with pytest.raises(ValueError):
-        DenseTensor(GENS, 6, 4)
+        DenseTensor(GENS, 6, 5)
     with pytest.raises(ValueError):
         DenseTensor(GENS, 6, 0)
 
