@@ -207,7 +207,9 @@ class Twist:
     it is cached per (n, t), as u(n) is per n.
     """
 
-    __slots__ = ("basis", "gens", "_diagonal", "_factors", "_cache", "_wedges", "__weakref__")
+    __slots__ = (
+        "basis", "gens", "_zero", "_diagonal", "_factors", "_cache", "_wedges", "__weakref__"
+    )
 
     def __init__(self, basis: OneParticleBasis, gens: GeneratorSet, unitaries) -> None:
         unitaries = tuple(np.asarray(u, dtype=complex) for u in unitaries)
@@ -221,6 +223,8 @@ class Twist:
                 raise ValueError(f"twist generator {idx} is not unitary")
         self.basis = basis
         self.gens = gens
+        # the label of u(0), compared as a whole tuple
+        self._zero = (0,) * len(gens)
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
         self._wedges: dict[tuple, dict[tuple[int, ...], complex]] = {}
         self._diagonal = all(
@@ -301,7 +305,7 @@ class Twist:
 
     def column(self, n: tuple[int, ...], b: int) -> dict[int, complex]:
         """Sparse column u(n) e_b."""
-        if all(v == 0 for v in n):
+        if n == self._zero:
             return {b: 1.0 + 0.0j}
         if self._diagonal:
             return {b: complex(self._power(n)[b])}
@@ -312,13 +316,15 @@ class Twist:
         """Canonical minors {s: det u(n)[s, t]} of the wedge e_t's image,
         expanded along the first column: u(n) e_t0 inserted into the
         image of the rest of t.  The empty wedge and u(0) fix e_t
-        exactly."""
-        if not t or all(v == 0 for v in n):
-            return {t: 1.0 + 0.0j}
+        exactly; those images are not cached, and only a cache miss
+        tests for them."""
         got = self._wedges.get((n, t))
-        if got is None:
-            img = wedge_insert(self.column(n, t[0]), self.wedge(n, t[1:]))
-            got = self._wedges[n, t] = {s: d for s, d in img.items() if abs(d) > PRUNE_TOL}
+        if got is not None:
+            return got
+        if not t or n == self._zero:
+            return {t: 1.0 + 0.0j}
+        img = wedge_insert(self.column(n, t[0]), self.wedge(n, t[1:]))
+        got = self._wedges[n, t] = {s: d for s, d in img.items() if abs(d) > PRUNE_TOL}
         return got
 
     def apply(self, n: tuple[int, ...], vec: OneParticleVector) -> OneParticleVector:

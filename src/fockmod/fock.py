@@ -19,14 +19,20 @@ the FockElement constructor takes them, and ``scalar`` and
 
 Every operator moves the standing slots of a wedge through the twist by
 reading ``Twist.wedge``, the cached exterior power of u(n); this module
-computes no minors of u(n).  Creation inserts the one-particle vector
-into that image with ``bimodule.wedge_insert``, the kernel that builds
-the image itself (a Laplace expansion along the vector's column);
-annihilation contracts against the bra vector, conjugate-twisting the
-surviving slots and pulling the adjoint group unitary into the right
-coefficient.  Both build the image of a tuple once per vector group and
-reuse it for every label the tuple carries; both are exact on
-coefficients.
+computes no minors of u(n).  A field operator a(f_n W(n)) or
+a*(f_n W(n)) does two linear things to a label's vector: it contracts
+or inserts f_n, and it moves the standing slots through the exterior
+power of u(+-n).  Both operators take the cheaper order, once per
+(vector group n, label m) and never once per tuple.  Annihilation
+contracts first: every reached slot of every tuple adds its signed,
+conjugated coefficient onto the surviving tuple, and then each distinct
+survivor is rotated once by u(-n) while the adjoint group unitary is
+pulled into the right coefficient.  Creation rotates first: the label's
+whole vector becomes one image R = sum_t c_{m,t} u(n) e_t, and one
+``bimodule.wedge_insert`` call inserts f_n into R.  That is the kernel
+``Twist.wedge`` builds its images with (a Laplace expansion along the
+vector's column); it is linear in the image.  Diagonal and dense twists
+take the same code path, and both operators are exact on coefficients.
 """
 
 from __future__ import annotations
@@ -88,6 +94,9 @@ class FockElement:
     empty levels, are dropped when an element is built.  The constructor
     takes {level: {tuple: WeylElement}} and ``scalar`` returns a
     WeylElement; no dict inside an element changes after it is built.
+    The constructor raises ValueError for a tuple that is not canonical:
+    not strictly increasing, not of its level's length, or holding an
+    index outside [0, dim).
     """
 
     __slots__ = ("space", "truncation", "parts", "truncated")
@@ -101,12 +110,19 @@ class FockElement:
     ) -> None:
         if truncation < 1:
             raise ValueError("truncation must be >= 1")
+        dim = space.basis.dim
         maps = {}
         for level, terms in (parts or {}).items():
             if not 0 <= level <= truncation:
                 raise ValueError("level outside truncation window")
             labels = maps[level] = {}
             for t, a in terms.items():
+                if len(t) != level:
+                    raise ValueError(f"tuple {t} does not have length {level}")
+                if any(i >= j for i, j in zip(t, t[1:])):
+                    raise ValueError(f"tuple {t} is not strictly increasing")
+                if t and not (0 <= t[0] and t[-1] < dim):
+                    raise ValueError(f"tuple {t} has an index outside [0, {dim})")
                 for n, c in a.terms.items():
                     labels.setdefault(n, {})[t] = c
         self._fill(space, truncation, maps, truncated)
@@ -216,12 +232,14 @@ def vacuum(space: FreeBimodule, truncation: int, coeff: WeylElement | None = Non
 def create(f: ModuleVector, v: FockElement) -> FockElement:
     """Fermionic creation: sqrt(l+1) P_-(f x .) levelwise.
 
-    Per group component f_n . W(n): rotate the standing slots by u(n)
-    through ``Twist.wedge``, insert each entry of f_n in front and sort
-    it into place with its sign (the Laplace expansion of the minors of
-    [f_n | u(n) e_t] along f_n's column), multiply W(n) into the right
-    coefficient, which moves label m to n + m.  The top level of the
-    window is dropped and flagged, never folded back.
+    Per group component f_n . W(n) and label m: rotate the label's whole
+    vector first, R = sum_t c_{m,t} u(n) e_t through ``Twist.wedge``,
+    then insert f_n into R with one ``wedge_insert`` call, each entry
+    sorted into place with its sign (the Laplace expansion of the minors
+    of [f_n | u(n) e_t] along f_n's column, summed over t; insertion is
+    linear in R).  W(n) multiplies into the right coefficient, which
+    moves label m to n + m.  The top level of the window is dropped and
+    flagged, never folded back.
     """
     space = v.space
     if f.space is not space:
@@ -239,29 +257,34 @@ def create(f: ModuleVector, v: FockElement) -> FockElement:
         scale = 1.0 / math.sqrt(l + 1)
         for n, cvec in groups.items():
             col = cvec.coeffs
-            images: dict[tuple[int, ...], dict] = {}
             for m, terms in labels.items():
                 key, phase = gens.product(n, m)
+                w = scale * phase
+                rotated: dict[tuple[int, ...], complex] = {}
+                for t, b in terms.items():
+                    x = b * w
+                    for s, det in wedge(n, t).items():
+                        rotated[s] = rotated.get(s, 0.0) + det * x
+                img = wedge_insert(col, rotated)
                 target = level.get(key)
                 if target is None:
-                    target = level[key] = {}
-                for t, b in terms.items():
-                    img = images.get(t)
-                    if img is None:
-                        img = images[t] = wedge_insert(col, wedge(n, t))
-                    w = b * phase
-                    for s, x in img.items():
-                        target[s] = target.get(s, 0.0) + x * scale * w
+                    level[key] = img  # a fresh dict, owned from here on
+                    continue
+                for s, x in img.items():
+                    target[s] = target.get(s, 0.0) + x
     return FockElement._of(space, v.truncation, out, truncated)
 
 
 def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
     """Fermionic annihilation: sqrt(l) times the slot-1 contraction.
 
-    Contracting against f_n . W(n) conjugates the matched coefficient,
-    rotates the surviving slots by u(-n) and pulls W(-n) into the right
-    coefficient, which moves label m to m - n; alternating signs come
-    from moving the matched slot to the front.  Level 0 is the kernel.
+    Per group component f_n . W(n) and label m: contract first, every
+    slot k of every tuple t that f_n reaches, adding
+    (-1)^k sqrt(l) conj(f_n(t_k)) c_{m,t} onto the surviving tuple (the
+    sign moves the matched slot to the front); then rotate each distinct
+    survivor once by u(-n) through ``Twist.wedge``.  W(-n) is pulled
+    into the right coefficient, which moves label m to m - n.  Level 0
+    is the kernel.
     """
     space = v.space
     if f.space is not space:
@@ -278,33 +301,27 @@ def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
         for n, cvec in groups.items():
             neg = tuple(map(operator.neg, n))
             coeffs = cvec.coeffs
-            images: dict[tuple[int, ...], dict] = {}
             for m, terms in labels.items():
-                target = None
+                contracted: dict[tuple[int, ...], complex] = {}
                 for t, b in terms.items():
-                    img = images.get(t)
-                    if img is None:
-                        # every slot k that f_n reaches is contracted against
-                        # conj(f_n(t_k)), signed (-1)^k for moving it to the
-                        # front; the surviving slots rotate by u(-n)
-                        img = images[t] = {}
-                        for k, e in enumerate(t):
-                            z = coeffs.get(e)
-                            if z is None:
-                                continue
-                            x = (-scale if k % 2 else scale) * z.conjugate()
-                            for s, det in wedge(neg, t[:k] + t[k + 1 :]).items():
-                                img[s] = img.get(s, 0.0) + x * det
-                    if not img:
-                        continue  # f_n reaches no slot of t
-                    if target is None:
-                        key, phase = gens.product(neg, m)
-                        target = level.get(key)
-                        if target is None:
-                            target = level[key] = {}
-                    w = b * phase
-                    for s, x in img.items():
-                        target[s] = target.get(s, 0.0) + x * w
+                    for k, e in enumerate(t):
+                        z = coeffs.get(e)
+                        if z is None:
+                            continue
+                        r = t[:k] + t[k + 1 :]
+                        x = z.conjugate() * b
+                        contracted[r] = contracted.get(r, 0.0) + (-x if k % 2 else x)
+                if not contracted:
+                    continue  # f_n reaches no slot of the label
+                key, phase = gens.product(neg, m)
+                w = scale * phase
+                target = level.get(key)
+                if target is None:
+                    target = level[key] = {}
+                for r, c in contracted.items():
+                    x = c * w
+                    for s, det in wedge(neg, r).items():
+                        target[s] = target.get(s, 0.0) + det * x
     return FockElement._of(space, v.truncation, out, v.truncated)
 
 

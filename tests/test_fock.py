@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fockmod import fock as fock_module
 from fockmod.weyl import State, WeylElement, maps_close
-from fockmod.bimodule import ModuleVector, OneParticleVector, conjugate_vector, module_inner
+from fockmod.bimodule import ModuleVector, OneParticleVector, Twist, conjugate_vector, module_inner
 from fockmod.oracle import (
     DenseTensor,
     oracle_antisymmetrize,
@@ -326,6 +327,81 @@ def test_two_groups_meet_on_one_label_against_the_oracle():
             assert abs(gns_inner(v, w, st_) - st_(want)) <= 1e-12, (l, st_)
 
 
+def weyl_on(rng, gens, labels):
+    """A random complex coefficient on each of the given labels."""
+    return WeylElement(gens, {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in labels})
+
+
+def full_support(module, rng, level, labels, truncation):
+    """Every tuple of one level under each of the given labels."""
+    tuples = itertools.combinations(range(module.basis.dim), level)
+    return FockElement(module, truncation, {level: {t: weyl_on(rng, module.gens, labels) for t in tuples}})
+
+
+def test_full_support_create_and_annihilate_against_the_oracle():
+    # On the mixed twist every tuple of a level carries two labels and f
+    # has an entry on every index under two groups: annihilation
+    # contracts many tuples onto one survivor with opposite signs, and
+    # creation adds many rotated tuples into one vector before inserting
+    module = tiny_module("mixed")
+    gens = module.gens
+    d = module.basis.dim
+    u_of = functools.lru_cache(maxsize=None)(raw_u_of(module.twist))
+    rng = random.Random(31)
+    f = ModuleVector(module, {b: weyl_on(rng, gens, [(1, 0), (0, 1)]) for b in range(d)})
+    for l in range(1, 5):
+        v = full_support(module, rng, l, [(0, 1), (1, -1)], truncation=4)
+        dense = dense_from_level(v, l)
+        if l < 4:
+            # the oracle stops at level 4
+            got = create(f, v)
+            want = oracle_fermi_create(f.entries, dense, u_of)
+            assert dense_from_level(got, l + 1).max_deviation(want) <= 1e-12, l
+        got = annihilate(f, v)
+        want = oracle_fermi_annihilate(f.entries, dense, u_of)
+        if l == 1:
+            assert weyl_dev(got.scalar, want) <= 1e-12
+        else:
+            assert dense_from_level(got, l - 1).max_deviation(want) <= 1e-12, l
+
+
+def test_rotations_once_per_label(monkeypatch):
+    # the cost model: annihilation rotates each distinct survivor once
+    # per (group, label), creation inserts once per (group, label)
+    module = tiny_module("mixed")
+    gens = module.gens
+    d = module.basis.dim
+    rng = random.Random(37)
+    groups = [(1, 0), (0, 1)]
+    labels = [(0, 1), (1, -1)]
+    f = ModuleVector(module, {b: weyl_on(rng, gens, groups) for b in range(d)})
+    v = full_support(module, rng, 3, labels, truncation=4)
+    # warm the wedge cache, so that no call below recurses
+    create(f, v)
+    annihilate(f, v)
+    calls = {"wedge": 0, "insert": 0}
+    wedge = Twist.wedge
+    insert = fock_module.wedge_insert
+
+    def counted_wedge(*args):
+        calls["wedge"] += 1
+        return wedge(*args)
+
+    def counted_insert(*args):
+        calls["insert"] += 1
+        return insert(*args)
+
+    monkeypatch.setattr(Twist, "wedge", counted_wedge)
+    monkeypatch.setattr(fock_module, "wedge_insert", counted_insert)
+    annihilate(f, v)
+    survivors = math.comb(d, 2)
+    assert calls == {"wedge": len(groups) * len(labels) * survivors, "insert": 0}
+    calls.update(wedge=0)
+    create(f, v)
+    tuples = math.comb(d, 3)
+    assert calls == {"wedge": len(groups) * len(labels) * tuples, "insert": len(groups) * len(labels)}
+
+
 # ---------------------------------------------------------------------------
 # left/right actions on Fock elements
 
@@ -451,6 +527,19 @@ def test_fock_arithmetic_and_guards():
     assert x.parts[2] == {n: {(0, 1): c} for n, c in a.terms.items()}
     assert FockElement(module, 3, {0: {(): zero}}).is_zero()
     assert FockElement(module, 3).scalar.is_zero()
+
+
+@pytest.mark.parametrize(
+    "level, t",
+    [(2, (1, 0)), (2, (1, 1)), (2, (0,)), (1, (99,)), (1, (-1,))],
+    ids=["unsorted", "repeated", "wrong_length", "index_too_large", "negative_index"],
+)
+def test_fock_element_rejects_a_tuple_that_is_not_canonical(level, t):
+    # a stored e_(1,0) would pair with e_(0,1) to 0 instead of -2, and a
+    # stored e_(1,1) would carry GNS norm^2 2 though the wedge vanishes
+    module = tiny_module("delta")
+    with pytest.raises(ValueError):
+        FockElement(module, 3, {level: {t: unit_of(module)}})
 
 
 # ---------------------------------------------------------------------------
