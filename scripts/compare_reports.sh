@@ -11,15 +11,16 @@
 # scenario, all with `--format json`; the script prints one line per
 # report, followed by the first 40 lines of `diff -u` for a report that
 # differs byte for byte.  No CLI run reaches a twist that is not diagonal,
-# so both trees also run the benchmark's rotated-twist workload,
-# `workloads.dense_twist_run`, for seeds 1, 2 and 3, and the script
-# compares its digest (the `digest` field that
-# `python bench/sample.py dense_twist N` prints).  When a digest differs
-# it prints each side's checks, one line per check: name, status and the
-# `repr` of every residual.  The checks are caught by wrapping
-# `models.check_*` around the run, as `bench/tracing.py` does.  The
-# script reads bench/ and writes nothing there.  It exits 1 if any
-# report or digest differs.  Set PYTHON to pick the interpreter.
+# a grid beyond 1D or a second spinor component, so both trees also run
+# two of the benchmark's workloads for seeds 1, 2 and 3: `dense_twist`
+# (a rotated, non-diagonal twist) and `grid_scale` (2D x 16^2 with two
+# components and 3D x 8^3).  The script compares each run's digest (the
+# `digest` field that `python bench/sample.py WORKLOAD N` prints).  When
+# a digest differs it prints each side's checks, one line per check:
+# name, status and the `repr` of every residual.  The checks are caught
+# by wrapping `models.check_*` around the run, as `bench/tracing.py`
+# does.  The script reads bench/ and writes nothing there.  It exits 1
+# if any report or digest differs.  Set PYTHON to pick the interpreter.
 set -eu
 [ $# -eq 1 ] || { echo "usage: $0 BASE_DIR" >&2; exit 2; }
 base=$(cd "$1" && pwd)
@@ -48,10 +49,10 @@ for args in \
         status=1
     fi
 done
-# one dense_twist run in tree $1 for seed $2: the digest on the first
+# one run of workload $2 in tree $1 for seed $3: the digest on the first
 # line, then one line per check; no byte-code lands in bench/
-dense_twist() {
-    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$1/src:$1/bench" "${PYTHON:-python}" - "$2" <<'PY'
+sample() {
+    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$1/src:$1/bench" "${PYTHON:-python}" - "$2" "$3" <<'PY'
 import sys
 
 import workloads
@@ -71,23 +72,26 @@ def wrap(fn):
 
 for name in [n for n in vars(models) if n.startswith("check_")]:
     setattr(models, name, wrap(getattr(models, name)))
-out = workloads.dense_twist_run(workloads.dense_twist_inputs(int(sys.argv[1])))
+make_inputs, run = workloads.WORKLOADS[sys.argv[1]]
+out = run(make_inputs(int(sys.argv[2])))
 print(out.digest)
 for r in results:
     residuals = " ".join(f"{k}={float(x)!r}" for k, x in sorted(r.residuals.items()))
     print(f"{r.name} {r.status} {residuals}")
 PY
 }
-for seed in 1 2 3; do
-    dense_twist "$base" $seed > "$out/base.txt"
-    dense_twist "$head" $seed > "$out/head.txt"
-    if [ "$(head -n 1 "$out/base.txt")" = "$(head -n 1 "$out/head.txt")" ]; then
-        echo "identical  dense_twist digest, seed $seed"
-    else
-        echo "DIFFERENT  dense_twist digest, seed $seed"
-        sed 's/^/-/' "$out/base.txt"
-        sed 's/^/+/' "$out/head.txt"
-        status=1
-    fi
+for workload in dense_twist grid_scale; do
+    for seed in 1 2 3; do
+        sample "$base" $workload $seed > "$out/base.txt"
+        sample "$head" $workload $seed > "$out/head.txt"
+        if [ "$(head -n 1 "$out/base.txt")" = "$(head -n 1 "$out/head.txt")" ]; then
+            echo "identical  $workload digest, seed $seed"
+        else
+            echo "DIFFERENT  $workload digest, seed $seed"
+            sed 's/^/-/' "$out/base.txt"
+            sed 's/^/+/' "$out/head.txt"
+            status=1
+        fi
+    done
 done
 exit $status

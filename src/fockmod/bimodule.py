@@ -276,11 +276,12 @@ class Twist:
         return self._factors
 
     def _power(self, n: tuple[int, ...]) -> np.ndarray:
-        """Cached u(n): its phase vector when diagonal, else its matrix."""
+        """Cached u(n): its phase vector when diagonal, else its matrix;
+        any sequence of ints labels it."""
+        n = tuple(int(v) for v in n)
         cached = self._cache.get(n)
         if cached is not None:
             return cached
-        n = tuple(int(v) for v in n)
         if len(n) != len(self.gens):
             raise ValueError("exponent length mismatch")
         d = self.basis.dim
@@ -300,7 +301,7 @@ class Twist:
 
     def matrix(self, n: tuple[int, ...]) -> np.ndarray:
         """u(n) = prod_k U_k^{n_k}; u(0) is the exact identity."""
-        u = self._power(tuple(int(v) for v in n))
+        u = self._power(n)
         return np.diag(u) if self._diagonal else u
 
     def column(self, n: tuple[int, ...], b: int) -> dict[int, complex]:
@@ -317,8 +318,12 @@ class Twist:
         expanded along the first column: u(n) e_t0 inserted into the
         image of the rest of t.  The empty wedge and u(0) fix e_t
         exactly; those images are not cached, and only a cache miss
-        tests for them."""
-        got = self._wedges.get((n, t))
+        tests for them.  A list label or tuple is converted once, off the
+        tuple-keyed path."""
+        try:
+            got = self._wedges.get((n, t))
+        except TypeError:  # unhashable, such as a list
+            return self.wedge(tuple(map(int, n)), tuple(map(int, t)))
         if got is not None:
             return got
         if not t or n == self._zero:

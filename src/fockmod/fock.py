@@ -370,16 +370,13 @@ def fock_right_mul(v: FockElement, a: WeylElement) -> FockElement:
 # GNS evaluation
 
 
-def fock_inner(v: FockElement, w: FockElement) -> WeylElement:
-    """Algebra-valued scalar product <v, w>, levelwise; a level-l pair of
-    equal canonical tuples counts l! times, once per expansion term.
+def _pairing(v: FockElement, w: FockElement) -> dict:
+    """The pairing's per-label sums {n: complex}, before any pruning.
 
     Per level and pair of labels (n, m) the complex sum of
     conj(c_{n,t}) c'_{m,t} over the tuples both carry is taken first and
-    lands on W(-n) W(m) once.  Every GNS value of the checks is a state
-    applied to this pairing.  The oracle equivalence tests (acceptance 5
-    among them) compare it with the slot-by-slot nested product on dense
-    signed expansions.
+    lands on W(-n) W(m) once; a level-l pair of equal canonical tuples
+    counts l! times, once per expansion term.
     """
     v._require_same(w)
     gens = v.space.gens
@@ -406,12 +403,33 @@ def fock_inner(v: FockElement, w: FockElement) -> WeylElement:
                 if acc is not None:
                     key, phase = gens.product(neg, m)
                     total[key] = total.get(key, 0.0) + scale * (acc * phase)
-    return WeylElement(gens, total)
+    return total
+
+
+def fock_inner(v: FockElement, w: FockElement) -> WeylElement:
+    """Algebra-valued scalar product <v, w>, levelwise (see ``_pairing``).
+
+    The oracle equivalence tests (acceptance 5 among them) compare it
+    with the slot-by-slot nested product on dense signed expansions.
+    """
+    return WeylElement(v.space.gens, _pairing(v, w))
 
 
 def gns_inner(v: FockElement, w: FockElement, state: State) -> complex:
-    """State applied to the algebra-valued scalar product."""
-    return state(fock_inner(v, w))
+    """State applied to the algebra-valued scalar product.
+
+    The state reads the raw per-label sums, not ``fock_inner``'s pruned
+    WeylElement, so a sum at or below PRUNE_TOL still counts and a vector
+    of tiny norm does not read 0; labels the state sends to 0 are
+    skipped.  Every GNS value of the checks is this pairing.
+    """
+    gens = v.space.gens
+    total = 0.0 + 0.0j
+    for n, c in _pairing(v, w).items():
+        value = state.value(gens, n)
+        if value:
+            total += c * value
+    return total
 
 
 def gns_norm(v: FockElement, state: State) -> float:
@@ -461,9 +479,18 @@ class FieldOperator:
 
     Words apply right to left; the adjoint reverses each word and swaps
     creation with annihilation, so it is structural, not numerical.
+
+    Words that end alike share their images.  On its first ``apply`` an
+    operator builds its suffix plan once: one node per distinct word
+    suffix, keyed by (primitive identity, parent node), and each word's
+    scalar with its top node.  Primitives are keyed by identity, not by
+    dataclass equality, since ``LeftMultOp`` compares Weyl elements
+    within a tolerance.  ``apply`` evaluates every node once, in creation
+    order, then adds the word images in term order; the plan holds no
+    image.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ("space", "terms", "_plan")
 
     def __init__(self, space: FreeBimodule, terms) -> None:
         self.space = space
@@ -473,6 +500,7 @@ class FieldOperator:
             if scalar != 0:
                 kept.append((scalar, tuple(prims)))
         self.terms = tuple(kept)
+        self._plan = None
 
     # -- algebra -----------------------------------------------------
 
@@ -510,20 +538,44 @@ class FieldOperator:
 
     # -- action ------------------------------------------------------
 
+    def _suffix_plan(self) -> tuple[list, list]:
+        """(nodes, words): nodes[i] = (prim, parent node or -1 for the
+        input), every distinct suffix once and after its parent; words
+        lists (scalar, top node or -1 for the empty word) in term order."""
+        nodes: list[tuple] = []
+        index: dict[tuple[int, int], int] = {}
+        words = []
+        for scalar, prims in self.terms:
+            node = -1
+            for prim in reversed(prims):
+                key = (id(prim), node)
+                got = index.get(key)
+                if got is None:
+                    got = index[key] = len(nodes)
+                    nodes.append((prim, node))
+                node = got
+            words.append((scalar, node))
+        self._plan = nodes, words
+        return self._plan
+
     def apply(self, v: FockElement) -> FockElement:
-        """Sum of the words' images; truncated if v or any word's image is."""
+        """Sum of the words' images; truncated if v or any word's image is.
+
+        Each shared suffix is evaluated once; an empty image passes
+        through the primitives above it unchanged."""
         if v.space is not self.space:
             raise ValueError("fock elements are not compatible")
+        nodes, words = self._plan or self._suffix_plan()
+        images: list[FockElement] = []
+        for prim, parent in nodes:
+            src = v if parent < 0 else images[parent]
+            images.append(prim.apply(src) if src.parts else src)
         parts: dict[int, dict] = {}
         truncated = v.truncated
-        for scalar, prims in self.terms:
-            acc = v
-            for prim in reversed(prims):
-                acc = prim.apply(acc)
-                if not acc.parts:
-                    break
-            truncated = truncated or acc.truncated
-            for l, labels in acc.parts.items():
+        for scalar, node in words:
+            img = v if node < 0 else images[node]
+            truncated = truncated or img.truncated
+            for l, labels in img.parts.items():
                 _add_level(parts.setdefault(l, {}), labels, scalar)
         return FockElement._of(self.space, v.truncation, parts, truncated)
 

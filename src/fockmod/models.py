@@ -204,18 +204,16 @@ def make_twist(
 
 
 def _phase_twist(basis: OneParticleBasis, gens: GeneratorSet, phis) -> Twist:
-    """make_twist on the profiles phi = sigma * s0, one per generator."""
-    grid = basis.grid
+    """make_twist on the profiles phi = sigma * s0, one per generator.
+
+    The + block holds exp(-i phi(p)) on every component of point p, the
+    - block its conjugate, in the basis order (point-major, + block first).
+    """
+    components = basis.grid.components
     phases = []
     for phi in phis:
-        diag = np.ones(basis.dim, dtype=complex)
-        for p in range(grid.n_points):
-            plus_phase = cmath.exp(-1j * phi[p])
-            minus_phase = plus_phase.conjugate()
-            for c in range(grid.components):
-                diag[basis.index(p, c, SECTOR_PLUS)] = plus_phase
-                diag[basis.index(p, c, SECTOR_MINUS)] = minus_phase
-        phases.append(diag)
+        plus = np.repeat(np.array([cmath.exp(-1j * x) for x in phi], dtype=complex), components)
+        phases.append(np.concatenate([plus, plus.conj()]))
     return Twist(basis, gens, phases)
 
 

@@ -235,6 +235,33 @@ def poisson_2d_config(points: int, components: int = 2) -> dict:
     }
 
 
+def apply_word_by_word(op, v: FockElement) -> FockElement:
+    """Reference for FieldOperator.apply: every word from scratch, right
+    to left, stopping once its image is empty, then the words' images
+    added in term order."""
+    parts: dict = {}
+    truncated = v.truncated
+    for scalar, prims in op.terms:
+        acc = v
+        for prim in reversed(prims):
+            acc = prim.apply(acc)
+            if not acc.parts:
+                break
+        truncated = truncated or acc.truncated
+        for l, labels in acc.parts.items():
+            level = parts.setdefault(l, {})
+            for n, ts in labels.items():
+                target = level.setdefault(n, {})
+                for t, c in ts.items():
+                    target[t] = target.get(t, 0.0) + scalar * c
+    return FockElement._of(op.space, v.truncation, parts, truncated)
+
+
+def word_suffixes(op) -> set[tuple[int, ...]]:
+    """The distinct nonempty suffixes of op's words, by primitive identity."""
+    return {tuple(map(id, prims[k:])) for _, prims in op.terms for k in range(len(prims))}
+
+
 # ---------------------------------------------------------------------------
 # dense conversions
 

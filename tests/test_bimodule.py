@@ -202,6 +202,21 @@ def test_twist_wedge_matches_minors(family):
                 assert set(got) <= set(itertools.combinations(range(6), k))
 
 
+def test_twist_takes_list_labels():
+    twist = tiny_module("delta").twist
+    for n in ([1, 0], [0, 0], [-1, 2]):
+        label = tuple(n)
+        assert np.array_equal(twist.matrix(n), twist.matrix(label))
+        for b in range(6):
+            assert twist.column(n, b) == twist.column(label, b)
+        for t in itertools.combinations(range(6), 2):
+            assert twist.wedge(n, t) == twist.wedge(label, t)
+            assert twist.wedge(label, list(t)) == twist.wedge(label, t)
+    # the cache holds tuple keys only
+    assert all(type(n) is tuple and type(t) is tuple for n, t in twist._wedges)
+    assert all(type(n) is tuple for n in twist._cache)
+
+
 @pytest.mark.parametrize("family", ("delta", "poisson"))
 def test_diagonal_wedge_is_the_phase_product(family):
     # the byte-identical reports rest on this exact rounding: the Laplace

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 from fockmod import fock as fock_module
 from fockmod.weyl import State, WeylElement, maps_close
 from fockmod.bimodule import ModuleVector, OneParticleVector, Twist, conjugate_vector, module_inner
+from fockmod.models import build_context, observable, plus_vector
 from fockmod.oracle import (
     DenseTensor,
     oracle_antisymmetrize,
@@ -26,6 +27,7 @@ from fockmod.fock import (
     CreateOp,
     FieldOperator,
     FockElement,
+    LeftMultOp,
     annihilate,
     annihilation,
     anticommutator,
@@ -44,15 +46,19 @@ from fockmod.fock import (
 )
 
 from _support import (
+    apply_word_by_word,
     dense_from_level,
     level_tuples,
     rand_vector,
     rand_wedge,
     rand_weyl,
     raw_u_of,
+    tiny_grid,
     tiny_module,
+    tiny_pairs,
     weyl_at,
     weyl_dev,
+    word_suffixes,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -558,6 +564,26 @@ def test_gns_inner_levelwise():
     assert abs(gns_norm(w, state) - SQ2) <= 1e-15
 
 
+def test_gns_values_of_a_tiny_vector_are_not_pruned():
+    # a level-1 coefficient 1e-8 pairs to 1e-16, below PRUNE_TOL
+    module = tiny_module("delta")
+    gens = module.gens
+    for label in ((0, 0), (1, -1)):
+        w = WeylElement.monomial(gens, label)
+        small = basis_fock(module, (1,), coeff=1e-8 * w)
+        big = basis_fock(module, (1,), coeff=w)
+        assert fock_inner(small, small).is_zero()
+        for kind in State.KINDS:
+            state = State(kind)
+            assert abs(gns_norm(small, state) - 1e-8) <= 1e-20, (label, kind)
+            assert abs(gns_inner(small, big, state) - 1e-8) <= 1e-20, (label, kind)
+    # the tracial state keeps only the W(0) label of the pairing
+    v = basis_fock(module, (1,), coeff=WeylElement(gens, {(0, 0): 1e-8, (1, 0): 1.0}))
+    assert abs(gns_norm(v, State("tracial")) - math.sqrt(1.0 + 1e-16)) <= 1e-15
+    tiny = basis_fock(module, (1,), coeff=1e-8 * unit_of(module))
+    assert abs(gns_inner(v, tiny, State("tracial")) - 1e-16) <= 1e-30
+
+
 def test_gns_cauchy_schwarz():
     module = tiny_module("mixed")
     rng = random.Random(79)
@@ -611,6 +637,111 @@ def test_field_operator_stops_a_killed_word():
     op = FieldOperator(module, [(2.0, (Unreachable(), AnnihilateOp(e1))), (1.0, (CreateOp(e0),))])
     assert op.apply(vac).close_to(create(e0, vac), 0.0)
     assert FieldOperator(module, [(1.0, (Unreachable(), AnnihilateOp(e1)))]).apply(vac).is_zero()
+
+
+def count_primitives(monkeypatch) -> dict:
+    """Counts create, annihilate and left-action calls from here on."""
+    calls = {}
+    for name in ("create", "annihilate", "fock_left_action"):
+        fn = getattr(fock_module, name)
+
+        def counted(*args, fn=fn, name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        monkeypatch.setattr(fock_module, name, counted)
+    return calls
+
+
+def test_field_operator_matches_word_by_word_on_an_observable_net_commutator():
+    grid = tiny_grid()
+    ctx = build_context("delta", grid, tiny_pairs(grid), "quasifree")
+    module = ctx.module
+    w0 = plus_vector(module, [1.0, 0.5, 0.0])
+    w2 = plus_vector(module, [0.0, 0.25, 1.0])
+    a = WeylElement(module.gens, {(1, 0): 0.5, (0, -1): 0.25j})
+    op = commutator(observable(a, w0, w0), observable(WeylElement.unit(module.gens), w2, w0))
+    # 32 words of 6 primitives, far fewer distinct suffixes
+    assert len(op.terms) == 32 and {len(p) for _, p in op.terms} == {6}
+    assert len(word_suffixes(op)) < 32 * 6
+    rng = random.Random(97)
+    for level in (0, 1, 2):
+        for truncation in (2, 4):
+            v = rand_wedge(rng, module, level, truncation)
+            got, want = op.apply(v), apply_word_by_word(op, v)
+            assert got.parts == want.parts, (level, truncation)
+            assert got.truncated == want.truncated
+            # the cached plan gives the same sums on a second call
+            assert op.apply(v).parts == got.parts
+
+
+def test_field_operator_passes_an_empty_middle_image_through():
+    module = tiny_module("mixed")
+    rng = random.Random(101)
+    f, g = rand_vector(rng, module), rand_vector(rng, module)
+    e0, e1 = module.basis_element(0), module.basis_element(1)
+    a, c = AnnihilateOp(e1), CreateOp(e0)
+    vac = vacuum(module, 3)
+    # a(e1) a(e1) c(e0) vac is empty after its middle primitive; a word
+    # sharing the suffix c(e0) still gets that suffix's image
+    op = FieldOperator(
+        module,
+        [(2.0, (CreateOp(f), a, a, c)), (1.5j, (AnnihilateOp(g), c)), (0.5, (c,))],
+    )
+    got, want = op.apply(vac), apply_word_by_word(op, vac)
+    assert got.parts == want.parts and got.parts
+    assert not got.truncated and not want.truncated
+
+
+def test_field_operator_flags_a_truncated_word():
+    module = tiny_module("poisson")
+    rng = random.Random(103)
+    f, g = rand_vector(rng, module), rand_vector(rng, module)
+    v = rand_wedge(rng, module, 1, truncation=2) + rand_wedge(rng, module, 2, truncation=2)
+    cf, cg = CreateOp(f), CreateOp(g)
+    op = FieldOperator(module, [(1.0, (AnnihilateOp(g), cf)), (-1.0, (cg, cf))])
+    got, want = op.apply(v), apply_word_by_word(op, v)
+    assert got.parts == want.parts
+    assert got.truncated and want.truncated
+    # a word that never climbs past the window leaves the flag off
+    kept = FieldOperator(module, [(1.0, (AnnihilateOp(g),))]).apply(v)
+    assert not kept.truncated
+
+
+def test_field_operator_applies_each_suffix_once(monkeypatch):
+    module = tiny_module("mixed")
+    rng = random.Random(107)
+    A = creation(rand_vector(rng, module)) + weyl_mult(module, rand_weyl(rng, module.gens))
+    B = creation(rand_vector(rng, module)) + annihilation(rand_vector(rng, module))
+    op = A @ B @ A + 2.0 * (B @ A) - A
+    v = vacuum(module, 4, rand_weyl(rng, module.gens)) + rand_wedge(rng, module, 1, truncation=4)
+    want = apply_word_by_word(op, v)
+    calls = count_primitives(monkeypatch)
+    got = op.apply(v)
+    assert got.parts == want.parts
+    # no image vanishes here, so every distinct suffix is applied once
+    assert sum(calls.values()) == len(word_suffixes(op))
+    assert len(word_suffixes(op)) < sum(len(p) for _, p in op.terms)
+
+
+def test_field_operator_keeps_equal_left_mults_apart(monkeypatch):
+    module = tiny_module("delta")
+    rng = random.Random(109)
+    a = rand_weyl(rng, module.gens)
+    twin = WeylElement(module.gens, dict(a.terms))
+    assert twin == a and twin is not a
+    p, q = LeftMultOp(a), LeftMultOp(twin)
+    assert p == q and p is not q
+    op = FieldOperator(module, [(1.0, (p,)), (1.0, (q,))])
+    v = rand_wedge(rng, module, 2)
+    calls = count_primitives(monkeypatch)
+    got = op.apply(v)
+    assert calls == {"fock_left_action": 2}
+    assert got.parts == apply_word_by_word(op, v).parts
+    # one primitive object shared by both words is applied once
+    calls.clear()
+    FieldOperator(module, [(1.0, (p,)), (2.0, (p,))]).apply(v)
+    assert calls == {"fock_left_action": 1}
 
 
 def test_field_operator_equivalent():

@@ -178,6 +178,20 @@ def test_make_twist_delta_diagonal():
     assert np.array_equal(u0[3:, 3:], u0[:3, :3].conj())
 
 
+def test_make_twist_fills_every_component():
+    grid = GridSpec(dimension=1, points_per_axis=3, spacing=1.0, components=2)
+    basis = OneParticleBasis(grid)
+    gens = GeneratorSet(grid, tiny_pairs(grid))
+    twist = make_twist("delta", basis, gens)
+    for k, pair in enumerate(gens.pairs):
+        u = np.diagonal(twist.unitaries[k])
+        for p in range(3):
+            phase = cmath.exp(-1j * pair.s0[p])
+            for c in range(2):
+                assert u[basis.index(p, c, SECTOR_PLUS)] == phase
+                assert u[basis.index(p, c, SECTOR_MINUS)] == phase.conjugate()
+
+
 def test_make_twist_lebesgue_uniform():
     basis = OneParticleBasis(GRID)
     gens = tiny_gens()
