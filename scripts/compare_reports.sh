@@ -7,20 +7,22 @@
 # of a pull request.  Both trees run `fockmod all --seed N` for N = 1, 2, 3,
 # `fockmod all --seed 1 --truncation 2` (the smallest window in which every
 # check runs), `fockmod all --seed 1 --truncation 4` (the only run that
-# reaches Fock level 4) and `fockmod model --config NAME` for each bundled
-# scenario, all with `--format json`; the script prints one line per
-# report, followed by the first 40 lines of `diff -u` for a report that
-# differs byte for byte.  No CLI run reaches a twist that is not diagonal,
-# a grid beyond 1D or a second spinor component, so both trees also run
-# two of the benchmark's workloads for seeds 1, 2 and 3: `dense_twist`
-# (a rotated, non-diagonal twist) and `grid_scale` (2D x 16^2 with two
-# components and 3D x 8^3).  The script compares each run's digest (the
-# `digest` field that `python bench/sample.py WORKLOAD N` prints).  When
-# a digest differs it prints each side's checks, one line per check:
-# name, status and the `repr` of every residual.  The checks are caught
-# by wrapping `models.check_*` around the run, as `bench/tracing.py`
-# does.  The script reads bench/ and writes nothing there.  It exits 1
-# if any report or digest differs.  Set PYTHON to pick the interpreter.
+# reaches Fock level 4), `fockmod verify-car` (the only run of the built-in
+# CAR batteries at their default seed 7) and `fockmod model --config NAME`
+# for each bundled scenario, all with `--format json`; the script prints
+# one line per report, followed by the first 40 lines of `diff -u` for a
+# report that differs byte for byte.  No CLI run reaches a twist that is
+# not diagonal, a grid beyond 1D or a second spinor component, so both
+# trees also run two of the benchmark's workloads for seeds 1, 2 and 3:
+# `dense_twist` (a rotated, non-diagonal twist) and `grid_scale` (2D x
+# 16^2 with two components and 3D x 8^3).  The script compares each run's
+# digest (the `digest` field that `python bench/sample.py WORKLOAD N`
+# prints).  When a digest differs it prints each side's checks, one line
+# per check: name, status and the `repr` of every residual.  The checks
+# are caught by wrapping `models.check_*` around the run, as
+# `bench/tracing.py` does.  The script reads bench/ and writes nothing
+# there.  It exits 1 if any report or digest differs.  Set PYTHON to pick
+# the interpreter.
 set -eu
 [ $# -eq 1 ] || { echo "usage: $0 BASE_DIR" >&2; exit 2; }
 base=$(cd "$1" && pwd)
@@ -31,7 +33,7 @@ trap 'rm -rf "$out"' EXIT
 status=0
 for args in \
     "all --seed 1" "all --seed 2" "all --seed 3" \
-    "all --seed 1 --truncation 2" "all --seed 1 --truncation 4" \
+    "all --seed 1 --truncation 2" "all --seed 1 --truncation 4" "verify-car" \
     "model --config bump_freeness" "model --config car_suite" \
     "model --config delta_locality" "model --config lebesgue_gauge" \
     "model --config poisson_nonlocal"; do

@@ -16,11 +16,12 @@ Every check measures its cases as Claim records, each a residual that
 must vanish or must act, or a failed precondition, and one reducer,
 ``_evaluate``, turns them into the result; the sweep checks (car,
 relative and bilinear locality, the anticommutator model, the observable
-net, covariance phase, the neutral commutant) measure each claim as the
-worst GNS norm over (operator, probes) sweeps.  Three reports have a
-shape the reducer does not make and are built directly: weyl_exactness
-(two vanishing residuals), pauli (a witness on a pass too) and the
-nonzero-mean precondition of neutral_commutant.
+net, covariance phase, the neutral commutant) measure each claim in
+``_swept``, as the worst GNS norm its operators leave on probes built
+from each operator.  Three reports have a shape the reducer does not
+make and are built directly: weyl_exactness (two vanishing residuals),
+pauli (a witness on a pass too) and the nonzero-mean precondition of
+neutral_commutant.
 """
 
 from __future__ import annotations
@@ -455,29 +456,6 @@ def level_basis(
     return out
 
 
-def _support(module: FreeBimodule, vectors) -> set[int]:
-    """Every index the vectors touch, with its charge-conjugate partner."""
-    idx: set[int] = set()
-    for f in vectors:
-        idx |= set(f.entries)
-        idx |= {module.basis.conj_index(b) for b in f.entries}
-    return idx
-
-
-def _witnesses_for(
-    ctx: ModelContext, vectors, max_level: int = 2, truncation: int | None = None
-) -> list[FockElement]:
-    """Vacuum and wedges over every index the given vectors touch."""
-    n = ctx.truncation if truncation is None else truncation
-    return level_basis(ctx.module, n, min(max_level, n - 1), sorted(_support(ctx.module, vectors)))
-
-
-def _spectators_drop_out(ctx: ModelContext) -> bool:
-    """Whether ``_spectator_witnesses`` may reduce: a diagonal twist under
-    the tracial state."""
-    return ctx.module.twist.diagonal and ctx.state.kind == "tracial"
-
-
 def _touched(op: FieldOperator) -> set[int]:
     """Every slot a creation or annihilation of ``op`` can fill or
     contract: the entries of its primitives' vectors."""
@@ -490,17 +468,23 @@ def _touched(op: FieldOperator) -> set[int]:
     }
 
 
-def _spectator_witnesses(ctx: ModelContext, op: FieldOperator, max_level: int) -> list[FockElement]:
-    """Vacuum and the wedges e_s ^ e_{B_k} of level <= max_level, for every
-    s inside the touched set T of ``op`` (``_touched``) and every k <=
-    max_level - |s|, where B_k is one fixed set of k spectators, untouched
-    indices taken from the front and back of those outside T (B_1 the
-    first, B_2 the first and the last); a size above the number of
-    untouched indices is skipped.  In ``level_basis`` order.  Without a
-    diagonal twist and the tracial state, the whole ``level_basis``.
+def _probes(
+    module: FreeBimodule, n: int, top: int, touched: tuple | None = None, spectators: bool = False
+) -> list[FockElement]:
+    """The probes of an operator whose touched set T (``_touched``) is the
+    sorted tuple ``touched``: the vacuum and the wedges of level <= top over
+    T, in ``level_basis`` order; the whole ``level_basis`` when touched is
+    None.
 
-    Why this is exact: a spectator b is never filled or contracted, since
-    no creation or annihilation of ``op`` has an entry at b, and on a
+    With ``spectators``, the wedges e_s ^ e_{B_k} instead, for every s
+    inside T and every k <= top - |s|, where B_k is one fixed set of k
+    spectators, untouched indices taken from the front and back of those
+    outside T (B_1 the first, B_2 the first and the last); a size above the
+    number of untouched indices is skipped.  This is exact on a diagonal
+    twist under the tracial state.
+
+    Why: a spectator b is never filled or contracted, since no
+    creation or annihilation of the operator has an entry at b, and on a
     diagonal twist each primitive (creation, annihilation, left
     multiplication) only multiplies b's slot by phase_n(b), n the label it
     moves into the coefficient.  So a term whose label moved by L carries
@@ -514,23 +498,22 @@ def _spectator_witnesses(ctx: ModelContext, op: FieldOperator, max_level: int) -
     Only the order in which terms are summed changes with B, which can
     move a residual by an ulp.
     """
-    module = ctx.module
-    n = ctx.truncation
-    if not _spectators_drop_out(ctx):
-        return level_basis(module, n, max_level)
-    touched = sorted(_touched(op))
+    if touched is None:
+        return level_basis(module, n, top)
+    if not spectators:
+        return level_basis(module, n, top, touched)
     rest = sorted(set(range(module.basis.dim)).difference(touched))
     # k <= len(rest) keeps the front and back picks of B_k disjoint
-    spectators = [
+    picks = [
         tuple(rest[: (k + 1) // 2] + rest[len(rest) - k // 2 :])
-        for k in range(min(max_level, len(rest)) + 1)
+        for k in range(min(top, len(rest)) + 1)
     ]
     slots = sorted(
         (
-            tuple(sorted(s + spectators[k]))
-            for j in range(min(max_level, len(touched)) + 1)
+            tuple(sorted(s + picks[k]))
+            for j in range(min(top, len(touched)) + 1)
             for s in itertools.combinations(touched, j)
-            for k in range(min(max_level - j, len(rest)) + 1)
+            for k in range(min(top - j, len(rest)) + 1)
         ),
         key=lambda t: (len(t), t),
     )
@@ -584,22 +567,51 @@ class Claim:
     at: list[int] | None = None
 
 
-def _swept(label: dict, sweeps, state: State, vanish: bool = True, fault: dict | None = None) -> Claim:
-    """Claim on the largest GNS norm any operator of ``sweeps``, a list of
-    (operator, probes), leaves on its probes, each a basis wedge; ``at`` is
-    the slots of the first probe that reached it."""
-    worst, at = 0.0, None
-    for op, witnesses in sweeps:
-        for v in witnesses:
-            r = gns_norm(op.apply(v), state)
-            if at is None or r > worst:
-                worst, at = r, v
-    if at is not None:
-        # a basis wedge holds one tuple under one label on one level
-        (labels,) = at.parts.values()
-        ((slots,),) = labels.values()
-        at = list(slots)
-    return Claim(label, worst, vanish, fault, at)
+def _swept(ctx: ModelContext, cases, exact: bool = False, window: int | None = None) -> list[Claim]:
+    """Measure one check's cases, each a (Claim, ops) pair: the claim's
+    residual becomes the largest GNS norm any (operator, top) of ops leaves
+    on its probes, and ``at`` the slots of the first probe that reached it.
+
+    Probes come from the operator (``_probes``): the vacuum and the wedges
+    of level <= min(top, n - 1) over its touched set T, n the window (the
+    context's truncation unless given).  With ``exact`` they gain
+    spectators on a diagonal twist under the tracial state, and are the
+    whole basis otherwise, built up front at the CAR levels min(2, n - 1)
+    and min(2, n - 2).  Each probe set is built once per check: per
+    (T, top), or per top for the whole basis.
+    """
+    module = ctx.module
+    n = ctx.truncation if window is None else window
+    spectators = exact and module.twist.diagonal and ctx.state.kind == "tracial"
+    whole = exact and not spectators
+    memo: dict[tuple, list[FockElement]] = {}
+
+    def probes(op, top):
+        # a sorted tuple, so the probe order does not follow the hash seed
+        key = (None if whole else tuple(sorted(_touched(op))), max(0, min(top, n - 1)))
+        if key not in memo:
+            memo[key] = _probes(module, n, key[1], key[0], spectators)
+        return memo[key]
+
+    if whole:
+        # the same for every operator: built for both CAR levels at once
+        for top in (2, min(2, n - 2)):
+            probes(None, top)
+    claims = []
+    for claim, ops in cases:
+        worst, at = 0.0, None
+        for op, top in ops:
+            for v in probes(op, top):
+                r = gns_norm(op.apply(v), ctx.state)
+                if at is None or r > worst:
+                    worst, at = r, v
+        if at is not None:
+            # a basis wedge holds one tuple under one label on one level
+            (labels,) = at.parts.values()
+            ((slots,),) = labels.values()
+            claim.residual, claim.at = worst, list(slots)
+        claims.append(claim)
+    return claims
 
 
 def _evaluate(
@@ -715,47 +727,27 @@ def check_car(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
     decisions must match expectations.
 
     Each relation is swept on the vacuum and the wedges of level up to
-    min(2, n - 1), and up to min(2, n - 2) for {a*(f), a*(g)}.  On a
-    diagonal twist under the tracial state those wedges are built from
-    the swept operator: every subset of the slots its creations and
-    annihilations touch, joined with one fixed spectator set of each size
-    that fits (``_spectator_witnesses``, which says why that is exact).
-    On a twist that is not diagonal, or under the quasifree state, every
-    relation is swept on those levels over the whole basis instead, built
-    once for the check.  {a(f), a(g)} touches the slots of
-    {a(f), a*(g)} - <f, g>, so within a pair a witness set is built once
-    per touched set and level.
+    min(2, n - 1), and up to min(2, n - 2) for {a*(f), a*(g)}, with
+    spectators where that is exact (``_swept``).  {a(f), a(g)} touches the
+    slots of {a(f), a*(g)} - <f, g>, so the two share their probes.
     """
     pairs = list(pairs)
-    module = ctx.module
-    n = ctx.truncation
-    tops = (min(2, n - 1), min(2, max(n - 2, 0)))
-    full = None if _spectators_drop_out(ctx) else [level_basis(module, n, t) for t in tops]
-    claims = []
+    cases = []
     for idx, (f, g, expect_free) in enumerate(pairs):
         got = mutually_free(f, g).free
         fault = None
         if got != expect_free:
             fault = {"pair": idx, "problem": "freeness_decision", "got": got}
         inner = weyl_mult(f.space, module_inner(f, g))
-        ops = [(anticommutator(annihilation(f), creation(g)) - inner, 0)]
+        ops = [(anticommutator(annihilation(f), creation(g)) - inner, 2)]
         if expect_free:
             ops += [
-                (anticommutator(annihilation(f), annihilation(g)), 0),
-                (anticommutator(creation(f), creation(g)), 1),
+                (anticommutator(annihilation(f), annihilation(g)), 2),
+                (anticommutator(creation(f), creation(g)), min(2, ctx.truncation - 2)),
             ]
-        sweeps = []
-        built = {}  # this pair's witness sets by (touched slots, level)
-        for op, k in ops:
-            if full:
-                sweeps.append((op, full[k]))
-                continue
-            key = (frozenset(_touched(op)), tops[k])
-            if key not in built:
-                built[key] = _spectator_witnesses(ctx, op, tops[k])
-            sweeps.append((op, built[key]))
         label = "free_residual" if expect_free else "nonfree_too_small"
-        claims.append(_swept({"pair": idx, "problem": label}, sweeps, ctx.state, expect_free, fault))
+        cases.append((Claim({"pair": idx, "problem": label}, vanish=expect_free, fault=fault), ops))
+    claims = _swept(ctx, cases, exact=True)
     return _evaluate("car", claims, tol, ("free_max", "nonfree_min"), {"pairs": len(pairs)})
 
 
@@ -987,37 +979,42 @@ def _generator_op(ctx: ModelContext, k: int) -> FieldOperator:
 def check_relative_locality(ctx: ModelContext, local_pairs, witness_pairs, tol: float = 1e-12) -> CheckResult:
     """[psi(w), W] vanishes when the twist leaves w alone, and is seen
     to act otherwise.  Pairs are (vector, generator index)."""
-    claims = []
-    for tag, pairs in (("local", local_pairs), ("witness", witness_pairs)):
-        for w, k in pairs:
-            sweeps = [(commutator(electron(w), _generator_op(ctx, k)), _witnesses_for(ctx, [w]))]
-            claims.append(_swept({"pair": [tag, k]}, sweeps, ctx.state, tag == "local"))
-    return _evaluate("relative_locality", claims, tol, ("local_max", "witness_min"))
+    cases = [
+        (
+            Claim({"pair": [tag, k]}, vanish=tag == "local"),
+            [(commutator(electron(w), _generator_op(ctx, k)), 2)],
+        )
+        for tag, pairs in (("local", local_pairs), ("witness", witness_pairs))
+        for w, k in pairs
+    ]
+    return _evaluate("relative_locality", _swept(ctx, cases), tol, ("local_max", "witness_min"))
 
 
 def check_bilinear_locality(ctx: ModelContext, commuting, witnesses, tol: float = 1e-10) -> CheckResult:
     """[W, psi(w1) psi*(w2)] on triples (gen index, w1, w2)."""
-    claims = []
-    for tag, triples in (("commuting", commuting), ("witness", witnesses)):
-        for k, w1, w2 in triples:
-            op = commutator(_generator_op(ctx, k), electron(w1) @ electron_star(w2))
-            sweeps = [(op, _witnesses_for(ctx, [w1, w2]))]
-            claims.append(_swept({"triple": [tag, k]}, sweeps, ctx.state, tag == "commuting"))
-    return _evaluate("bilinear_locality", claims, tol, ("commuting_max", "witness_min"))
+    cases = [
+        (
+            Claim({"triple": [tag, k]}, vanish=tag == "commuting"),
+            [(commutator(_generator_op(ctx, k), electron(w1) @ electron_star(w2)), 2)],
+        )
+        for tag, triples in (("commuting", commuting), ("witness", witnesses))
+        for k, w1, w2 in triples
+    ]
+    return _evaluate("bilinear_locality", _swept(ctx, cases), tol, ("commuting_max", "witness_min"))
 
 
 def check_anticommutator_model(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
     """[psi*(f), psi(g)]_+ collapses to left multiplication by <f, g>
     for mutually free pairs of + sector vectors."""
-    claims = []
+    cases = []
     for idx, (f, g) in enumerate(pairs):
         if not mutually_free(f, g).free:
-            claims.append(Claim({"pair": idx}, fault={"pair": idx, "problem": "not_free"}))
+            cases.append((Claim({"pair": idx}, fault={"pair": idx, "problem": "not_free"}), []))
             continue
         inner = weyl_mult(ctx.module, module_inner(f, g))
         op = anticommutator(electron_star(f), electron(g)) - inner
-        claims.append(_swept({"pair": idx}, [(op, _witnesses_for(ctx, [f, g]))], ctx.state))
-    return _evaluate("anticommutator_model", claims, tol)
+        cases.append((Claim({"pair": idx}), [(op, 2)]))
+    return _evaluate("anticommutator_model", _swept(ctx, cases), tol)
 
 
 def check_observable_net(
@@ -1031,19 +1028,14 @@ def check_observable_net(
     specs: list of (s WeylElement, w1, w2); disjoint_pairs: index pairs
     expected to commute.  A product of two bilinears drives a level-1
     probe through level-4 intermediates, so the probes carry enough
-    truncation headroom that nothing is chopped asymmetrically between
-    the two orders.
+    truncation headroom, the window, that nothing is chopped
+    asymmetrically between the two orders.
     """
     ops = [observable(s, w1, w2) for s, w1, w2 in specs]
-    vecs = [w for _, w1, w2 in specs for w in (w1, w2)]
     headroom = max(ctx.truncation, 1 + 3)
-    probes = _witnesses_for(ctx, vecs, max_level=1, truncation=headroom)
-    claims = [
-        _swept({"pair": [i, j]}, [(commutator(ops[i], ops[j]), probes)], ctx.state)
-        for i, j in disjoint_pairs
-    ]
+    cases = [(Claim({"pair": [i, j]}), [(commutator(ops[i], ops[j]), 1)]) for i, j in disjoint_pairs]
     details = {"effective_truncation": headroom}
-    return _evaluate("observable_net", claims, tol, details=details)
+    return _evaluate("observable_net", _swept(ctx, cases, window=headroom), tol, details=details)
 
 
 def check_gauge_invariance(ctx: ModelContext, specs, angles) -> CheckResult:
@@ -1071,17 +1063,16 @@ def check_covariance_phase(
 ) -> CheckResult:
     """Constant-kernel covariance: W(s) psi(w) = exp(-i <s0>) psi(w) W(s)
     and the phase-corrected W intertwines trivially."""
-    claims = []
+    cases = []
     for w, k in pairs:
         phase = cmath.exp(-1j * ctx.gens.pairs[k].integral_s0())
         wop = _generator_op(ctx, k)
         psi = electron(w)
-        probes = _witnesses_for(ctx, [w])
         # alpha(W) = exp(+i <s0>) W restores plain commutation
         alpha = phase.conjugate() * wop
-        sweeps = [(wop @ psi - phase * (psi @ wop), probes), (alpha @ psi - psi @ wop, probes)]
-        claims.append(_swept({"generator": k}, sweeps, ctx.state))
-    return _evaluate("covariance_phase", claims, tol)
+        ops = [(wop @ psi - phase * (psi @ wop), 2), (alpha @ psi - psi @ wop, 2)]
+        cases.append((Claim({"generator": k}), ops))
+    return _evaluate("covariance_phase", _swept(ctx, cases), tol)
 
 
 def check_neutral_commutant(
@@ -1102,11 +1093,8 @@ def check_neutral_commutant(
                 {"mean": 1e-12},
                 {"generator": k, "problem": "nonzero_mean"},
             )
-    claims = []
-    for w, k in pairs:
-        op = commutator(_generator_op(ctx, k), electron(w))
-        claims.append(_swept({"generator": k}, [(op, _witnesses_for(ctx, [w]))], ctx.state))
-    return _evaluate("neutral_commutant", claims, tol)
+    cases = [(Claim({"generator": k}), [(commutator(_generator_op(ctx, k), electron(w)), 2)]) for w, k in pairs]
+    return _evaluate("neutral_commutant", _swept(ctx, cases), tol)
 
 
 def check_mutual_freeness(ctx: ModelContext, free_pairs, nonfree_pairs) -> CheckResult:

@@ -155,7 +155,7 @@ def test_run_config_rejects_bad_checks():
         run_config(broken(checks=[]))
     with pytest.raises(ConfigError, match="unknown check"):
         run_config(broken(checks=[{"check": "entropy"}]))
-    with pytest.raises(ConfigError, match="no pairs"):
+    with pytest.raises(ConfigError, match="car: nothing to test"):
         run_config(broken(checks=[{"check": "car"}]))
     with pytest.raises(ConfigError, match="unknown vector"):
         run_config(
@@ -530,6 +530,42 @@ def test_main_rejects_bad_tolerance(tmp_path, capsys, tolerance):
     p.write_text(json.dumps(tiny_config()))
     assert main(["model", "--config", str(p), f"--tolerance={tolerance}"]) == 2
     assert "tolerance" in capsys.readouterr().err
+
+
+_OBSERVABLES = [{"generator": 0, "w1": "wFar", "w2": "wFar"}]
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        {"check": "car", "free": [], "nonfree": []},
+        {"check": "relative_locality", "local": [], "witness": []},
+        {"check": "bilinear_locality"},
+        {"check": "anticommutator_model", "pairs": []},
+        {"check": "observable_net"},
+        {"check": "observable_net", "observables": _OBSERVABLES, "disjoint": []},
+        {"check": "gauge_invariance"},
+        {"check": "gauge_invariance", "observables": _OBSERVABLES, "angles": []},
+        {"check": "covariance_phase", "pairs": []},
+        {"check": "neutral_commutant"},
+        {"check": "mutual_freeness", "free": [], "nonfree": []},
+    ],
+    ids=lambda check: "-".join([check["check"], *sorted(k for k in check if k != "check")]),
+)
+def test_main_check_with_nothing_to_test_exits_2(tmp_path, capsys, check):
+    # a check whose config gives it no case would report a vacuous pass
+    cfg = load_config("delta_locality")
+    cfg["checks"] = [check]
+    assert _main_exit(tmp_path, cfg) == 2
+    assert f"fockmod: {check['check']}: nothing to test" in capsys.readouterr().err
+
+
+def test_main_unwritable_out_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(tiny_config()))
+    for out in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(["model", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"fockmod: cannot write {out}: " in capsys.readouterr().err
 
 
 def test_main_usage_errors():

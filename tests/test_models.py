@@ -6,6 +6,7 @@ designed tiny scenarios whose pass/fail outcome is known by hand.
 
 import cmath
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from fockmod.weyl import GeneratorSet, GridSpec, TestFunctionPair, WeylElement
 from fockmod.bimodule import SECTOR_MINUS, SECTOR_PLUS, ModuleVector, OneParticleBasis
 from fockmod.cli import _car_pairs, build_scenario, builtin_car_config
-from fockmod.fock import AnnihilateOp, CreateOp, annihilation, anticommutator, creation, dirac
+from fockmod.fock import AnnihilateOp, CreateOp, FieldOperator, annihilation, anticommutator, creation, dirac
 from fockmod import models
 from fockmod.models import (
     SIGMA_KINDS,
@@ -456,13 +457,13 @@ def _within_ulps(a, b, ulps=4):
 def test_check_car_matches_full_sweep(case, monkeypatch):
     ctx, pairs = _car_case(case)
     built = []
-    spectator_witnesses = models._spectator_witnesses
+    probes = models._probes
 
     def recorded(*args):
-        built.append(spectator_witnesses(*args))
+        built.append(probes(*args))
         return built[-1]
 
-    monkeypatch.setattr(models, "_spectator_witnesses", recorded)
+    monkeypatch.setattr(models, "_probes", recorded)
     got = check_car(ctx, pairs)
     assert built
     # no witness repeats a slot, and no two witnesses of a sweep coincide
@@ -476,27 +477,44 @@ def test_check_car_matches_full_sweep(case, monkeypatch):
     for key in ("free_max", "nonfree_min"):
         assert _within_ulps(got.residuals.get(key), want[key]), key
     if case == "claimed_free":
-        support = models._support(ctx.module, pairs[0][:2])
-        assert set(got.witness["witness_slots"]) - support == {2}
+        f, g, _ = pairs[0]
+        touched = models._touched(anticommutator(annihilation(f), creation(g)))
+        assert set(got.witness["witness_slots"]) - touched == {2}
 
 
-def test_spectator_witnesses_fall_back_to_the_whole_basis():
+def _slots(witnesses):
+    return [t for w in witnesses for labels in w.parts.values() for terms in labels.values() for t in terms]
+
+
+def test_spectator_witnesses_fall_back_to_the_whole_basis(monkeypatch):
     diagonal = delta_ctx()
     f, g = _designed_pair(diagonal)
     mixed = dataclasses.replace(diagonal, module=tiny_module("mixed"))
-    f_mixed, g_mixed = _designed_pair(mixed)
-    for ctx, (a, b) in ((mixed, (f_mixed, g_mixed)), (delta_ctx(state_kind="quasifree"), (f, g))):
+    quasifree = delta_ctx(state_kind="quasifree")
+    probes = models._probes
+    for ctx in (mixed, quasifree):
+        a, b = _designed_pair(ctx)
         for top in (0, 1, 2):
-            got = models._spectator_witnesses(ctx, anticommutator(annihilation(a), creation(b)), top)
+            built = {}
+
+            def recorded(module, n, top_, touched=None, spectators=False):
+                built[top_] = (touched, probes(module, n, top_, touched, spectators))
+                return built[top_][1]
+
+            monkeypatch.setattr(models, "_probes", recorded)
+            op = anticommutator(annihilation(a), creation(b))
+            models._swept(ctx, [(models.Claim({}), [(op, top)])], exact=True)
+            touched, got = built[top]
+            assert touched is None
             assert [w.parts for w in got] == [w.parts for w in level_basis(ctx.module, 3, top)]
     # diagonal and tracial: every subset of the touched slots {0, 1} with
     # the spectator sets {}, {2} (the first untouched index) and {2, 5}
     # (the first and the last); the partners 3 and 4 are untouched
     op = anticommutator(annihilation(f), creation(g))
+    touched = tuple(sorted(models._touched(op)))
     level_1 = [(), (0,), (1,), (2,)]
     for top, slots in ((1, level_1), (2, level_1 + [(0, 1), (0, 2), (1, 2), (2, 5)])):
-        got = models._spectator_witnesses(diagonal, op, top)
-        assert [t for w in got for labels in w.parts.values() for terms in labels.values() for t in terms] == slots
+        assert _slots(probes(diagonal.module, 3, top, touched, spectators=True)) == slots
 
 
 def test_check_car_builds_the_full_sweep_once(monkeypatch):
@@ -514,21 +532,27 @@ def test_check_car_builds_the_full_sweep_once(monkeypatch):
 
 
 def test_check_car_builds_a_pair_witness_set_once(monkeypatch):
-    # {a(f), a(g)} touches the slots of {a(f), a*(g)} - <f, g> at the same
-    # level, so a free pair builds two witness sets and a non-free pair one
+    # every relation of a pair touches the slots of f and g, and
+    # {a(f), a(g)} sweeps the level of {a(f), a*(g)} - <f, g>, so a free
+    # pair needs two probe sets and a non-free pair one; within the check
+    # each distinct (touched set, top) is built once
     ctx, pairs = _car_case("delta")
     calls = []
-    build = models._spectator_witnesses
+    build = models._probes
 
-    def counted(ctx_, op, top):
-        calls.append(top)
-        return build(ctx_, op, top)
+    def counted(module, n, top, touched=None, spectators=False):
+        calls.append((touched, top))
+        return build(module, n, top, touched, spectators)
 
-    monkeypatch.setattr(models, "_spectator_witnesses", counted)
+    monkeypatch.setattr(models, "_probes", counted)
     assert check_car(ctx, pairs).passed
     free = sum(1 for *_, expect_free in pairs if expect_free)
     assert 0 < free < len(pairs)
-    assert calls.count(2) == len(pairs) and calls.count(1) == free
+    want = set()
+    for f, g, expect_free in pairs:
+        touched = tuple(sorted(set(f.entries) | set(g.entries)))
+        want |= {(touched, 2), (touched, 1)} if expect_free else {(touched, 2)}
+    assert len(calls) == len(set(calls)) and set(calls) == want
 
 
 def test_check_car_scales_to_2d_two_components():
@@ -543,9 +567,9 @@ def test_check_car_scales_to_2d_two_components():
     # spectator sets that fit in level 2
     for f, g, _ in pairs:
         op = anticommutator(annihilation(f), creation(g))
-        touched = len(models._touched(op))
-        count = sum(math.comb(touched, j) * (3 - j) for j in range(3))
-        assert len(models._spectator_witnesses(ctx, op, 2)) == count
+        touched = tuple(sorted(models._touched(op)))
+        count = sum(math.comb(len(touched), j) * (3 - j) for j in range(3))
+        assert len(models._probes(ctx.module, ctx.truncation, 2, touched, spectators=True)) == count
 
 
 def test_check_adjointness_and_covariance():
@@ -646,6 +670,65 @@ def test_check_observable_net():
     assert res.passed
     assert res.details["effective_truncation"] == 4
     assert res.residuals["max"] <= 1e-10
+
+
+def _probe_slots(monkeypatch):
+    """Record the slots of every probe a sweep applies, by operator."""
+    seen = {}
+    apply = FieldOperator.apply
+
+    def recorded(op, v):
+        seen.setdefault(id(op), (op, []))[1].extend(_slots([v]))
+        return apply(op, v)
+
+    monkeypatch.setattr(FieldOperator, "apply", recorded)
+    return seen
+
+
+def test_check_observable_net_probes_each_pair_over_its_own_slots(monkeypatch):
+    # the commutator of the observables at points 0 and 2 touches their
+    # slots and partners alone: the observable at point 1 adds no probe
+    ctx = delta_ctx()
+    basis = ctx.module.basis
+    unit = UNIT_W(ctx.gens)
+    specs = [(unit, w, w) for w in (plus_vector(ctx.module, np.eye(3)[p]) for p in range(3))]
+    seen = _probe_slots(monkeypatch)
+    assert check_observable_net(ctx, specs, [(0, 2)]).passed
+    ((_, slots),) = seen.values()
+    own = sorted(basis.index(p, 0, sector) for p in (0, 2) for sector in (SECTOR_PLUS, SECTOR_MINUS))
+    assert slots == [()] + [(b,) for b in own]
+
+
+def _model_sweep(name):
+    """Run one of the five sweep checks besides car and observable_net."""
+    ctx = lebesgue_ctx() if name == "covariance_phase" else delta_ctx()
+    w0, w1, w2 = (plus_vector(ctx.module, np.eye(3)[p]) for p in range(3))
+    if name == "relative_locality":
+        return check_relative_locality(ctx, [(w0, 1)], [(w2, 0)])
+    if name == "bilinear_locality":
+        return check_bilinear_locality(ctx, [(1, w0, w2)], [(0, w0, w1)])
+    if name == "anticommutator_model":
+        return check_anticommutator_model(ctx, [(w0, w2), (w1, w1)])
+    if name == "covariance_phase":
+        return check_covariance_phase(ctx, [(w1, 0), (w0, 1)])
+    ctx = lebesgue_ctx(tiny_pairs(GRID) + [TestFunctionPair(GRID, [0.5, -0.5, 0.0], [0.0, 0.0, 0.0])])
+    return check_neutral_commutant(ctx, [(plus_vector(ctx.module, [1.0, 0.0, 0.0]), 2)])
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["relative_locality", "bilinear_locality", "anticommutator_model", "covariance_phase", "neutral_commutant"],
+)
+def test_model_sweeps_probe_the_wedges_over_the_touched_slots(name, monkeypatch):
+    # the vacuum and every wedge of level <= min(2, n - 1) = 2 over the
+    # operator's touched set T, in level_basis order, and no spectator
+    seen = _probe_slots(monkeypatch)
+    _model_sweep(name)
+    assert seen
+    for op, slots in seen.values():
+        touched = sorted(models._touched(op))
+        assert 0 < len(touched) < op.space.basis.dim
+        assert slots == [t for level in range(3) for t in itertools.combinations(touched, level)]
 
 
 def test_check_gauge_invariance():
