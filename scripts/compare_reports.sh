@@ -18,9 +18,14 @@
 # 16^2 with two components and 3D x 8^3).  The script compares each run's
 # digest (the `digest` field that `python bench/sample.py WORKLOAD N`
 # prints).  When a digest differs it prints each side's checks, one line
-# per check: name, status and the `repr` of every residual.  The checks
-# are caught by wrapping `models.check_*` around the run, as
-# `bench/tracing.py` does.  The script reads bench/ and writes nothing
+# per check: name, status, the `repr` of every residual and the witness.
+# The checks are caught by wrapping `models.check_*` around the run, as
+# `bench/tracing.py` does.  After each difference a summary line says
+# whether every check's status and witness are identical, and gives the
+# largest relative change of any residual, |a - b| / max(|a|, |b|), with
+# its check and both values: a round-off move keeps statuses and
+# witnesses, and moves a residual by about 1e-16 of itself, or one that
+# measures a zero (itself about 1e-16) by any fraction.  The script reads bench/ and writes nothing
 # there.  It exits 1 if any report or digest differs.  Set PYTHON to pick
 # the interpreter.
 set -eu
@@ -29,6 +34,46 @@ base=$(cd "$1" && pwd)
 head=$(cd "$(dirname "$0")/.." && pwd)
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
+
+# the summary line for two differing outputs: JSON reports, or samples
+# (a digest line, then one line per check as `sample` prints them)
+summarize() {
+    "${PYTHON:-python}" - "$1" "$2" <<'PY'
+import json
+import sys
+
+
+def checks(path):
+    text = open(path).read()
+    if text.startswith("{"):
+        report = json.loads(text)
+        return [
+            (f"{r['name']}/{c['name']}", c["status"], json.dumps(c["witness"], sort_keys=True),
+             {k: float(v) for k, v in c["residuals"].items()})
+            for r in report["runs"] for c in r["checks"]
+        ]
+    out = []
+    for line in text.splitlines()[1:]:
+        name, status, *fields = line.split(" ")
+        pairs = dict(f.split("=", 1) for f in fields)
+        witness = pairs.pop("witness")
+        out.append((name, status, witness, {k: float(v) for k, v in pairs.items()}))
+    return out
+
+
+base, head = checks(sys.argv[1]), checks(sys.argv[2])
+same = [(n, s, w) for n, s, w, _ in base] == [(n, s, w) for n, s, w, _ in head]
+worst, where = 0.0, "none"
+for (name, _, _, a), (_, _, _, b) in zip(base, head):
+    for key in a.keys() & b.keys():
+        scale = max(abs(a[key]), abs(b[key]))
+        change = abs(a[key] - b[key]) / scale if scale else 0.0
+        if change > worst:
+            worst, where = change, f"{name} {key}: {a[key]!r} -> {b[key]!r}"
+verdict = "identical" if same else "NOT identical"
+print(f"           statuses and witnesses {verdict}; largest relative residual change {worst:.3g} ({where})")
+PY
+}
 
 status=0
 for args in \
@@ -48,6 +93,7 @@ for args in \
     else
         echo "DIFFERENT  $args"
         diff -u "$out/base.json" "$out/head.json" | head -n 40
+        summarize "$out/base.json" "$out/head.json"
         status=1
     fi
 done
@@ -55,6 +101,7 @@ done
 # line, then one line per check; no byte-code lands in bench/
 sample() {
     PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$1/src:$1/bench" "${PYTHON:-python}" - "$2" "$3" <<'PY'
+import json
 import sys
 
 import workloads
@@ -78,8 +125,9 @@ make_inputs, run = workloads.WORKLOADS[sys.argv[1]]
 out = run(make_inputs(int(sys.argv[2])))
 print(out.digest)
 for r in results:
-    residuals = " ".join(f"{k}={float(x)!r}" for k, x in sorted(r.residuals.items()))
-    print(f"{r.name} {r.status} {residuals}")
+    residuals = "".join(f" {k}={float(x)!r}" for k, x in sorted(r.residuals.items()))
+    witness = json.dumps(r.witness, sort_keys=True, separators=(",", ":"), default=repr)
+    print(f"{r.name} {r.status}{residuals} witness={witness}")
 PY
 }
 for workload in dense_twist grid_scale; do
@@ -92,6 +140,7 @@ for workload in dense_twist grid_scale; do
             echo "DIFFERENT  $workload digest, seed $seed"
             sed 's/^/-/' "$out/base.txt"
             sed 's/^/+/' "$out/head.txt"
+            summarize "$out/base.txt" "$out/head.txt"
             status=1
         fi
     done

@@ -42,6 +42,8 @@ SECTOR_MINUS = -1
 TWIST_TOL = 1e-12
 # residual threshold deciding mutual freeness
 FREE_TOL = 1e-10
+# stacked minors per determinant call in Twist.pair, bounding its memory
+PAIR_BLOCK = 4096
 
 
 class OneParticleBasis:
@@ -160,23 +162,20 @@ def wedge_insert(
     col: dict[int, complex], image: dict[tuple[int, ...], complex]
 ) -> dict[tuple[int, ...], complex]:
     """Canonical coefficients of v ^ w for the one-particle vector
-    v = col and a canonical wedge image w, before any pruning.
-
-    Every entry c e_b of v not already standing in a term det e_u of w
-    slides into its sorted place p in u past p smaller slots, so c det
-    lands on u[:p] + (b,) + u[p:] signed (-1)^p; the terms that land on
-    one tuple are summed in the order met.  With w the minors of a block
-    of columns this is the Laplace expansion of the minors of [v | block]
-    along v's column.
+    v = col and a canonical wedge w = image, before any pruning: every
+    entry c e_b of v not already standing in a term a e_u of w slides
+    into its sorted place p in u past p smaller slots, so c a lands on
+    u[:p] + (b,) + u[p:] signed (-1)^p; the terms that land on one tuple
+    are summed in the order met.
     """
     out: dict[tuple[int, ...], complex] = {}
-    for u, det in image.items():
+    for u, a in image.items():
         for b, c in col.items():
             p = bisect_left(u, b)
             if p < len(u) and u[p] == b:
                 continue  # b already stands in u
             s = u[:p] + (b,) + u[p:]
-            x = (-1 if p & 1 else 1) * (c * det)
+            x = (-1 if p & 1 else 1) * (c * a)
             got = out.get(s)
             out[s] = x if got is None else got + x
     return out
@@ -198,17 +197,11 @@ class Twist:
     then maxima over entries, diagonal unitaries commute exactly, and
     u(n) e_b is a single phase.  Any other family is kept dense.
 
-    The twist owns its exterior powers: ``wedge(n, t)`` is the image of
-    the canonical wedge e_t under the exterior power of u(n), as
-    canonical minors {s: det u(n)[s, t]}.  ``wedge_insert`` builds it by
-    inserting the column u(n) e_t0 into the image of the rest of t, so
-    on a diagonal twist it is a product of phases with no second code
-    path.  Creation, annihilation and the Fock left action all read it;
-    it is cached per (n, t), as u(n) is per n.
+    ``pair`` holds the only minors of u(k) the Fock layer reads.
     """
 
     __slots__ = (
-        "basis", "gens", "_zero", "_diagonal", "_factors", "_cache", "_wedges", "__weakref__"
+        "basis", "gens", "_zero", "_diagonal", "_factors", "_cache", "__weakref__"
     )
 
     def __init__(self, basis: OneParticleBasis, gens: GeneratorSet, unitaries) -> None:
@@ -226,7 +219,6 @@ class Twist:
         # the label of u(0), compared as a whole tuple
         self._zero = (0,) * len(gens)
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._wedges: dict[tuple, dict[tuple[int, ...], complex]] = {}
         self._diagonal = all(
             u.ndim == 1 or np.count_nonzero(u) == np.count_nonzero(np.diagonal(u))
             for u in unitaries
@@ -278,7 +270,8 @@ class Twist:
     def _power(self, n: tuple[int, ...]) -> np.ndarray:
         """Cached u(n): its phase vector when diagonal, else its matrix;
         any sequence of ints labels it."""
-        n = tuple(int(v) for v in n)
+        if type(n) is not tuple:
+            n = tuple(int(v) for v in n)
         cached = self._cache.get(n)
         if cached is not None:
             return cached
@@ -313,26 +306,33 @@ class Twist:
         col = self.matrix(n)[:, b]
         return {i: complex(col[i]) for i in np.nonzero(np.abs(col) > PRUNE_TOL)[0]}
 
-    def wedge(self, n: tuple[int, ...], t: tuple[int, ...]) -> dict[tuple[int, ...], complex]:
-        """Canonical minors {s: det u(n)[s, t]} of the wedge e_t's image,
-        expanded along the first column: u(n) e_t0 inserted into the
-        image of the rest of t.  The empty wedge and u(0) fix e_t
-        exactly; those images are not cached, and only a cache miss
-        tests for them.  A list label or tuple is converted once, off the
-        tuple-keyed path."""
-        try:
-            got = self._wedges.get((n, t))
-        except TypeError:  # unhashable, such as a list
-            return self.wedge(tuple(map(int, n)), tuple(map(int, t)))
-        if got is not None:
-            return got
-        if not t or n == self._zero:
-            return {t: 1.0 + 0.0j}
-        img = wedge_insert(self.column(n, t[0]), self.wedge(n, t[1:]))
-        got = self._wedges[n, t] = {s: d for s, d in img.items() if abs(d) > PRUNE_TOL}
-        return got
+    def pair(self, k: tuple[int, ...], x: dict, y: dict) -> complex:
+        """sum conj(x_s) y_t det u(k)[s, t] over the tuples x and y carry,
+        both {canonical tuple: complex} on one level, at most PAIR_BLOCK
+        minors per determinant call."""
+        if self._diagonal:
+            p = self._power(k)
+            total = 0.0 + 0.0j
+            for t in x.keys() & y.keys():
+                z = x[t].conjugate() * y[t]
+                for b in t:
+                    z *= p.item(b)
+                total += z
+            return total
+        u = self._power(k)
+        rows, cols = np.array(list(x), dtype=np.intp), np.array(list(y), dtype=np.intp)
+        xs, ys = np.conj(list(x.values())), np.array(list(y.values()))
+        step = max(1, PAIR_BLOCK // len(cols))
+        total = 0.0 + 0.0j
+        for i in range(0, len(rows), step):
+            minors = np.linalg.det(u[rows[i : i + step, None, :, None], cols[None, :, None, :]])
+            total += complex(xs[i : i + step] @ minors @ ys)
+        return total
 
     def apply(self, n: tuple[int, ...], vec: OneParticleVector) -> OneParticleVector:
+        if self._diagonal:
+            p = self._power(n)
+            return OneParticleVector(self.basis, {b: p.item(b) * c for b, c in vec.coeffs.items()})
         out: dict[int, complex] = {}
         for b, c in vec.coeffs.items():
             for i, uc in self.column(n, b).items():
@@ -370,14 +370,15 @@ class ModuleVector:
     """Element sum_b e_b . A_b of the free bimodule, A_b Weyl elements.
 
     A vector is never changed after construction, so its group
-    decomposition is computed once.
+    decomposition and its rotations (``pulled``) are computed once.
     """
 
-    __slots__ = ("space", "entries", "_groups")
+    __slots__ = ("space", "entries", "_groups", "_pulled")
 
     def __init__(self, space: FreeBimodule, entries: dict | None = None) -> None:
         self.space = space
         self._groups = None
+        self._pulled: dict[tuple[int, ...], dict] = {}
         self.entries: dict[int, WeylElement] = {}
         if entries:
             for b, a in entries.items():
@@ -424,6 +425,17 @@ class ModuleVector:
             if any(abs(c) > PRUNE_TOL for c in coeffs.values())
         }
         return self._groups
+
+    def pulled(self, k: tuple[int, ...]) -> dict[tuple[int, ...], dict[int, complex]]:
+        """{n: coefficients of u(-k) f_n} over the groups f_n of ``by_group``,
+        what a Fock bucket in the frame k reads."""
+        got = self._pulled.get(k)
+        if got is None:
+            neg, apply = tuple(-v for v in k), self.space.twist.apply
+            got = self._pulled[k] = {
+                n: (apply(neg, vec) if any(k) else vec).coeffs for n, vec in self.by_group().items()
+            }
+        return got
 
     def close_to(self, other: "ModuleVector", tol: float = 1e-12) -> bool:
         self._require_same(other)

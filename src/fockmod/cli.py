@@ -22,6 +22,7 @@ import json
 import os
 import random
 import sys
+import tempfile
 import time
 import zlib
 from importlib import resources
@@ -722,31 +723,50 @@ def _configs_for(args) -> list[dict]:
     return out
 
 
+def _reserve(path: str) -> str:
+    """A new file beside path, renamed onto it once the report is whole, so
+    a path in no writable directory fails before any check runs."""
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=".fockmod-", dir=os.path.dirname(os.path.abspath(path)))
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from e
+    os.close(fd)
+    mask = os.umask(0)
+    os.umask(mask)
+    os.chmod(tmp, 0o666 & ~mask)
+    return tmp
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
+    tmp = None
     try:
+        tmp = _reserve(args.out) if args.out else None
         configs = _configs_for(args)
         runs = [
             run_config(c, args.seed, args.truncation, args.tolerance) for c in configs
         ]
+        grid = _parse_grid(configs[0].get("grid", {}))
+        report = assemble_report(runs, grid)
+        elapsed = time.perf_counter() - t0
+        text = report_json(report) if args.format == "json" else report_text(report, elapsed)
+        if tmp is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(tmp, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                os.replace(tmp, args.out)
+            except OSError as e:
+                raise ConfigError(f"cannot write {args.out}: {e.strerror or e}") from e
     except ConfigError as e:
         print(f"fockmod: {e}", file=sys.stderr)
         return 2
-    grid = _parse_grid(configs[0].get("grid", {}))
-    report = assemble_report(runs, grid)
-    elapsed = time.perf_counter() - t0
-    text = report_json(report) if args.format == "json" else report_text(report, elapsed)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            print(f"fockmod: cannot write {args.out}: {e.strerror or e}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(text)
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
     return 0 if report["summary"]["status"] == "pass" else 1
 
 

@@ -1,38 +1,31 @@
 """Fermionic Fock bimodule and generalized field operators.
 
-Levels are spans of normal-form tensors (basis tuple) . (Weyl element);
-moving a coefficient past a slot twists every slot it crosses, so the
-antisymmetrizer only ever permutes basis tuples and commutes with the
-twisted structure.
+Levels are spans of antisymmetric tensors over the free bimodule, kept
+on strictly increasing basis tuples (with the coefficient an increasing
+representative carries in the full signed expansion).  WeylElement
+objects appear only at the edges: the FockElement constructor takes
+them, and ``scalar`` and ``fock_inner`` return them.
 
-Every level is stored label-major, as the right A-module it is: an
-l-particle element sum_n (sum_t c_{n,t} e_t) . W(n) is the dict
-{group label n: {basis tuple t: complex c_{n,t}}}.  Creation,
-annihilation and the left action move the label of a whole group at
-once, so each computes the product W(n) W(m) once per (vector group n,
-label m) and then adds plain complex scalars into one {tuple: complex}
-target per output label.  Only strictly increasing tuples are stored:
-c_{n,t} is the coefficient the increasing representative carries in the
-full signed expansion.  WeylElement objects appear only at the edges:
-the FockElement constructor takes them, and ``scalar`` and
-``fock_inner`` return them.
+A level is stored in buckets keyed (m, o): scalars {tuple t: x_t} that
+stand for (Lambda u(m + o) x) . W(m), the exterior power of u(m + o)
+applied to sum_t x_t e_t, at the right label m in the frame o.  Since
+W(n) . (e_b A) = (u(n) e_b) . (W(n) A), no operator rotates a wedge:
 
-Every operator moves the standing slots of a wedge through the twist by
-reading ``Twist.wedge``, the cached exterior power of u(n); this module
-computes no minors of u(n).  A field operator a(f_n W(n)) or
-a*(f_n W(n)) does two linear things to a label's vector: it contracts
-or inserts f_n, and it moves the standing slots through the exterior
-power of u(+-n).  Both operators take the cheaper order, once per
-(vector group n, label m) and never once per tuple.  Annihilation
-contracts first: every reached slot of every tuple adds its signed,
-conjugated coefficient onto the surviving tuple, and then each distinct
-survivor is rotated once by u(-n) while the adjoint group unitary is
-pulled into the right coefficient.  Creation rotates first: the label's
-whole vector becomes one image R = sum_t c_{m,t} u(n) e_t, and one
-``bimodule.wedge_insert`` call inserts f_n into R.  That is the kernel
-``Twist.wedge`` builds its images with (a Laplace expansion along the
-vector's column); it is linear in the image.  Diagonal and dense twists
-take the same code path, and both operators are exact on coefficients.
+* the left action by W(n) moves (m, o) to (n + m, o), times the phase;
+* a*(f_n W(n)) inserts u(-(n + m + o)) f_n into x, to (n + m, o);
+* a(f_n W(n)) contracts x with u(-(m + o)) f_n, to (m - n, o);
+* the right action by W(k) moves (m, o) to (m + k, o - k).
+
+``ModuleVector.pulled`` caches the rotated vectors per frame.  The
+constructor puts e_t . W(m) in the frame -m, so a probe (label 0) is in
+frame 0.  No operator changes a frame, so the images of two words that
+cancel on an input cancel entry by entry.
+
+u(n) is read in one place, the GNS pairing of two buckets whose frames
+m + o differ by k: ``Twist.pair``, a sum of the minors det u(k)[s, t]
+over the tuples present.  Buckets in one frame pair by a tuple dot
+product, and under the tracial state pairs of different labels are
+skipped first.
 """
 
 from __future__ import annotations
@@ -88,9 +81,9 @@ class FockElement:
     l >= 1 canonical antisymmetric terms.  Levels above the truncation
     are dropped by the operators, which then set the truncated flag.
 
-    ``parts[level][n][t]`` is the complex coefficient of e_t . W(n) on
-    that level, label-major (see the module docstring); level 0 uses the
-    single tuple ().  Entries at or below PRUNE_TOL, then empty labels and
+    ``parts[level][(m, o)][t]`` is the scalar x_t of the bucket at label
+    m in the frame o (see the module docstring); level 0 uses the single
+    tuple ().  Entries at or below PRUNE_TOL, then empty buckets and
     empty levels, are dropped when an element is built.  The constructor
     takes {level: {tuple: WeylElement}} and ``scalar`` returns a
     WeylElement; no dict inside an element changes after it is built.
@@ -124,12 +117,12 @@ class FockElement:
                 if t and not (0 <= t[0] and t[-1] < dim):
                     raise ValueError(f"tuple {t} has an index outside [0, {dim})")
                 for n, c in a.terms.items():
-                    labels.setdefault(n, {})[t] = c
+                    labels.setdefault((n, tuple(map(operator.neg, n))), {})[t] = c
         self._fill(space, truncation, maps, truncated)
 
     @classmethod
     def _of(cls, space: FreeBimodule, truncation: int, maps: dict, truncated: bool):
-        """Element over label-major levels {level: {n: {t: complex}}}; it
+        """Element over label-major levels {level: {(m, o): {t: complex}}}; it
         takes the dicts over, so the caller must have built them."""
         v = cls.__new__(cls)
         v._fill(space, truncation, maps, truncated)
@@ -150,14 +143,16 @@ class FockElement:
                     del labels[n]
             if not labels:
                 del maps[level]
-        self.parts: dict[int, dict[tuple[int, ...], dict[tuple[int, ...], complex]]] = maps
+        self.parts: dict[int, dict[tuple, dict[tuple[int, ...], complex]]] = maps
 
     # -- access ------------------------------------------------------
 
     @property
     def scalar(self) -> WeylElement:
-        labels = self.parts.get(0, {})
-        return WeylElement(self.space.gens, {n: ts.get((), 0.0) for n, ts in labels.items()})
+        terms: dict[tuple[int, ...], complex] = {}
+        for (m, _), ts in self.parts.get(0, {}).items():
+            terms[m] = terms.get(m, 0.0) + ts[()]
+        return WeylElement(self.space.gens, terms)
 
     def is_zero(self) -> bool:
         return not self.parts
@@ -187,18 +182,6 @@ class FockElement:
             for l, labels in self.parts.items()
         }
         return FockElement._of(self.space, self.truncation, parts, self.truncated)
-
-    def close_to(self, other: "FockElement", tol: float = 1e-12) -> bool:
-        self._require_same(other)
-        for l in self.parts.keys() | other.parts.keys():
-            a_labels = self.parts.get(l, {})
-            b_labels = other.parts.get(l, {})
-            for n in a_labels.keys() | b_labels.keys():
-                a = a_labels.get(n, {})
-                b = b_labels.get(n, {})
-                if any(abs(a.get(t, 0.0) - b.get(t, 0.0)) > tol for t in a.keys() | b.keys()):
-                    return False
-        return True
 
     def __repr__(self) -> str:
         shape = {
@@ -232,43 +215,33 @@ def vacuum(space: FreeBimodule, truncation: int, coeff: WeylElement | None = Non
 def create(f: ModuleVector, v: FockElement) -> FockElement:
     """Fermionic creation: sqrt(l+1) P_-(f x .) levelwise.
 
-    Per group component f_n . W(n) and label m: rotate the label's whole
-    vector first, R = sum_t c_{m,t} u(n) e_t through ``Twist.wedge``,
-    then insert f_n into R with one ``wedge_insert`` call, each entry
-    sorted into place with its sign (the Laplace expansion of the minors
-    of [f_n | u(n) e_t] along f_n's column, summed over t; insertion is
-    linear in R).  W(n) multiplies into the right coefficient, which
-    moves label m to n + m.  The top level of the window is dropped and
-    flagged, never folded back.
+    Per group component f_n . W(n) and bucket (m, o), one
+    ``wedge_insert`` call inserts u(-(n + m + o)) f_n into the scalars
+    and the bucket moves to (n + m, o).  The top level of the window is
+    dropped and flagged, never folded back.
     """
     space = v.space
     if f.space is not space:
         raise ValueError("vector lives in a different bimodule")
     gens = space.gens
-    wedge = space.twist.wedge
     groups = f.by_group()
     out: dict[int, dict] = {}
     truncated = v.truncated
-    for l, labels in v.parts.items():
+    for l, buckets in v.parts.items():
         if l + 1 > v.truncation:
             truncated = True
             continue
         level = out.setdefault(l + 1, {})
         scale = 1.0 / math.sqrt(l + 1)
-        for n, cvec in groups.items():
-            col = cvec.coeffs
-            for m, terms in labels.items():
+        for n in groups:
+            for (m, o), terms in buckets.items():
                 key, phase = gens.product(n, m)
                 w = scale * phase
-                rotated: dict[tuple[int, ...], complex] = {}
-                for t, b in terms.items():
-                    x = b * w
-                    for s, det in wedge(n, t).items():
-                        rotated[s] = rotated.get(s, 0.0) + det * x
-                img = wedge_insert(col, rotated)
-                target = level.get(key)
+                col = f.pulled(tuple(map(operator.add, key, o)) if any(o) else key)[n]
+                img = wedge_insert(col, {t: b * w for t, b in terms.items()})
+                target = level.get((key, o))
                 if target is None:
-                    level[key] = img  # a fresh dict, owned from here on
+                    level[key, o] = img  # a fresh dict, owned from here on
                     continue
                 for s, x in img.items():
                     target[s] = target.get(s, 0.0) + x
@@ -278,30 +251,26 @@ def create(f: ModuleVector, v: FockElement) -> FockElement:
 def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
     """Fermionic annihilation: sqrt(l) times the slot-1 contraction.
 
-    Per group component f_n . W(n) and label m: contract first, every
-    slot k of every tuple t that f_n reaches, adding
-    (-1)^k sqrt(l) conj(f_n(t_k)) c_{m,t} onto the surviving tuple (the
-    sign moves the matched slot to the front); then rotate each distinct
-    survivor once by u(-n) through ``Twist.wedge``.  W(-n) is pulled
-    into the right coefficient, which moves label m to m - n.  Level 0
-    is the kernel.
+    Per group component f_n . W(n) and bucket (m, o), every slot k of a
+    tuple t that g = u(-(m + o)) f_n reaches adds
+    (-1)^k sqrt(l) conj(g(t_k)) x_t onto the surviving tuple, and the
+    bucket moves to (m - n, o).  Level 0 is the kernel.
     """
     space = v.space
     if f.space is not space:
         raise ValueError("vector lives in a different bimodule")
     gens = space.gens
-    wedge = space.twist.wedge
-    groups = f.by_group()
+    negs = [(n, tuple(map(operator.neg, n))) for n in f.by_group()]
     out: dict[int, dict] = {}
-    for l, labels in v.parts.items():
+    for l, buckets in v.parts.items():
         if l == 0:
             continue
         level = out.setdefault(l - 1, {})
         scale = math.sqrt(l)
-        for n, cvec in groups.items():
-            neg = tuple(map(operator.neg, n))
-            coeffs = cvec.coeffs
-            for m, terms in labels.items():
+        for (m, o), terms in buckets.items():
+            pulled = f.pulled(tuple(map(operator.add, m, o)) if any(o) else m)
+            for n, neg in negs:
+                coeffs = pulled[n]
                 contracted: dict[tuple[int, ...], complex] = {}
                 for t, b in terms.items():
                     for k, e in enumerate(t):
@@ -312,55 +281,49 @@ def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
                         x = z.conjugate() * b
                         contracted[r] = contracted.get(r, 0.0) + (-x if k % 2 else x)
                 if not contracted:
-                    continue  # f_n reaches no slot of the label
+                    continue  # f_n reaches no slot of the bucket
                 key, phase = gens.product(neg, m)
                 w = scale * phase
-                target = level.get(key)
-                if target is None:
-                    target = level[key] = {}
+                target = level.setdefault((key, o), {})
                 for r, c in contracted.items():
-                    x = c * w
-                    for s, det in wedge(neg, r).items():
-                        target[s] = target.get(s, 0.0) + det * x
+                    target[r] = target.get(r, 0.0) + c * w
     return FockElement._of(space, v.truncation, out, v.truncated)
 
 
 def fock_left_action(a: WeylElement, v: FockElement) -> FockElement:
-    """Diagonal left action: rotate every slot by u(n), multiply W(n)
-    into the right coefficient; on level 0 it is the algebra product."""
+    """Diagonal left action: W(n) multiplies into the right coefficient
+    and the bucket keeps its frame, so no slot is rotated; on level 0 it
+    is the algebra product."""
     space = v.space
     if a.gens is not space.gens:
         raise ValueError("operator over wrong generator set")
     gens = space.gens
-    wedge = space.twist.wedge
     out: dict[int, dict] = {}
     for n, c in a.terms.items():
-        for l, labels in v.parts.items():
+        for l, buckets in v.parts.items():
             level = out.setdefault(l, {})
-            for m, terms in labels.items():
+            for (m, o), terms in buckets.items():
                 key, phase = gens.product(n, m)
-                target = level.get(key)
-                if target is None:
-                    target = level[key] = {}
+                w = c * phase
+                target = level.setdefault((key, o), {})
                 for t, b in terms.items():
-                    w = c * b * phase
-                    for s, det in wedge(n, t).items():
-                        target[s] = target.get(s, 0.0) + det * w
+                    target[t] = target.get(t, 0.0) + b * w
     return FockElement._of(space, v.truncation, out, v.truncated)
 
 
 def fock_right_mul(v: FockElement, a: WeylElement) -> FockElement:
-    """Right module action, labelwise on every level."""
+    """Right module action, bucketwise on every level: W(k) moves the
+    label by k and the frame by -k."""
     gens = v.space.gens
     if a.gens is not gens:
         raise ValueError("operator over wrong generator set")
     out: dict[int, dict] = {}
-    for l, labels in v.parts.items():
+    for l, buckets in v.parts.items():
         level = out[l] = {}
-        for n, terms in labels.items():
+        for (n, o), terms in buckets.items():
             for m, b in a.terms.items():
                 key, phase = gens.product(n, m)
-                target = level.setdefault(key, {})
+                target = level.setdefault((key, tuple(map(operator.sub, o, m))), {})
                 for t, c in terms.items():
                     target[t] = target.get(t, 0.0) + c * b * phase
     return FockElement._of(v.space, v.truncation, out, v.truncated)
@@ -370,38 +333,47 @@ def fock_right_mul(v: FockElement, a: WeylElement) -> FockElement:
 # GNS evaluation
 
 
-def _pairing(v: FockElement, w: FockElement) -> dict:
+def _pairing(v: FockElement, w: FockElement, tracial: bool = False) -> dict:
     """The pairing's per-label sums {n: complex}, before any pruning.
 
-    Per level and pair of labels (n, m) the complex sum of
-    conj(c_{n,t}) c'_{m,t} over the tuples both carry is taken first and
-    lands on W(-n) W(m) once; a level-l pair of equal canonical tuples
-    counts l! times, once per expansion term.
+    Per level and pair of buckets (n, o) of v and (m, p) of w, the sum of
+    conj(x_s) y_t det u(k)[s, t], k = (m + p) - (n + o), is taken first
+    and lands on W(-n) W(m) once: a dot product over the shared tuples
+    when k = 0, ``Twist.pair`` otherwise.  A level-l pair of equal tuples
+    counts l! times, once per expansion term.  With ``tracial`` the pairs
+    with m != n, which that state sends to 0, are skipped first.
     """
     v._require_same(w)
     gens = v.space.gens
     total: dict[tuple[int, ...], complex] = {}
     for l in v.parts.keys() & w.parts.keys():
         scale = float(math.factorial(l))
-        w_labels = w.parts[l]
-        for n, vt in v.parts[l].items():
-            neg = tuple(map(operator.neg, n))
-            for m, wt in w_labels.items():
+        w_buckets = w.parts[l]
+        for kv, vt in v.parts[l].items():
+            for kw, wt in w_buckets.items():
                 acc = None
-                if len(vt) <= len(wt):
+                if kw != kv:
+                    (n, o), (m, p) = kv, kw
+                    if tracial and m != n:
+                        continue
+                    # the frames' gap (m + p) - (n + o); level 0 has no frame
+                    k = tuple(a + b - c - d for a, b, c, d in zip(m, p, n, o))
+                    if l and any(k):
+                        acc = v.space.twist.pair(k, vt, wt)
+                if acc is None and len(vt) <= len(wt):
                     for t, c in vt.items():
                         d = wt.get(t)
                         if d is not None:
                             x = c.conjugate() * d
                             acc = x if acc is None else acc + x
-                else:
+                elif acc is None:
                     for t, d in wt.items():
                         c = vt.get(t)
                         if c is not None:
                             x = c.conjugate() * d
                             acc = x if acc is None else acc + x
                 if acc is not None:
-                    key, phase = gens.product(neg, m)
+                    key, phase = gens.product(tuple(map(operator.neg, kv[0])), kw[0])
                     total[key] = total.get(key, 0.0) + scale * (acc * phase)
     return total
 
@@ -425,7 +397,7 @@ def gns_inner(v: FockElement, w: FockElement, state: State) -> complex:
     """
     gens = v.space.gens
     total = 0.0 + 0.0j
-    for n, c in _pairing(v, w).items():
+    for n, c in _pairing(v, w, state.kind == "tracial").items():
         value = state.value(gens, n)
         if value:
             total += c * value

@@ -576,9 +576,8 @@ def _swept(ctx: ModelContext, cases, exact: bool = False, window: int | None = N
     of level <= min(top, n - 1) over its touched set T, n the window (the
     context's truncation unless given).  With ``exact`` they gain
     spectators on a diagonal twist under the tracial state, and are the
-    whole basis otherwise, built up front at the CAR levels min(2, n - 1)
-    and min(2, n - 2).  Each probe set is built once per check: per
-    (T, top), or per top for the whole basis.
+    whole basis otherwise.  Each probe set is built once per check, when
+    it is first swept: per (T, top), or per top for the whole basis.
     """
     module = ctx.module
     n = ctx.truncation if window is None else window
@@ -593,10 +592,6 @@ def _swept(ctx: ModelContext, cases, exact: bool = False, window: int | None = N
             memo[key] = _probes(module, n, key[1], key[0], spectators)
         return memo[key]
 
-    if whole:
-        # the same for every operator: built for both CAR levels at once
-        for top in (2, min(2, n - 2)):
-            probes(None, top)
     claims = []
     for claim, ops in cases:
         worst, at = 0.0, None

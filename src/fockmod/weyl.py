@@ -221,8 +221,8 @@ def _check_exponent(gens: GeneratorSet, n) -> tuple[int, ...]:
 # to complex coefficients, each |c| > PRUNE_TOL.  These helpers do
 # WeylElement's arithmetic, and each prunes where the operation it
 # implements ends.  The Fock layer stores its levels label-major, as
-# complex scalars per (label, basis tuple), and multiplies group labels
-# with GeneratorSet.product directly.
+# complex scalars per (label, frame, basis tuple), and multiplies group
+# labels with GeneratorSet.product directly.
 
 
 def map_product(gens: GeneratorSet, x: dict, y: dict) -> dict:

@@ -282,12 +282,32 @@ def raw_u_of(twist: Twist):
     return u_of
 
 
+def right_normal(v: FockElement, level: int) -> dict[tuple[int, ...], dict[tuple[int, ...], complex]]:
+    """One level of v as {label m: {increasing tuple s: c}}, the element
+    sum c e_s . W(m), Weyl factors on the right.  A bucket (m, o) holding
+    x stands for Lambda u(m + o) x at label m, so c_s adds
+    det u(m + o)[s, t] x_t over its tuples t; the minors are taken from
+    plain matrix powers (``raw_u_of``), not from the engine."""
+    u_of = raw_u_of(v.space.twist)
+    rows = list(itertools.combinations(range(v.space.basis.dim), level))
+    out: dict = {}
+    for (m, o), terms in v.parts.get(level, {}).items():
+        u = u_of(tuple(a + b for a, b in zip(m, o)))
+        # every minor det u[s, t] at once: rows s, the bucket's tuples t
+        s_idx, t_idx = np.array(rows, dtype=int), np.array(list(terms), dtype=int)
+        minors = np.linalg.det(u[s_idx[:, None, :, None], t_idx[None, :, None, :]])
+        target = out.setdefault(m, {})
+        for s, c in zip(rows, minors @ np.array(list(terms.values()))):
+            target[s] = target.get(s, 0.0) + complex(c)
+    return out
+
+
 def dense_from_level(v: FockElement, level: int) -> DenseTensor:
-    """Full signed expansion of one canonical level: every permutation
-    of a stored tuple carries the stored coefficient times its parity."""
+    """Full signed expansion of one level (see ``right_normal``): every
+    permutation of a tuple carries its coefficient times its parity."""
     gens = v.space.gens
     out = DenseTensor(gens, v.space.basis.dim, level)
-    for n, terms in v.parts.get(level, {}).items():
+    for n, terms in right_normal(v, level).items():
         for t, c in terms.items():
             a = WeylElement.monomial(gens, n, c)
             for perm in itertools.permutations(range(level)):
@@ -296,15 +316,29 @@ def dense_from_level(v: FockElement, level: int) -> DenseTensor:
 
 
 def level_tuples(v: FockElement, level: int) -> set[tuple[int, ...]]:
-    """The basis tuples one level of v stores, under any label."""
-    return {t for terms in v.parts.get(level, {}).values() for t in terms}
+    """The basis tuples one level of v carries in e_t . W(m) form, under
+    any label, coefficients at or below 1e-14 dropped."""
+    return {t for terms in right_normal(v, level).values() for t, c in terms.items() if abs(c) > 1e-14}
 
 
 def weyl_at(v: FockElement, level: int, t: tuple[int, ...]) -> WeylElement:
     """The Weyl coefficient of e_t on one level: c_{n,t} W(n) summed over
     the labels n."""
-    labels = v.parts.get(level, {})
+    labels = right_normal(v, level)
     return WeylElement(v.space.gens, {n: terms[t] for n, terms in labels.items() if t in terms})
+
+
+def fock_close(v: FockElement, w: FockElement, tol: float = 1e-12) -> bool:
+    """v and w agree on every level in e_t . W(m) form (``right_normal``)
+    within tol, coefficient by coefficient, whatever frames they hold."""
+    v._require_same(w)
+    for l in v.parts.keys() | w.parts.keys():
+        a, b = right_normal(v, l), right_normal(w, l)
+        for m in a.keys() | b.keys():
+            x, y = a.get(m, {}), b.get(m, {})
+            if any(abs(x.get(t, 0.0) - y.get(t, 0.0)) > tol for t in x.keys() | y.keys()):
+                return False
+    return True
 
 
 def weyl_dev(a: WeylElement, b: WeylElement) -> float:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fockmod import bimodule
 from fockmod.weyl import GridSpec, State, WeylElement
 from fockmod.bimodule import (
     Conjugation,
@@ -27,6 +28,7 @@ from fockmod.bimodule import (
 )
 
 from _support import (
+    EQUIV_FAMILIES,
     desk_grid,
     mixing_twist,
     rand_vector,
@@ -185,21 +187,28 @@ def test_twist_powers_match_matrix_powers(family):
         twist.matrix((1,))
 
 
-@pytest.mark.parametrize("family", ("mixed", "poisson"))
-def test_twist_wedge_matches_minors(family):
+@pytest.mark.parametrize("family", EQUIV_FAMILIES)
+def test_twist_pair_matches_minors(family, monkeypatch):
     twist = tiny_module(family).twist
+    u_of = raw_u_of(twist)
+    rng = np.random.default_rng(17)
+    # a few minors per determinant call, so the blocks are exercised too
+    monkeypatch.setattr(bimodule, "PAIR_BLOCK", 7)
     for n in [(0, 0), (1, 0), (0, -1), (2, -1), (-1, 3)]:
-        u = twist.matrix(n)
-        for b in range(6):
-            assert twist.wedge(n, (b,)) == {(i,): c for i, c in twist.column(n, b).items()}
+        u = u_of(n)
+        assert twist.pair(n, {(): 2.0j}, {(): 0.5}) == -1.0j
         for k in range(1, 5):
-            for t in itertools.combinations(range(6), k):
-                got = twist.wedge(n, t)
-                # |t| = 4 expands through three nested column insertions
-                for s in itertools.combinations(range(6), k):
+            tuples = list(itertools.combinations(range(6), k))
+            for s in tuples:
+                for t in tuples:
+                    # |t| = 4: one 4 x 4 determinant per pair of tuples
                     minor = np.linalg.det(u[np.ix_(s, t)])
-                    assert abs(got.get(s, 0.0) - minor) <= 1e-12, (n, t, s)
-                assert set(got) <= set(itertools.combinations(range(6), k))
+                    assert abs(twist.pair(n, {s: 1.0}, {t: 1.0}) - minor) <= 1e-12, (n, s, t)
+            # whole vectors: conj(x_s) y_t summed against every minor
+            x = dict(zip(tuples, rng.normal(size=len(tuples)) + 1j * rng.normal(size=len(tuples))))
+            y = {t: complex(c) for t, c in x.items() if rng.random() < 0.5}
+            want = sum(x[s].conjugate() * c * np.linalg.det(u[np.ix_(s, t)]) for s in x for t, c in y.items())
+            assert abs(twist.pair(n, x, y) - want) <= 1e-12 * len(tuples), (n, k)
 
 
 def test_twist_takes_list_labels():
@@ -210,27 +219,25 @@ def test_twist_takes_list_labels():
         for b in range(6):
             assert twist.column(n, b) == twist.column(label, b)
         for t in itertools.combinations(range(6), 2):
-            assert twist.wedge(n, t) == twist.wedge(label, t)
-            assert twist.wedge(label, list(t)) == twist.wedge(label, t)
+            assert twist.pair(n, {t: 1.0}, {t: 2.0}) == twist.pair(label, {t: 1.0}, {t: 2.0})
     # the cache holds tuple keys only
-    assert all(type(n) is tuple and type(t) is tuple for n, t in twist._wedges)
     assert all(type(n) is tuple for n in twist._cache)
 
 
 @pytest.mark.parametrize("family", ("delta", "poisson"))
-def test_diagonal_wedge_is_the_phase_product(family):
-    # the byte-identical reports rest on this exact rounding: the Laplace
-    # insertion multiplies the phases from the last slot to the first
+def test_diagonal_pair_is_the_phase_product(family):
+    # a diagonal u(n) has no minor off its diagonal: two tuples pair only
+    # with themselves, by the product of their phases, and others give 0
     twist = tiny_module(family).twist
     assert twist.diagonal
     for n in [(1, 0), (0, -1), (2, -1), (-1, 3)]:
         p = [complex(c) for c in np.diagonal(twist.matrix(n))]
-        for t in itertools.combinations(range(6), 1):
-            assert twist.wedge(n, t) == {t: p[t[0]]}
-        for t in itertools.combinations(range(6), 2):
-            assert twist.wedge(n, t) == {t: p[t[0]] * p[t[1]]}
-        for t in itertools.combinations(range(6), 3):
-            assert twist.wedge(n, t) == {t: p[t[0]] * (p[t[1]] * p[t[2]])}
+        for k in (1, 2, 3):
+            tuples = list(itertools.combinations(range(6), k))
+            for t in tuples:
+                want = math.prod((p[b] for b in t), start=0.5 - 1.0j)
+                assert twist.pair(n, {t: 0.5 + 1.0j}, dict.fromkeys(tuples, 1.0)) == want
+                assert twist.pair(n, {t: 1.0}, {s: 1.0 for s in tuples if s != t}) == 0
 
 
 def test_trivial_twist_identity():

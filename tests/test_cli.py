@@ -560,12 +560,30 @@ def test_main_check_with_nothing_to_test_exits_2(tmp_path, capsys, check):
     assert f"fockmod: {check['check']}: nothing to test" in capsys.readouterr().err
 
 
-def test_main_unwritable_out_exits_2(tmp_path, capsys):
+def test_main_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "tiny.json"
     cfg.write_text(json.dumps(tiny_config()))
-    for out in (tmp_path / "missing" / "x.json", tmp_path):
-        assert main(["model", "--config", str(cfg), "--out", str(out)]) == 2
-        assert f"fockmod: cannot write {out}: " in capsys.readouterr().err
+    calls = []
+    for name in [n for n in vars(models) if n.startswith("check_")]:
+        fn = getattr(models, name)
+        monkeypatch.setattr(models, name, lambda *a, fn=fn, **k: calls.append(fn) or fn(*a, **k))
+    missing = tmp_path / "missing" / "x.json"
+    for argv in (["model", "--config", str(cfg)], ["verify-car"]):
+        assert main(argv + ["--out", str(missing)]) == 2
+        assert f"fockmod: cannot write {missing}: " in capsys.readouterr().err
+    # a directory that cannot be made is seen before any check runs
+    assert calls == []
+    assert main(["model", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert f"fockmod: cannot write {tmp_path}: " in capsys.readouterr().err
+    # no temporary file is left behind
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.json"]
+    # a report replaces an existing file only whole, and leaves no other
+    out = tmp_path / "r.json"
+    out.write_text("old")
+    assert main(["model", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["status"] == "pass"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "tiny.json"]
+    assert calls
 
 
 def test_main_usage_errors():

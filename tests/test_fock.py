@@ -1,6 +1,7 @@
 """Fock layer: canonical antisymmetric calculus, creation and
 annihilation, GNS evaluation, symbolic field operators."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, strategies as st
 from fockmod import fock as fock_module
 from fockmod.weyl import State, WeylElement, maps_close
 from fockmod.bimodule import ModuleVector, OneParticleVector, Twist, conjugate_vector, module_inner
-from fockmod.models import build_context, observable, plus_vector
+from fockmod.models import build_context, check_car, observable, plus_vector
 from fockmod.oracle import (
     DenseTensor,
     oracle_antisymmetrize,
@@ -48,11 +49,13 @@ from fockmod.fock import (
 from _support import (
     apply_word_by_word,
     dense_from_level,
+    fock_close,
     level_tuples,
     rand_vector,
     rand_wedge,
     rand_weyl,
     raw_u_of,
+    right_normal,
     tiny_grid,
     tiny_module,
     tiny_pairs,
@@ -196,9 +199,9 @@ def test_annihilate_inverts_on_wedge():
     e1 = module.basis_element(1)
     w01 = create(e0, create(e1, om))
     back = annihilate(e1, w01)
-    assert back.close_to(-1.0 * create(e0, om), 1e-14)
+    assert fock_close(back, -1.0 * create(e0, om), 1e-14)
     swapped = annihilate(e0, w01)
-    assert swapped.close_to(create(e1, om), 1e-14)
+    assert fock_close(swapped, create(e1, om), 1e-14)
 
 
 def test_annihilate_vacuum_is_zero():
@@ -251,7 +254,7 @@ def test_create_into_level_four_is_the_minor(family):
             f = module.embed(vec, WeylElement.monomial(gens, n))
             out = create(f, basis_fock(module, t, truncation=4))
             assert level_tuples(out, 4) <= set(itertools.combinations(range(d), 4))
-            level = out.parts[4]
+            level = right_normal(out, 4)
             assert set(level) <= {n}
             for s in itertools.combinations(range(d), 4):
                 want = np.linalg.det(np.column_stack([fn, u[:, t]])[list(s)]) / 2
@@ -310,18 +313,18 @@ def test_two_groups_meet_on_one_label_against_the_oracle():
         dense = dense_from_level(v, l)
         if l < 4:
             got = create(f, v)
-            assert (1, 1) in got.parts[l + 1]
+            assert (1, 1) in right_normal(got, l + 1)
             want = oracle_fermi_create(f.entries, dense, u_of)
             assert dense_from_level(got, l + 1).max_deviation(want) <= 1e-12, l
         got = annihilate(f, v)
-        assert (0, 0) in got.parts[l - 1]
+        assert (0, 0) in right_normal(got, l - 1)
         want = oracle_fermi_annihilate(f.entries, dense, u_of)
         if l == 1:
             assert weyl_dev(got.scalar, want) <= 1e-12
         else:
             assert dense_from_level(got, l - 1).max_deviation(want) <= 1e-12, l
         got = fock_left_action(a, v)
-        assert (1, 1) in got.parts[l]
+        assert (1, 1) in right_normal(got, l)
         want = oracle_left_mult(a, dense, u_of)
         assert dense_from_level(got, l).max_deviation(want) <= 1e-12, l
         w = v + element(l)
@@ -371,9 +374,43 @@ def test_full_support_create_and_annihilate_against_the_oracle():
             assert dense_from_level(got, l - 1).max_deviation(want) <= 1e-12, l
 
 
-def test_rotations_once_per_label(monkeypatch):
-    # the cost model: annihilation rotates each distinct survivor once
-    # per (group, label), creation inserts once per (group, label)
+def test_mixed_frames_on_one_label_against_the_oracle():
+    # A constructed element keeps e_t . W(m) in the frame -m.  With the
+    # groups n = (1, 0), n' = (0, 1) and the labels m = (1, 1),
+    # m' = (0, 2), annihilation sends both (m, -m) and (m', -m') to the
+    # label (0, 1), in two frames; the pairing then meets buckets whose
+    # frames differ, the one place it reads the minors of u(n).
+    module = tiny_module("mixed")
+    gens = module.gens
+    d = module.basis.dim
+    u_of = functools.lru_cache(maxsize=None)(raw_u_of(module.twist))
+    rng = random.Random(41)
+    f = ModuleVector(module, {b: weyl_on(rng, gens, [(1, 0), (0, 1)]) for b in range(d)})
+    states = [State(kind) for kind in State.KINDS]
+    for l in range(1, 5):
+        v = full_support(module, rng, l, [(1, 1), (0, 2)], truncation=4)
+        got = annihilate(f, v)
+        assert sorted(o for m, o in got.parts[l - 1] if m == (0, 1)) == [(-1, -1), (0, -2)]
+        want = oracle_fermi_annihilate(f.entries, dense_from_level(v, l), u_of)
+        if l == 1:
+            assert weyl_dev(got.scalar, want) <= 1e-12
+            continue
+        dense = dense_from_level(got, l - 1)
+        assert dense.max_deviation(want) <= 1e-12, l
+        w = got + full_support(module, rng, l - 1, [(0, 1), (1, 0)], truncation=4)
+        for other in (got, w):
+            pairing = oracle_nested_inner(dense, dense_from_level(other, l - 1), u_of)
+            # the pairings reach about 2.6e3 on level 3: round-off, relative
+            tol = 1e-13 * max(1.0, *map(abs, pairing.terms.values()))
+            assert weyl_dev(fock_inner(got, other), pairing) <= tol, l
+            for st_ in states:
+                assert abs(gns_inner(got, other, st_) - st_(pairing)) <= tol, (l, st_)
+
+
+def test_operators_read_no_exterior_power(monkeypatch):
+    # create, annihilate and the left action keep each bucket's frame and
+    # read only rotated one-particle vectors: no minor of u(n) is taken,
+    # and creation inserts once per (group, bucket)
     module = tiny_module("mixed")
     gens = module.gens
     d = module.basis.dim
@@ -382,30 +419,39 @@ def test_rotations_once_per_label(monkeypatch):
     labels = [(0, 1), (1, -1)]
     f = ModuleVector(module, {b: weyl_on(rng, gens, groups) for b in range(d)})
     v = full_support(module, rng, 3, labels, truncation=4)
-    # warm the wedge cache, so that no call below recurses
-    create(f, v)
+    calls = {"pair": 0, "det": 0, "insert": 0}
+    pair, det, insert = Twist.pair, np.linalg.det, fock_module.wedge_insert
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(Twist, "pair", counted("pair", pair))
+    monkeypatch.setattr(np.linalg, "det", counted("det", det))
+    monkeypatch.setattr(fock_module, "wedge_insert", counted("insert", insert))
+    a = weyl_on(rng, gens, groups)
     annihilate(f, v)
-    calls = {"wedge": 0, "insert": 0}
-    wedge = Twist.wedge
-    insert = fock_module.wedge_insert
-
-    def counted_wedge(*args):
-        calls["wedge"] += 1
-        return wedge(*args)
-
-    def counted_insert(*args):
-        calls["insert"] += 1
-        return insert(*args)
-
-    monkeypatch.setattr(Twist, "wedge", counted_wedge)
-    monkeypatch.setattr(fock_module, "wedge_insert", counted_insert)
-    annihilate(f, v)
-    survivors = math.comb(d, 2)
-    assert calls == {"wedge": len(groups) * len(labels) * survivors, "insert": 0}
-    calls.update(wedge=0)
+    fock_left_action(a, v)
+    assert calls == {"pair": 0, "det": 0, "insert": 0}
     create(f, v)
-    tuples = math.comb(d, 3)
-    assert calls == {"wedge": len(groups) * len(labels) * tuples, "insert": len(groups) * len(labels)}
+    assert calls == {"pair": 0, "det": 0, "insert": len(groups) * len(labels)}
+    # a tracial sweep on the dense twist pairs probes and images in one
+    # frame, so it never reaches the minors either
+    calls.update(insert=0)
+    ctx = dataclasses.replace(build_context("delta", tiny_grid(), tiny_pairs(tiny_grid()), "tracial"), module=module)
+    e0, e3 = module.basis_element(0, WeylElement.monomial(gens, (1, 0))), module.basis_element(3)
+    assert check_car(ctx, [(e0, e3, False)]).residuals["nonfree_min"] > 0
+    assert calls["pair"] == 0 and calls["det"] == 0 and calls["insert"] > 0
+    # the tracial state skips pairs of different labels before any minor:
+    # W(1, 0) moves v's buckets (m, -m) to (m + (1, 0), -m), so every pair
+    # with v has its frames apart, and no pair has equal labels
+    w = fock_left_action(WeylElement.monomial(gens, (1, 0)), v)
+    assert gns_inner(v, w, State("tracial")) == 0 and calls["pair"] == 0
+    gns_inner(v, w, State("quasifree"))
+    assert calls["pair"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +467,7 @@ def test_fock_left_action_morphism():
         v = rand_wedge(rng, module, rng.randint(1, 3))
         lhs = fock_left_action(a, fock_left_action(b, v))
         rhs = fock_left_action(a * b, v)
-        assert lhs.close_to(rhs, 1e-12)
+        assert fock_close(lhs, rhs, 1e-12)
 
 
 def test_left_action_level_zero_is_product():
@@ -442,7 +488,7 @@ def test_actions_commute():
         v = rand_wedge(rng, module, 2)
         lhs = fock_right_mul(fock_left_action(a, v), b)
         rhs = fock_left_action(a, fock_right_mul(v, b))
-        assert lhs.close_to(rhs, 1e-12)
+        assert fock_close(lhs, rhs, 1e-12)
 
 
 def test_creation_intertwines_with_left_action():
@@ -485,7 +531,7 @@ def test_create_above_truncation_drops_and_flags():
     for op in (creation(e3) + annihilation(e0), annihilation(e0) + creation(e3)):
         image = op.apply(top)
         assert image.truncated
-        assert image.close_to(annihilate(e0, top))
+        assert fock_close(image, annihilate(e0, top))
     assert not annihilation(e0).apply(top).truncated
 
 
@@ -502,12 +548,13 @@ def test_cancelled_words_leave_no_empty_dicts():
     # level 1 alone, so the peak level a tracer reads as max(parts) is 1
     image = (anti + creation(g)).apply(vac)
     assert sorted(image.parts) == [1] and max(image.parts) == 1
-    assert image.close_to(create(g, vac))
+    assert fock_close(image, create(g, vac))
     # one label of a tuple cancels and the other stays
     a = WeylElement(gens, {(1, 0): 0.5, (0, 1): 2.0j})
     mono = WeylElement.monomial(gens, (1, 0), 0.5)
     left = basis_fock(module, (0, 1), coeff=a) - basis_fock(module, (0, 1), coeff=mono)
-    assert left.parts == {2: {(0, 1): {(0, 1): 2.0j}}}
+    # the constructor keeps e_t . W(m) in the frame -m
+    assert left.parts == {2: {((0, 1), (0, -1)): {(0, 1): 2.0j}}}
     for v in (image, left, anti.apply(left), (anti + creation(g)).apply(left)):
         assert all(labels and all(labels.values()) for labels in v.parts.values())
 
@@ -530,7 +577,7 @@ def test_fock_arithmetic_and_guards():
     x = FockElement(module, 3, {0: {(): a}, 1: {(2,): zero}, 2: {(0, 1): a, (1, 2): zero}})
     assert sorted(x.parts) == [0, 2]
     assert x.scalar.terms == a.terms and x.scalar.gens is gens
-    assert x.parts[2] == {n: {(0, 1): c} for n, c in a.terms.items()}
+    assert x.parts[2] == {(n, tuple(-v for v in n)): {(0, 1): c} for n, c in a.terms.items()}
     assert FockElement(module, 3, {0: {(): zero}}).is_zero()
     assert FockElement(module, 3).scalar.is_zero()
 
@@ -612,12 +659,10 @@ def test_field_operator_algebra():
     B = weyl_mult(module, rand_weyl(rng, module.gens))
     v = rand_wedge(rng, module, 2)
     # composition applies right to left
-    assert (A @ B).apply(v).close_to(A.apply(B.apply(v)), 1e-12)
-    assert (A + B).apply(v).close_to(A.apply(v) + B.apply(v), 1e-12)
+    assert fock_close((A @ B).apply(v), A.apply(B.apply(v)), 1e-12)
+    assert fock_close((A + B).apply(v), A.apply(v) + B.apply(v), 1e-12)
     assert (A - A).apply(v).is_zero()
-    assert commutator(A, B).apply(v).close_to(
-        (A @ B).apply(v) - (B @ A).apply(v), 1e-12
-    )
+    assert fock_close(commutator(A, B).apply(v), (A @ B).apply(v) - (B @ A).apply(v), 1e-12)
     # adjoint against the GNS pairing
     w = rand_wedge(rng, module, 2)
     lhs = gns_inner(v, (A @ B).apply(w), state)
@@ -635,7 +680,7 @@ def test_field_operator_stops_a_killed_word():
     vac = vacuum(module, 3)
     # a(e1) kills the vacuum, so the word contributes nothing
     op = FieldOperator(module, [(2.0, (Unreachable(), AnnihilateOp(e1))), (1.0, (CreateOp(e0),))])
-    assert op.apply(vac).close_to(create(e0, vac), 0.0)
+    assert fock_close(op.apply(vac), create(e0, vac), 0.0)
     assert FieldOperator(module, [(1.0, (Unreachable(), AnnihilateOp(e1)))]).apply(vac).is_zero()
 
 
@@ -775,7 +820,7 @@ def test_dirac_bracket_sector_structure():
     # pairing f with its conjugate partner closes to the identity
     op2 = anticommutator(dirac(f), dirac(conjugate_vector(f)))
     for probe in (vacuum(module, 3), basis_fock(module, (1, 2))):
-        assert op2.apply(probe).close_to(probe, 1e-12)
+        assert fock_close(op2.apply(probe), probe, 1e-12)
 
 
 def test_operator_matrix_norms():
