@@ -6,117 +6,9 @@ module vectors are finite sums e_b * A, and Fock vectors live under a
 hard particle-number truncation.  No floating point linear algebra
 enters an algebraic identity; numerics appear only where a claim is a
 numerical claim (norm estimates, positivity).
+
+The package itself holds only ``__version__``; import the submodules
+(``fockmod.weyl``, ``bimodule``, ``fock``, ``models``, ``oracle``, ``cli``).
 """
 
 __version__ = "0.1.0"
-
-from .weyl import (
-    GridSpec,
-    TestFunctionPair,
-    GeneratorSet,
-    WeylElement,
-    State,
-    symplectic_form,
-    gram_matrix,
-)
-from .bimodule import (
-    SECTOR_PLUS,
-    SECTOR_MINUS,
-    OneParticleBasis,
-    OneParticleVector,
-    Conjugation,
-    Twist,
-    FreeBimodule,
-    ModuleVector,
-    left_action,
-    module_inner,
-    conjugate_vector,
-    mutually_free,
-    FreenessReport,
-)
-from .fock import (
-    FockElement,
-    vacuum,
-    create,
-    annihilate,
-    fock_left_action,
-    fock_right_mul,
-    fock_inner,
-    gns_inner,
-    gns_norm,
-    FieldOperator,
-    creation,
-    annihilation,
-    weyl_mult,
-    dirac,
-    anticommutator,
-    commutator,
-    operator_matrix,
-    OperatorMatrixResult,
-)
-from .models import (
-    SIGMA_KINDS,
-    kernel_value,
-    sigma_convolve,
-    make_twist,
-    ModelContext,
-    build_context,
-    electron,
-    electron_star,
-    observable,
-    gauge_transform,
-    CheckResult,
-)
-
-__all__ = [
-    "__version__",
-    "GridSpec",
-    "TestFunctionPair",
-    "GeneratorSet",
-    "WeylElement",
-    "State",
-    "symplectic_form",
-    "gram_matrix",
-    "SECTOR_PLUS",
-    "SECTOR_MINUS",
-    "OneParticleBasis",
-    "OneParticleVector",
-    "Conjugation",
-    "Twist",
-    "FreeBimodule",
-    "ModuleVector",
-    "left_action",
-    "module_inner",
-    "conjugate_vector",
-    "mutually_free",
-    "FreenessReport",
-    "FockElement",
-    "vacuum",
-    "create",
-    "annihilate",
-    "fock_left_action",
-    "fock_right_mul",
-    "fock_inner",
-    "gns_inner",
-    "gns_norm",
-    "FieldOperator",
-    "creation",
-    "annihilation",
-    "weyl_mult",
-    "dirac",
-    "anticommutator",
-    "commutator",
-    "operator_matrix",
-    "OperatorMatrixResult",
-    "SIGMA_KINDS",
-    "kernel_value",
-    "sigma_convolve",
-    "make_twist",
-    "ModelContext",
-    "build_context",
-    "electron",
-    "electron_star",
-    "observable",
-    "gauge_transform",
-    "CheckResult",
-]

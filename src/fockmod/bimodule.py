@@ -24,7 +24,6 @@ from .weyl import GeneratorSet, GridSpec, WeylElement, PRUNE_TOL
 __all__ = [
     "OneParticleBasis",
     "OneParticleVector",
-    "Conjugation",
     "Twist",
     "FreeBimodule",
     "ModuleVector",
@@ -119,29 +118,6 @@ class OneParticleVector:
     def __repr__(self) -> str:
         inside = ", ".join(f"{b}: {c:.6g}" for b, c in sorted(self.coeffs.items()))
         return f"OneParticleVector({{{inside}}})"
-
-
-class Conjugation:
-    """Antilinear involution swapping the charge sectors of h."""
-
-    __slots__ = ("basis",)
-
-    def __init__(self, basis: OneParticleBasis) -> None:
-        self.basis = basis
-
-    def matrix(self) -> np.ndarray:
-        """Permutation part K, so the full map is v -> K conj(v)."""
-        d = self.basis.dim
-        out = np.zeros((d, d))
-        for i in range(d):
-            out[self.basis.conj_index(i), i] = 1.0
-        return out
-
-    def apply(self, vec: OneParticleVector) -> OneParticleVector:
-        return OneParticleVector(
-            self.basis,
-            {self.basis.conj_index(b): c.conjugate() for b, c in vec.coeffs.items()},
-        )
 
 
 def _spectral_norm(mat: np.ndarray) -> float:
@@ -242,12 +218,15 @@ class Twist:
 
     def _check_dense(self) -> None:
         unitaries = self._factors
-        eye = np.eye(self.basis.dim)
-        kmat = Conjugation(self.basis).matrix()
+        d = self.basis.dim
+        eye = np.eye(d)
+        # the sector swap as an index map, conj_index(i) for every i:
+        # U K = U[:, kappa] and K conj(U) = conj(U)[kappa, :]
+        kappa = np.roll(np.arange(d), d // 2)
         for idx, u in enumerate(unitaries):
             if _spectral_norm(u @ u.conj().T - eye) > TWIST_TOL:
                 raise ValueError(f"twist generator {idx} is not unitary")
-            if _spectral_norm(u @ kmat - kmat @ u.conj()) > TWIST_TOL:
+            if _spectral_norm(u[:, kappa] - u.conj()[kappa, :]) > TWIST_TOL:
                 raise ValueError(f"twist generator {idx} breaks charge conjugation")
         for a in range(len(unitaries)):
             for b in range(a + 1, len(unitaries)):
@@ -341,9 +320,9 @@ class Twist:
 
 
 class FreeBimodule:
-    """Shared context tying together basis, generators, twist and kappa."""
+    """Shared context tying together basis, generators and twist."""
 
-    __slots__ = ("basis", "gens", "twist", "conj")
+    __slots__ = ("basis", "gens", "twist")
 
     def __init__(self, basis: OneParticleBasis, gens: GeneratorSet, twist: Twist) -> None:
         if twist.basis != basis or twist.gens is not gens:
@@ -351,7 +330,6 @@ class FreeBimodule:
         self.basis = basis
         self.gens = gens
         self.twist = twist
-        self.conj = Conjugation(basis)
 
     def basis_element(self, i: int, coeff: WeylElement | None = None) -> "ModuleVector":
         """e_i . A with A defaulting to the unit."""
@@ -399,14 +377,6 @@ class ModuleVector:
         for b, a in other.entries.items():
             out[b] = out[b] + a if b in out else a
         return ModuleVector(self.space, out)
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + (-1.0) * other
-
-    def __rmul__(self, scalar: complex) -> "ModuleVector":
-        return ModuleVector(
-            self.space, {b: scalar * a for b, a in self.entries.items()}
-        )
 
     def is_zero(self) -> bool:
         return not self.entries

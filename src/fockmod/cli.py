@@ -3,7 +3,8 @@
 Reads a scenario config (JSON, schema fockmod/1), builds the model
 context it describes, runs the named checks and emits a report.  One
 table, CHECK_PARAMS, maps each check name to the parsers of its
-parameters; models.check_<name> is looked up by name when it runs.  JSON
+parameters.  Every check of a config is parsed before the first one
+runs; models.check_<name> is looked up by name when it runs.  JSON
 reports are byte-identical for identical config and seed: keys are
 sorted, residuals are serialized through repr so they round-trip to the
 exact double, and no timing data enters the payload (the text format
@@ -353,15 +354,25 @@ _NO_TOLERANCE = frozenset({"nonfock", "gauge_invariance", "mutual_freeness"})
 _EVERY_LIST = frozenset({"observable_net", "gauge_invariance"})
 
 
-def _call_check(ctx, item: dict, name: str, seed: int, tolerance: float | None) -> CheckResult:
-    fixed = {"ctx": ctx, "gens": ctx.gens, "seed": seed}
-    args = [fixed[p] if isinstance(p, str) else p(ctx, item, name) for p in CHECK_PARAMS[name]]
-    lists = [a for a in args if isinstance(a, list)]
-    _require(all(lists) if name in _EVERY_LIST else not lists or any(lists), f"{name}: nothing to test")
-    kwargs = {} if tolerance is None or name in _NO_TOLERANCE else {"tol": tolerance}
-    # looked up by name on each call, so that a wrapper installed on the
-    # models module (the benchmark's tracer) sees every check
-    return getattr(models, f"check_{name}")(*args, **kwargs)
+def _bind_checks(ctx, items, base_seed: int, tolerance: float | None) -> list[tuple[str, list, dict]]:
+    """(name, positional arguments, keyword arguments) of every check in
+    items, each validated and parsed before the first one runs."""
+    _require(isinstance(items, list) and items, "checks: need a nonempty list")
+    bound = []
+    for ordinal, item in enumerate(items):
+        _require(isinstance(item, dict) and "check" in item, f"checks[{ordinal}]: need a check name")
+        name = item["check"]
+        _require(
+            isinstance(name, str) and name in CHECK_PARAMS,
+            f"checks[{ordinal}]: unknown check {name!r}",
+        )
+        fixed = {"ctx": ctx, "gens": ctx.gens, "seed": _check_seed(base_seed, name, ordinal)}
+        args = [fixed[p] if isinstance(p, str) else p(ctx, item, name) for p in CHECK_PARAMS[name]]
+        lists = [a for a in args if isinstance(a, list)]
+        _require(all(lists) if name in _EVERY_LIST else not lists or any(lists), f"{name}: nothing to test")
+        kwargs = {} if tolerance is None or name in _NO_TOLERANCE else {"tol": tolerance}
+        bound.append((name, args, kwargs))
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -416,18 +427,12 @@ def run_config(
         config["truncation"] = _int(truncation, "truncation")
     base_seed = _int(config.get("seed", 0), "seed")
     ctx = build_scenario(config)
-    items = config.get("checks")
-    _require(isinstance(items, list) and items, "checks: need a nonempty list")
     records = []
     failed = 0
-    for ordinal, item in enumerate(items):
-        _require(isinstance(item, dict) and "check" in item, f"checks[{ordinal}]: need a check name")
-        cname = item["check"]
-        _require(
-            isinstance(cname, str) and cname in CHECK_PARAMS,
-            f"checks[{ordinal}]: unknown check {cname!r}",
-        )
-        cr = _call_check(ctx, item, cname, _check_seed(base_seed, cname, ordinal), tolerance)
+    for name, args, kwargs in _bind_checks(ctx, config.get("checks"), base_seed, tolerance):
+        # looked up by name at call time, so that a wrapper installed on
+        # the models module (the benchmark's tracer) sees every check
+        cr = getattr(models, f"check_{name}")(*args, **kwargs)
         records.append(_json_check(cr))
         failed += 0 if cr.passed else 1
     return {

@@ -241,12 +241,10 @@ class ModelContext:
     """Everything a check needs: the bimodule plus scenario metadata."""
 
     kind: str
-    grid: GridSpec
     gens: GeneratorSet
     module: FreeBimodule
     state: State
     truncation: int
-    radius: float | None = None
     vectors: dict[str, ModuleVector] = field(default_factory=dict)
     # sigma * s0 per generator: the phase profiles of the model twist
     phis: tuple[np.ndarray, ...] = ()
@@ -266,12 +264,10 @@ def build_context(
     module = FreeBimodule(basis, gens, _phase_twist(basis, gens, phis))
     return ModelContext(
         kind=kind,
-        grid=grid,
         gens=gens,
         module=module,
         state=State(state_kind),
         truncation=truncation,
-        radius=radius,
         phis=phis,
     )
 
@@ -766,9 +762,10 @@ def _random_module_vector(rng, module) -> ModuleVector:
 
 
 def _random_fock(rng, module, truncation, top) -> FockElement:
+    """Random terms on levels 0..top; levels above dim hold no wedge."""
     dim = module.basis.dim
     parts: dict[int, dict] = {0: {(): _random_weyl(rng, module.gens)}}
-    for l in range(1, top + 1):
+    for l in range(1, min(top, dim) + 1):
         terms = {}
         for _ in range(rng.randint(1, 2)):
             t = tuple(sorted(rng.sample(range(dim), l)))
@@ -844,8 +841,8 @@ def check_norm_recovery(ctx: ModelContext, seed: int, cases: int = 20, tol: floa
     state = State("tracial")
     claims = []
     for i in range(cases):
-        size = rng.randint(1, 3)
-        picks = rng.sample(range(dim), size)
+        # a one-point grid has dim 2: at most dim distinct sites
+        picks = rng.sample(range(dim), min(rng.randint(1, 3), dim))
         coeffs = {b: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for b in picks}
         vec = OneParticleVector(module.basis, coeffs)
         nrm = vec.norm()

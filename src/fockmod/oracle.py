@@ -127,6 +127,21 @@ def _left_mult_column(a: WeylElement, col: int, row: int, u_of) -> WeylElement:
     return out
 
 
+def _rotations(mat, slots: tuple[int, ...], dim: int) -> list[tuple[tuple[int, ...], complex]]:
+    """Every (target tuple, weight) of mat applied to e_slots, rotating
+    slot by slot, each slot independently over the matrix columns."""
+    targets: list[tuple[tuple[int, ...], complex]] = [((), 1.0 + 0.0j)]
+    for col in slots:
+        grown = []
+        for prefix, w in targets:
+            for row in range(dim):
+                z = mat[row, col]
+                if abs(z * w) > PRUNE_TOL:
+                    grown.append((prefix + (row,), w * z))
+        targets = grown
+    return targets
+
+
 def oracle_left_mult(a: WeylElement, t: DenseTensor, u_of) -> DenseTensor:
     """Move a across every slot in turn, then into the coefficient.
 
@@ -139,17 +154,7 @@ def oracle_left_mult(a: WeylElement, t: DenseTensor, u_of) -> DenseTensor:
         mono = WeylElement.monomial(t.gens, n, c)
         for idx, coeff in t.nonzero():
             shifted = mono * coeff
-            # distribute each slot independently over the matrix columns
-            targets: list[tuple[tuple[int, ...], complex]] = [((), 1.0 + 0.0j)]
-            for slot in range(t.level):
-                grown = []
-                for prefix, w in targets:
-                    for row in range(t.dim):
-                        z = mat[row, idx[slot]]
-                        if abs(z * w) > PRUNE_TOL:
-                            grown.append((prefix + (row,), w * z))
-                targets = grown
-            for full, w in targets:
+            for full, w in _rotations(mat, idx, t.dim):
                 out.add_into(full, w * shifted)
     return out
 
@@ -201,16 +206,7 @@ def oracle_create(f_entries: dict[int, WeylElement], t: DenseTensor, u_of) -> De
             mono = WeylElement.monomial(gens, n, c * scale)
             for idx, coeff in t.nonzero():
                 shifted = mono * coeff
-                targets: list[tuple[tuple[int, ...], complex]] = [((), 1.0 + 0.0j)]
-                for slot in range(t.level):
-                    grown = []
-                    for prefix, w in targets:
-                        for row in range(t.dim):
-                            z = mat[row, idx[slot]]
-                            if abs(z * w) > PRUNE_TOL:
-                                grown.append((prefix + (row,), w * z))
-                    targets = grown
-                for tail, w in targets:
+                for tail, w in _rotations(mat, idx, t.dim):
                     out.add_into((b,) + tail, w * shifted)
     return out
 
@@ -235,22 +231,11 @@ def oracle_annihilate(f_entries: dict[int, WeylElement], t: DenseTensor, u_of) -
         fb = f_entries.get(idx[0])
         if fb is None or fb.is_zero():
             continue
-        bracket = fb.adjoint()
-        tail = idx[1:]
-        for n, c in bracket.terms.items():
+        for n, c in fb.adjoint().terms.items():
             mat = u_of(n)
             mono = WeylElement.monomial(gens, n, c * scale)
             shifted = mono * coeff
-            targets: list[tuple[tuple[int, ...], complex]] = [((), 1.0 + 0.0j)]
-            for slot_val in tail:
-                grown = []
-                for prefix, w in targets:
-                    for row in range(t.dim):
-                        z = mat[row, slot_val]
-                        if abs(z * w) > PRUNE_TOL:
-                            grown.append((prefix + (row,), w * z))
-                targets = grown
-            for full, w in targets:
+            for full, w in _rotations(mat, idx[1:], t.dim):
                 out.add_into(full, w * shifted)
     return out
 

@@ -29,11 +29,6 @@ __all__ = [
     "gram_matrix",
     "PRUNE_TOL",
     "COEFF_TOL",
-    "map_product",
-    "map_scaled",
-    "map_merge",
-    "map_adjoint",
-    "maps_close",
 ]
 
 # coefficients at or below this magnitude are dropped from stored maps
@@ -115,11 +110,6 @@ class TestFunctionPair:
 
     def integral_s0(self) -> float:
         return float(np.sum(self.s0)) * self.grid.cell_volume
-
-    def __add__(self, other: "TestFunctionPair") -> "TestFunctionPair":
-        if self.grid != other.grid:
-            raise ValueError("grid mismatch")
-        return TestFunctionPair(self.grid, self.s0 + other.s0, self.s1 + other.s1)
 
 
 def symplectic_form(s: TestFunctionPair, t: TestFunctionPair) -> float:
@@ -214,55 +204,6 @@ def _check_exponent(gens: GeneratorSet, n) -> tuple[int, ...]:
     return n
 
 
-# ---------------------------------------------------------------------------
-# coefficient maps
-#
-# A coefficient map {n: c} is the store of a WeylElement: exponent tuples
-# to complex coefficients, each |c| > PRUNE_TOL.  These helpers do
-# WeylElement's arithmetic, and each prunes where the operation it
-# implements ends.  The Fock layer stores its levels label-major, as
-# complex scalars per (label, frame, basis tuple), and multiplies group
-# labels with GeneratorSet.product directly.
-
-
-def map_product(gens: GeneratorSet, x: dict, y: dict) -> dict:
-    """The product x y, summed term by term before pruning."""
-    out: dict[tuple[int, ...], complex] = {}
-    for n, a in x.items():
-        for m, b in y.items():
-            key, phase = gens.product(n, m)
-            out[key] = out.get(key, 0.0) + a * b * phase
-    return {n: c for n, c in out.items() if abs(c) > PRUNE_TOL}
-
-
-def map_scaled(s: complex, x: dict) -> dict:
-    out: dict[tuple[int, ...], complex] = {}
-    for n, c in x.items():
-        c = s * c
-        if abs(c) > PRUNE_TOL:
-            out[n] = c
-    return out
-
-
-def map_merge(dst: dict, src: dict) -> None:
-    """dst += src in place; a key that cancels leaves dst."""
-    for n, c in src.items():
-        c = dst.get(n, 0.0) + c
-        if abs(c) > PRUNE_TOL:
-            dst[n] = c
-        elif n in dst:
-            del dst[n]
-
-
-def map_adjoint(x: dict) -> dict:
-    # W(n)* = W(-n) exactly: the canonical labelling carries no phase
-    return {tuple(-v for v in n): c.conjugate() for n, c in x.items()}
-
-
-def maps_close(x: dict, y: dict, tol: float) -> bool:
-    return not any(abs(x.get(n, 0.0) - y.get(n, 0.0)) > tol for n in x.keys() | y.keys())
-
-
 class WeylElement:
     """Finite combination sum_n c_n W(n) with exact group bookkeeping."""
 
@@ -300,7 +241,8 @@ class WeylElement:
     def __add__(self, other: "WeylElement") -> "WeylElement":
         self._require_same(other)
         out = dict(self.terms)
-        map_merge(out, other.terms)
+        for n, c in other.terms.items():
+            out[n] = out.get(n, 0.0) + c
         return WeylElement(self.gens, out)
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
@@ -310,17 +252,24 @@ class WeylElement:
         return (-1.0) * self
 
     def __rmul__(self, scalar: complex) -> "WeylElement":
-        return WeylElement(self.gens, map_scaled(scalar, self.terms))
+        return WeylElement(self.gens, {n: scalar * c for n, c in self.terms.items()})
 
     def __mul__(self, other):
-        """Algebra product; scalars multiply coefficientwise."""
+        """Algebra product, summed term by term before pruning; scalars
+        multiply coefficientwise, from the left."""
         if not isinstance(other, WeylElement):
-            return WeylElement(self.gens, map_scaled(other, self.terms))
+            return self.__rmul__(other)
         self._require_same(other)
-        return WeylElement(self.gens, map_product(self.gens, self.terms, other.terms))
+        out: dict[tuple[int, ...], complex] = {}
+        for n, a in self.terms.items():
+            for m, b in other.terms.items():
+                key, phase = self.gens.product(n, m)
+                out[key] = out.get(key, 0.0) + a * b * phase
+        return WeylElement(self.gens, out)
 
     def adjoint(self) -> "WeylElement":
-        return WeylElement(self.gens, map_adjoint(self.terms))
+        # W(n)* = W(-n) exactly: the canonical labelling carries no phase
+        return WeylElement(self.gens, {tuple(-v for v in n): c.conjugate() for n, c in self.terms.items()})
 
     # -- inspection --------------------------------------------------
 
@@ -329,7 +278,8 @@ class WeylElement:
 
     def close_to(self, other: "WeylElement", tol: float = COEFF_TOL) -> bool:
         self._require_same(other)
-        return maps_close(self.terms, other.terms, tol)
+        x, y = self.terms, other.terms
+        return not any(abs(x.get(n, 0.0) - y.get(n, 0.0)) > tol for n in x.keys() | y.keys())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeylElement):

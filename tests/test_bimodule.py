@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from fockmod import bimodule
 from fockmod.weyl import GridSpec, State, WeylElement
 from fockmod.bimodule import (
-    Conjugation,
     FreeBimodule,
     ModuleVector,
     OneParticleBasis,
@@ -138,6 +137,19 @@ def test_twist_rejects_kappa_violation():
         Twist(basis, gens, [u, np.eye(6)])
     with pytest.raises(ValueError, match="generator 0 breaks charge conjugation"):
         Twist(basis, gens, [np.diagonal(u), np.ones(6)])
+
+
+def test_dense_twist_rejects_kappa_violation():
+    basis = OneParticleBasis(tiny_grid())
+    gens = tiny_gens()
+    mats = [u.copy() for u in mixing_twist(basis, gens).unitaries]
+    # the + block repeated on the - sector instead of its conjugate: still
+    # a commuting unitary family, and not diagonal, so the dense check runs
+    for u in mats:
+        u[3:, 3:] = u[:3, :3]
+    assert np.count_nonzero(mats[0] - np.diag(np.diagonal(mats[0])))
+    with pytest.raises(ValueError, match="generator 0 breaks charge conjugation"):
+        Twist(basis, gens, mats)
 
 
 def test_twist_takes_phase_vectors():
@@ -344,21 +356,27 @@ def test_by_group_and_support():
 # charge conjugation
 
 
+def kappa(module, v: OneParticleVector) -> OneParticleVector:
+    """Charge conjugation of v in h, through conjugate_vector on v . 1."""
+    return conjugate_vector(module.embed(v)).by_group()[module.gens.zero()]
+
+
 def test_conjugation_matrix_and_involution():
-    basis = OneParticleBasis(tiny_grid())
-    conj = Conjugation(basis)
-    k = conj.matrix()
-    assert np.array_equal(k @ k, np.eye(6))
+    module = tiny_module("trivial")
+    basis = module.basis
+    # the index map kappa squares to the identity, so K K = 1
+    perm = np.array([basis.conj_index(i) for i in range(6)])
+    assert np.array_equal(perm, np.roll(np.arange(6), 3))
+    assert np.array_equal(perm[perm], np.arange(6))
     v = OneParticleVector(basis, {0: 1.0 + 2.0j, 4: -1.0})
-    w = conj.apply(v)
+    w = kappa(module, v)
     assert w.coeffs == {3: 1.0 - 2.0j, 1: -1.0}
-    assert conj.apply(w).coeffs == v.coeffs
+    assert kappa(module, w).coeffs == v.coeffs
 
 
 @pytest.mark.parametrize("family", ["delta", "poisson", "mixed"])
 def test_twist_commutes_with_conjugation(family):
     module = tiny_module(family)
-    conj = module.conj
     rng = random.Random(53)
     for _ in range(10):
         n = (rng.randint(-2, 2), rng.randint(-2, 2))
@@ -366,8 +384,8 @@ def test_twist_commutes_with_conjugation(family):
             module.basis,
             {rng.randrange(6): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)},
         )
-        lhs = module.twist.apply(n, conj.apply(v))
-        rhs = conj.apply(module.twist.apply(n, v))
+        lhs = module.twist.apply(n, kappa(module, v))
+        rhs = kappa(module, module.twist.apply(n, v))
         assert (lhs - rhs).norm() <= 1e-12
 
 

@@ -560,13 +560,19 @@ def test_main_check_with_nothing_to_test_exits_2(tmp_path, capsys, check):
     assert f"fockmod: {check['check']}: nothing to test" in capsys.readouterr().err
 
 
-def test_main_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "tiny.json"
-    cfg.write_text(json.dumps(tiny_config()))
+def _count_checks(monkeypatch) -> list:
+    """Wrap every models.check_* so that each call is recorded."""
     calls = []
     for name in [n for n in vars(models) if n.startswith("check_")]:
         fn = getattr(models, name)
         monkeypatch.setattr(models, name, lambda *a, fn=fn, **k: calls.append(fn) or fn(*a, **k))
+    return calls
+
+
+def test_main_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(tiny_config()))
+    calls = _count_checks(monkeypatch)
     missing = tmp_path / "missing" / "x.json"
     for argv in (["model", "--config", str(cfg)], ["verify-car"]):
         assert main(argv + ["--out", str(missing)]) == 2
@@ -584,6 +590,47 @@ def test_main_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
     assert json.loads(out.read_text())["summary"]["status"] == "pass"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "tiny.json"]
     assert calls
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"check": "gauge_invariance", "angles": []}, "gauge_invariance: nothing to test"),
+        ({"check": "no_such_check"}, "unknown check 'no_such_check'"),
+    ],
+)
+def test_main_parses_every_check_before_any_runs(tmp_path, capsys, monkeypatch, extra, message):
+    cfg = load_config("delta_locality")
+    cfg["checks"] = cfg["checks"] + [extra]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    calls = _count_checks(monkeypatch)
+    assert main(["model", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("truncation", ["3", "4"])
+def test_main_one_point_grid_random_checks(tmp_path, capsys, truncation):
+    # dim 2 holds no wedge above level 2 and no three distinct sites
+    cfg = {
+        "schema": SCHEMA,
+        "grid": {"points": 1},
+        "sigma": {"kind": "delta"},
+        "generators": [{"s0": {"shape": "values", "values": [0.5]}}],
+        "checks": [{"check": "adjointness"}, {"check": "norm_recovery"}, {"check": "covariance"}],
+    }
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["model", "--config", str(path), "--truncation", truncation, "--format", "json"]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    checks = json.loads(out.out)["runs"][0]["checks"]
+    assert [(c["name"], c["status"]) for c in checks] == [
+        ("adjointness", "pass"),
+        ("norm_recovery", "pass"),
+        ("covariance", "pass"),
+    ]
 
 
 def test_main_usage_errors():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fockmod import fock as fock_module
-from fockmod.weyl import State, WeylElement, maps_close
+from fockmod.weyl import State, WeylElement
 from fockmod.bimodule import ModuleVector, OneParticleVector, Twist, conjugate_vector, module_inner
 from fockmod.models import build_context, check_car, observable, plus_vector
 from fockmod.oracle import (
@@ -69,6 +69,11 @@ SQ2 = math.sqrt(2.0)
 
 def unit_of(module):
     return WeylElement.unit(module.gens)
+
+
+def maps_close(x: dict, y: dict, tol: float) -> bool:
+    """Two coefficient maps {label: complex} agree within tol at every label."""
+    return not any(abs(x.get(n, 0.0) - y.get(n, 0.0)) > tol for n in x.keys() | y.keys())
 
 
 def basis_fock(module, t, truncation=3, coeff=None):
