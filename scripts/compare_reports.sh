@@ -13,9 +13,10 @@
 # one line per report, followed by the first 40 lines of `diff -u` for a
 # report that differs byte for byte.  No CLI run reaches a twist that is
 # not diagonal, a grid beyond 1D or a second spinor component, so both
-# trees also run two of the benchmark's workloads for seeds 1, 2 and 3:
-# `dense_twist` (a rotated, non-diagonal twist) and `grid_scale` (2D x
-# 16^2 with two components and 3D x 8^3).  The script compares each run's
+# trees also run two of the benchmark's workloads: `dense_twist` (a
+# rotated, non-diagonal twist) for seeds 1 to 5 and `grid_scale` (2D x
+# 16^2 with two components and 3D x 8^3) for seeds 1, 2 and 3.  The
+# script compares each run's
 # digest (the `digest` field that `python bench/sample.py WORKLOAD N`
 # prints).  When a digest differs it prints each side's checks, one line
 # per check: name, status, the `repr` of every residual and the witness.
@@ -130,8 +131,11 @@ for r in results:
     print(f"{r.name} {r.status}{residuals} witness={witness}")
 PY
 }
-for workload in dense_twist grid_scale; do
-    for seed in 1 2 3; do
+for run in "dense_twist 1 2 3 4 5" "grid_scale 1 2 3"; do
+    set -- $run
+    workload=$1
+    shift
+    for seed in "$@"; do
         sample "$base" $workload $seed > "$out/base.txt"
         sample "$head" $workload $seed > "$out/head.txt"
         if [ "$(head -n 1 "$out/base.txt")" = "$(head -n 1 "$out/head.txt")" ]; then

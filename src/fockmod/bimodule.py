@@ -174,10 +174,11 @@ class Twist:
     u(n) e_b is a single phase.  Any other family is kept dense.
 
     ``pair`` holds the only minors of u(k) the Fock layer reads.
+    ``closure`` joins slots into the twist's coupling blocks.
     """
 
     __slots__ = (
-        "basis", "gens", "_zero", "_diagonal", "_factors", "_cache", "__weakref__"
+        "basis", "gens", "_zero", "_diagonal", "_factors", "_cache", "_blocks", "__weakref__"
     )
 
     def __init__(self, basis: OneParticleBasis, gens: GeneratorSet, unitaries) -> None:
@@ -195,6 +196,7 @@ class Twist:
         # the label of u(0), compared as a whole tuple
         self._zero = (0,) * len(gens)
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._blocks: list[frozenset[int]] | None = None
         self._diagonal = all(
             u.ndim == 1 or np.count_nonzero(u) == np.count_nonzero(np.diagonal(u))
             for u in unitaries
@@ -245,6 +247,41 @@ class Twist:
         if self._diagonal:
             return tuple(np.diag(p) for p in self._factors)
         return self._factors
+
+    def closure(self, slots) -> set[int]:
+        """The slots together with every coupling block they meet.
+
+        A coupling block is a connected component of the exact nonzero
+        pattern of the U_k and U_k*.  Every u(n) is a product of these,
+        so it maps the span of a block into itself, and a vector stays
+        inside the blocks its entries sit in.  On a diagonal twist each
+        slot is a block of its own, and the slots come back unchanged;
+        a dense family finds its blocks once, on first use.
+        """
+        slots = set(slots)
+        if self._diagonal:
+            return slots
+        if self._blocks is None:
+            mask = np.zeros((self.basis.dim,) * 2, dtype=bool)
+            for u in self._factors:
+                mask |= u != 0
+            mask |= mask.T
+            # the block of each slot, found by a search from its first slot
+            blocks: list = [None] * self.basis.dim
+            for start in range(self.basis.dim):
+                if blocks[start] is not None:
+                    continue
+                members, stack = {start}, [start]
+                while stack:
+                    for j in np.flatnonzero(mask[stack.pop()]).tolist():
+                        if j not in members:
+                            members.add(j)
+                            stack.append(j)
+                block = frozenset(members)
+                for j in block:
+                    blocks[j] = block
+            self._blocks = blocks
+        return slots.union(*(self._blocks[b] for b in slots))
 
     def _power(self, n: tuple[int, ...]) -> np.ndarray:
         """Cached u(n): its phase vector when diagonal, else its matrix;

@@ -341,10 +341,13 @@ def _pairing(v: FockElement, w: FockElement, tracial: bool = False) -> dict:
     and lands on W(-n) W(m) once: a dot product over the shared tuples
     when k = 0, ``Twist.pair`` otherwise.  A level-l pair of equal tuples
     counts l! times, once per expansion term.  With ``tracial`` the pairs
-    with m != n, which that state sends to 0, are skipped first.
+    with m != n, which that state sends to 0, are skipped first.  On a
+    diagonal twist, where ``Twist.pair`` reads only the shared tuples, a
+    pair of buckets in different frames that shares none is skipped too.
     """
     v._require_same(w)
     gens = v.space.gens
+    diagonal = v.space.twist.diagonal
     total: dict[tuple[int, ...], complex] = {}
     for l in v.parts.keys() & w.parts.keys():
         scale = float(math.factorial(l))
@@ -359,6 +362,8 @@ def _pairing(v: FockElement, w: FockElement, tracial: bool = False) -> dict:
                     # the frames' gap (m + p) - (n + o); level 0 has no frame
                     k = tuple(a + b - c - d for a, b, c, d in zip(m, p, n, o))
                     if l and any(k):
+                        if diagonal and vt.keys().isdisjoint(wt):
+                            continue  # the minors pair no tuple: exactly 0
                         acc = v.space.twist.pair(k, vt, wt)
                 if acc is None and len(vt) <= len(wt):
                     for t, c in vt.items():
@@ -626,21 +631,64 @@ class OperatorMatrixResult:
     rank: int
 
 
+def _bucket_keys(v: FockElement, diagonal: bool):
+    """(level, frame, tuple) of every entry of v, the frame m + o of its
+    bucket (m, o); None on level 0, which has no frame, and on a diagonal
+    twist, where buckets in any two frames pair through their shared
+    tuples alone."""
+    for l, buckets in v.parts.items():
+        for (m, o), terms in buckets.items():
+            frame = None if diagonal or not l else tuple(map(operator.add, m, o))
+            for t in terms:
+                yield l, frame, t
+
+
 def operator_matrix(op: FieldOperator, basis: list[FockElement], state: State) -> OperatorMatrixResult:
     """Compression of op to the span of basis, orthonormalized via the
     GNS Gram matrix; the norm estimate is the largest singular value.
 
     A Gram eigenvalue at or below RANK_TOL (relative to the largest)
     drops that direction and flags the result as degenerate.
+
+    Each Gram and compressed entry is ``gns_inner`` of a basis element
+    (the row) with a basis element or an image (the column), computed
+    only where ``_pairing`` can add a term: the row shares a
+    (level, frame, tuple) key of ``_bucket_keys`` with the column, or, on
+    a twist that is not diagonal, holds a bucket on a level where the
+    column holds one in another frame, which ``Twist.pair`` couples.
+    Every other entry is exactly 0, the value ``gns_inner`` returns there.
     """
     k = len(basis)
+    diagonal = op.space.twist.diagonal
+    by_key: dict[tuple, set[int]] = {}
+    by_frame: dict[int, dict[tuple, set[int]]] = {}
+    for i, b in enumerate(basis):
+        for l, frame, t in _bucket_keys(b, diagonal):
+            by_key.setdefault((l, frame, t), set()).add(i)
+            if frame is not None:
+                by_frame.setdefault(l, {}).setdefault(frame, set()).add(i)
+
+    def rows(w: FockElement) -> list[int]:
+        out: set[int] = set()
+        frames = set()
+        for l, frame, t in _bucket_keys(w, diagonal):
+            out.update(by_key.get((l, frame, t), ()))
+            if frame is not None:
+                frames.add((l, frame))
+        for l, frame in frames:
+            for other, members in by_frame.get(l, {}).items():
+                if other != frame:
+                    out |= members
+        return sorted(out)
+
     gram = np.zeros((k, k), dtype=complex)
-    images = [op.apply(b) for b in basis]
     tmat = np.zeros((k, k), dtype=complex)
-    for i in range(k):
-        for j in range(k):
-            gram[i, j] = gns_inner(basis[i], basis[j], state)
-            tmat[i, j] = gns_inner(basis[i], images[j], state)
+    for j, b in enumerate(basis):
+        for i in rows(b):
+            gram[i, j] = gns_inner(basis[i], b, state)
+        image = op.apply(b)
+        for i in rows(image):
+            tmat[i, j] = gns_inner(basis[i], image, state)
     eigvals, eigvecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     cutoff = RANK_TOL * max(1.0, float(eigvals.max(initial=0.0)))
     keep = eigvals > cutoff

@@ -454,14 +454,16 @@ def level_basis(
 
 def _touched(op: FieldOperator) -> set[int]:
     """Every slot a creation or annihilation of ``op`` can fill or
-    contract: the entries of its primitives' vectors."""
-    return {
+    contract: the entries of its primitives' vectors, closed under the
+    twist's coupling blocks (``Twist.closure``), since the pulled vectors
+    u(-k) f_n the primitives insert and contract never leave them."""
+    return op.space.twist.closure(
         b
         for _, prims in op.terms
         for p in prims
         if not isinstance(p, LeftMultOp)
         for b in p.vector.entries
-    }
+    )
 
 
 def _probes(
@@ -476,23 +478,25 @@ def _probes(
     inside T and every k <= top - |s|, where B_k is one fixed set of k
     spectators, untouched indices taken from the front and back of those
     outside T (B_1 the first, B_2 the first and the last); a size above the
-    number of untouched indices is skipped.  This is exact on a diagonal
-    twist under the tracial state.
+    number of untouched indices is skipped.  This is exact on any twist
+    under the tracial state.
 
-    Why: a spectator b is never filled or contracted, since no
-    creation or annihilation of the operator has an entry at b, and on a
-    diagonal twist each primitive (creation, annihilation, left
-    multiplication) only multiplies b's slot by phase_n(b), n the label it
-    moves into the coefficient.  So a term whose label moved by L carries
-    phase_L(b), a unimodular factor shared by every term of that label.
-    Under the tracial state terms of different labels are orthogonal, so
-    the factor drops out of the GNS norm, and the sign from sorting b into
-    a tuple is the same for every term reaching that tuple.  The norm on
-    e_s ^ e_B thus depends on the spectator set B through its size alone,
-    and one set per size reaches every witness of the level; a
-    charge-conjugate partner that no primitive touches is a spectator too.
+    Why: a probe e_s ^ e_B is a bucket at label 0 in frame 0, and no
+    operator changes a frame.  A creation or annihilation inserts or
+    contracts only the pulled vectors u(-k) f_n, which lie in the span of
+    T, since T is closed under the twist's coupling blocks.  So a spectator
+    b outside T is never filled or contracted, and
+    Op(e_s ^ e_B) = Op(e_s) ^ e_B in every bucket, up to the level scale
+    of ``create`` and ``annihilate``, which depends on |B| alone, and the
+    sign of sorting B into each output tuple, which squares away.  Under
+    the tracial state only buckets of one label pair, and all of them sit
+    in frame 0, so they pair by a plain tuple dot product that never
+    reads u.  The norm on e_s ^ e_B thus depends on the spectator set B
+    through its size alone, and one set per size reaches every witness of
+    the level; a charge-conjugate partner outside T is a spectator too.
     Only the order in which terms are summed changes with B, which can
-    move a residual by an ulp.
+    move a residual by an ulp.  The quasifree state pairs buckets of
+    different labels through the minors of u, which do depend on B.
     """
     if touched is None:
         return level_basis(module, n, top)
@@ -571,13 +575,15 @@ def _swept(ctx: ModelContext, cases, exact: bool = False, window: int | None = N
     Probes come from the operator (``_probes``): the vacuum and the wedges
     of level <= min(top, n - 1) over its touched set T, n the window (the
     context's truncation unless given).  With ``exact`` they gain
-    spectators on a diagonal twist under the tracial state, and are the
-    whole basis otherwise.  Each probe set is built once per check, when
-    it is first swept: per (T, top), or per top for the whole basis.
+    spectators under the tracial state, on any twist, since there a
+    spectator stays in frame 0 and drops out of the norm; under the
+    quasifree state they are the whole basis.  Each probe set is built
+    once per check, when it is first swept: per (T, top), or per top for
+    the whole basis.
     """
     module = ctx.module
     n = ctx.truncation if window is None else window
-    spectators = exact and module.twist.diagonal and ctx.state.kind == "tracial"
+    spectators = exact and ctx.state.kind == "tracial"
     whole = exact and not spectators
     memo: dict[tuple, list[FockElement]] = {}
 

@@ -7,6 +7,7 @@ driver that pits every Fock-level operation against its brute-force
 counterpart.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -24,7 +25,9 @@ from fockmod.bimodule import (
 )
 from fockmod.cli import SCHEMA
 from fockmod.fock import (
+    RANK_TOL,
     FockElement,
+    OperatorMatrixResult,
     annihilate,
     annihilation,
     anticommutator,
@@ -33,10 +36,11 @@ from fockmod.fock import (
     fock_inner,
     fock_left_action,
     fock_right_mul,
+    gns_inner,
     gns_norm,
     weyl_mult,
 )
-from fockmod.models import THRESHOLD, kernel_value, level_basis, make_twist
+from fockmod.models import THRESHOLD, build_context, kernel_value, level_basis, make_twist
 from fockmod.oracle import (
     DenseTensor,
     _parity,
@@ -107,6 +111,33 @@ def tiny_module(family: str = "trivial", seed: int = 0) -> FreeBimodule:
     else:
         twist = make_twist(family, basis, gens, 1.5 if family == "bump" else None)
     return FreeBimodule(basis, gens, twist)
+
+
+def mixed_car_case(seed: int = 3):
+    """A tracial delta context on the tiny grid whose twist is
+    ``mixing_twist``, rotated as the dense_twist benchmark rotates its
+    twist, with CAR pairs of dense rotated vectors: two free pairs at
+    W(0) (u(0) fixes every vector), one inside the + block and one across
+    both blocks, and a non-free pair W(1, 0) against W(0) in the + block.
+    """
+    grid = tiny_grid()
+    ctx = build_context("delta", grid, tiny_pairs(grid))
+    basis, gens = ctx.module.basis, ctx.gens
+    module = FreeBimodule(basis, gens, mixing_twist(basis, gens, seed))
+    rng = np.random.default_rng(seed)
+
+    def vector(slots, n=(0, 0)):
+        z = rng.normal(size=len(slots)) + 1j * rng.normal(size=len(slots))
+        coeff = WeylElement.monomial(gens, n)
+        return ModuleVector(module, {b: complex(c) * coeff for b, c in zip(slots, z)})
+
+    plus, both = (0, 1, 2), range(basis.dim)
+    pairs = [
+        (vector(plus), vector(plus), True),
+        (vector(plus), vector(both), True),
+        (vector(plus, (1, 0)), vector(plus), False),
+    ]
+    return dataclasses.replace(ctx, module=module), pairs
 
 
 def ref_sigma_convolve(kind: str, grid: GridSpec, s0, radius=None) -> np.ndarray:
@@ -255,6 +286,29 @@ def apply_word_by_word(op, v: FockElement) -> FockElement:
                 for t, c in ts.items():
                     target[t] = target.get(t, 0.0) + scalar * c
     return FockElement._of(op.space, v.truncation, parts, truncated)
+
+
+def ref_operator_matrix(op, basis: list[FockElement], state) -> OperatorMatrixResult:
+    """Reference for operator_matrix: every Gram and compressed entry
+    paired by ``gns_inner``, zero or not, in a k x k double loop."""
+    k = len(basis)
+    gram = np.zeros((k, k), dtype=complex)
+    images = [op.apply(b) for b in basis]
+    tmat = np.zeros((k, k), dtype=complex)
+    for i in range(k):
+        for j in range(k):
+            gram[i, j] = gns_inner(basis[i], basis[j], state)
+            tmat[i, j] = gns_inner(basis[i], images[j], state)
+    eigvals, eigvecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
+    cutoff = RANK_TOL * max(1.0, float(eigvals.max(initial=0.0)))
+    keep = eigvals > cutoff
+    rank = int(np.count_nonzero(keep))
+    if rank == 0:
+        return OperatorMatrixResult(np.zeros((0, 0)), 0.0, True, 0)
+    basis_mat = eigvecs[:, keep] / np.sqrt(eigvals[keep])
+    compressed = basis_mat.conj().T @ tmat @ basis_mat
+    norm = float(np.linalg.norm(compressed, 2))
+    return OperatorMatrixResult(compressed, norm, rank < k, rank)
 
 
 def word_suffixes(op) -> set[tuple[int, ...]]:

@@ -252,6 +252,33 @@ def test_diagonal_pair_is_the_phase_product(family):
                 assert twist.pair(n, {t: 1.0}, {s: 1.0 for s in tuples if s != t}) == 0
 
 
+def test_twist_closure_joins_coupling_blocks():
+    # mixing_twist repeats a dense block on each sector, so its coupling
+    # blocks are the + slots {0, 1, 2} and the - slots {3, 4, 5}, and every
+    # u(n) is exactly 0 between them
+    module = tiny_module("mixed")
+    twist = module.twist
+    assert twist.closure([0]) == {0, 1, 2}
+    assert twist.closure({4, 5}) == {3, 4, 5}
+    assert twist.closure([1, 5]) == set(range(6))
+    assert twist.closure([]) == set()
+    for n in [(1, 0), (0, -1), (2, -1)]:
+        u = twist.matrix(n)
+        assert not u[:3, 3:].any() and not u[3:, :3].any()
+    # on a diagonal twist each slot is its own block, and no d x d mask
+    # is built
+    diagonal = tiny_module("delta").twist
+    for slots in ([], [0], [1, 4], range(6)):
+        assert diagonal.closure(slots) == set(slots)
+    assert diagonal._blocks is None
+    # one exact entry between slot 0 and its partner 3 merges the blocks
+    mats = [u.copy() for u in twist.unitaries]
+    mats[0][0, 3] = mats[0][3, 0] = 1e-13
+    merged = Twist(module.basis, module.gens, mats)
+    assert not merged.diagonal
+    assert merged.closure([4]) == set(range(6))
+
+
 def test_trivial_twist_identity():
     module = tiny_module("trivial")
     v = OneParticleVector(module.basis, {1: 2.0, 4: -1.0j})

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from fockmod import fock as fock_module
 from fockmod.weyl import State, WeylElement
 from fockmod.bimodule import ModuleVector, OneParticleVector, Twist, conjugate_vector, module_inner
-from fockmod.models import build_context, check_car, observable, plus_vector
+from fockmod.models import _random_fock, build_context, check_car, level_basis, observable, plus_vector
 from fockmod.oracle import (
     DenseTensor,
     oracle_antisymmetrize,
@@ -55,6 +55,7 @@ from _support import (
     rand_wedge,
     rand_weyl,
     raw_u_of,
+    ref_operator_matrix,
     right_normal,
     tiny_grid,
     tiny_module,
@@ -842,6 +843,106 @@ def test_operator_matrix_norms():
     # duplicated directions are flagged, not inverted through
     res3 = operator_matrix(ident, basis + [basis[1]], state)
     assert res3.degenerate and res3.rank == 4
+
+
+def assert_same_matrix_result(got, want):
+    assert got.matrix.shape == want.matrix.shape
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert (got.norm_estimate, got.degenerate, got.rank) == (want.norm_estimate, want.degenerate, want.rank)
+
+
+def matrix_ops(module, rng):
+    f, g = rand_vector(rng, module), rand_vector(rng, module)
+    return [
+        annihilation(f),
+        dirac(g),
+        creation(g) @ annihilation(f) + weyl_mult(module, rand_weyl(rng, module.gens)),
+    ]
+
+
+@pytest.mark.parametrize("family", ("delta", "mixed"))
+@pytest.mark.parametrize("kind", ("tracial", "quasifree"))
+def test_operator_matrix_matches_full_pairing(family, kind):
+    # the entries left out are exactly the zeros the full k x k pairing
+    # computes, so every field comes out bit for bit the same
+    module = tiny_module(family)
+    state = State(kind)
+    rng = random.Random(71)
+    basis = level_basis(module, 3, 2)
+    for op in matrix_ops(module, rng):
+        assert_same_matrix_result(operator_matrix(op, basis, state), ref_operator_matrix(op, basis, state))
+        # a repeated element makes the Gram matrix singular
+        twice = basis + [basis[3]]
+        got = operator_matrix(op, twice, state)
+        assert got.degenerate
+        assert_same_matrix_result(got, ref_operator_matrix(op, twice, state))
+
+
+@pytest.mark.parametrize("family", ("delta", "mixed"))
+def test_operator_matrix_matches_full_pairing_across_frames(family):
+    # random elements moved by a left action hold buckets at several
+    # labels in several frames, which the quasifree state pairs through
+    # the minors of u on the mixed twist
+    module = tiny_module(family)
+    state = State("quasifree")
+    rng = random.Random(73)
+    basis = [
+        fock_left_action(rand_weyl(rng, module.gens), _random_fock(rng, module, 3, 2))
+        for _ in range(8)
+    ]
+    frames = {
+        tuple(map(sum, zip(m, o))) for v in basis for l, labels in v.parts.items() if l for m, o in labels
+    }
+    assert len(frames) > 1
+    for op in matrix_ops(module, rng):
+        assert_same_matrix_result(operator_matrix(op, basis, state), ref_operator_matrix(op, basis, state))
+
+
+@pytest.mark.parametrize("family", ("delta", "mixed"))
+def test_operator_matrix_pairs_few_entries(family, monkeypatch):
+    # the 26-element level-3 basis over five slots that check_norm_recovery
+    # builds: fewer than a quarter of the k^2 entries of each matrix are
+    # paired, for a vector without and one with a Weyl label
+    module = tiny_module(family)
+    basis = level_basis(module, 3, 3, [0, 1, 2, 4, 5])
+    k = len(basis)
+    assert k == 26
+    calls = []
+    inner = fock_module.gns_inner
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(fock_module, "gns_inner", counted)
+    unit = module.embed(OneParticleVector(module.basis, {0: 0.6, 4: 0.8j}))
+    labelled = module.basis_element(1, WeylElement.monomial(module.gens, (1, 0)))
+    for vec in (unit, labelled):
+        calls.clear()
+        operator_matrix(annihilation(vec), basis, State("tracial"))
+        assert 0 < len(calls) < k * k / 4
+
+
+def test_pairing_skips_disjoint_buckets_on_a_diagonal_twist(monkeypatch):
+    # on a diagonal twist two buckets in different frames pair through
+    # their shared tuples alone: with none shared Twist.pair is not called
+    # and the pairing is exactly 0; a shared tuple calls it once
+    module = tiny_module("delta")
+    gens = module.gens
+    calls = []
+    pair = Twist.pair
+
+    def counted(*args):
+        calls.append(args[1])
+        return pair(*args)
+
+    monkeypatch.setattr(Twist, "pair", counted)
+    v = basis_fock(module, (0, 1))
+    moved = fock_left_action(WeylElement.monomial(gens, (1, 0)), basis_fock(module, (0, 2)))
+    state = State("quasifree")
+    assert gns_inner(v, moved, state) == 0 and not calls
+    shared = fock_left_action(WeylElement.monomial(gens, (1, 0)), basis_fock(module, (0, 1)))
+    assert gns_inner(v, shared, state) != 0 and calls == [(1, 0)]
 
 
 def test_nonfock_nested_vs_slotwise():

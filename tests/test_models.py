@@ -8,14 +8,24 @@ import cmath
 import dataclasses
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 
 from fockmod.weyl import GeneratorSet, GridSpec, TestFunctionPair, WeylElement
-from fockmod.bimodule import SECTOR_MINUS, SECTOR_PLUS, ModuleVector, OneParticleBasis
+from fockmod.bimodule import SECTOR_MINUS, SECTOR_PLUS, FreeBimodule, ModuleVector, OneParticleBasis, Twist
 from fockmod.cli import _car_pairs, build_scenario, builtin_car_config
-from fockmod.fock import AnnihilateOp, CreateOp, FieldOperator, annihilation, anticommutator, creation, dirac
+from fockmod.fock import (
+    AnnihilateOp,
+    CreateOp,
+    FieldOperator,
+    annihilation,
+    anticommutator,
+    creation,
+    dirac,
+    gns_norm,
+)
 from fockmod import models
 from fockmod.models import (
     SIGMA_KINDS,
@@ -52,6 +62,7 @@ from fockmod.models import (
 )
 
 from _support import (
+    mixed_car_case,
     poisson_2d_config,
     ref_car_sweep,
     ref_sigma_convolve,
@@ -429,11 +440,23 @@ def _both_sectors_case():
     return ctx, [(f, g, True), (p, q, False), (q, p, False)]
 
 
+def _mixed_designed_case():
+    """The designed non-free pair and a free pair at W(0) on the
+    ``mixing_twist`` family, whose coupling blocks are the two sectors."""
+    ctx = dataclasses.replace(delta_ctx(), module=tiny_module("mixed"))
+    module = ctx.module
+    return ctx, [(module.basis_element(0), module.basis_element(2), True), (*_designed_pair(ctx), False)]
+
+
 def _car_case(case):
     if case == "one_point":
         return _one_point_case()
     if case == "both_sectors":
         return _both_sectors_case()
+    if case == "mixed_designed":
+        return _mixed_designed_case()
+    if case == "mixed_rotated":
+        return mixed_car_case()
     if case in SIGMA_KINDS:
         cfg = builtin_car_config(case, 1)
     elif case == "poisson_2d":
@@ -452,7 +475,17 @@ def _within_ulps(a, b, ulps=4):
 
 
 @pytest.mark.parametrize(
-    "case", (*SIGMA_KINDS, "poisson_2d", "designed", "claimed_free", "one_point", "both_sectors")
+    "case",
+    (
+        *SIGMA_KINDS,
+        "poisson_2d",
+        "designed",
+        "claimed_free",
+        "one_point",
+        "both_sectors",
+        "mixed_designed",
+        "mixed_rotated",
+    ),
 )
 def test_check_car_matches_full_sweep(case, monkeypatch):
     ctx, pairs = _car_case(case)
@@ -486,39 +519,107 @@ def _slots(witnesses):
     return [t for w in witnesses for labels in w.parts.values() for terms in labels.values() for t in terms]
 
 
-def test_spectator_witnesses_fall_back_to_the_whole_basis(monkeypatch):
-    diagonal = delta_ctx()
-    f, g = _designed_pair(diagonal)
-    mixed = dataclasses.replace(diagonal, module=tiny_module("mixed"))
-    quasifree = delta_ctx(state_kind="quasifree")
+def _recorded_sweep(ctx, op, top, monkeypatch):
+    """(touched, probes) of the one probe set ``_swept`` builds for op."""
     probes = models._probes
-    for ctx in (mixed, quasifree):
-        a, b = _designed_pair(ctx)
-        for top in (0, 1, 2):
-            built = {}
+    built = []
 
-            def recorded(module, n, top_, touched=None, spectators=False):
-                built[top_] = (touched, probes(module, n, top_, touched, spectators))
-                return built[top_][1]
+    def recorded(module, n, top_, touched=None, spectators=False):
+        built.append((touched, probes(module, n, top_, touched, spectators)))
+        return built[-1][1]
 
-            monkeypatch.setattr(models, "_probes", recorded)
-            op = anticommutator(annihilation(a), creation(b))
-            models._swept(ctx, [(models.Claim({}), [(op, top)])], exact=True)
-            touched, got = built[top]
-            assert touched is None
-            assert [w.parts for w in got] == [w.parts for w in level_basis(ctx.module, 3, top)]
+    monkeypatch.setattr(models, "_probes", recorded)
+    models._swept(ctx, [(models.Claim({}), [(op, top)])], exact=True)
+    monkeypatch.setattr(models, "_probes", probes)
+    ((touched, got),) = built
+    return touched, got
+
+
+def test_spectator_witnesses_fall_back_to_the_whole_basis(monkeypatch):
+    # only the quasifree state sweeps the whole basis
+    quasifree = delta_ctx(state_kind="quasifree")
+    a, b = _designed_pair(quasifree)
+    for top in (0, 1, 2):
+        op = anticommutator(annihilation(a), creation(b))
+        touched, got = _recorded_sweep(quasifree, op, top, monkeypatch)
+        assert touched is None
+        assert [w.parts for w in got] == [w.parts for w in level_basis(quasifree.module, 3, top)]
     # diagonal and tracial: every subset of the touched slots {0, 1} with
     # the spectator sets {}, {2} (the first untouched index) and {2, 5}
     # (the first and the last); the partners 3 and 4 are untouched
+    diagonal = delta_ctx()
+    f, g = _designed_pair(diagonal)
     op = anticommutator(annihilation(f), creation(g))
-    touched = tuple(sorted(models._touched(op)))
     level_1 = [(), (0,), (1,), (2,)]
     for top, slots in ((1, level_1), (2, level_1 + [(0, 1), (0, 2), (1, 2), (2, 5)])):
-        assert _slots(probes(diagonal.module, 3, top, touched, spectators=True)) == slots
+        touched, got = _recorded_sweep(diagonal, op, top, monkeypatch)
+        assert touched == (0, 1)
+        assert _slots(got) == slots
+    # the mixed twist under the tracial state: T is the + block {0, 1, 2},
+    # the coupling block of the touched slots 0 and 1, and the spectators
+    # come from the - block, {3} and {3, 5}
+    mixed = dataclasses.replace(diagonal, module=tiny_module("mixed"))
+    f, g = _designed_pair(mixed)
+    op = anticommutator(annihilation(f), creation(g))
+    level_1 = [(), (0,), (1,), (2,), (3,)]
+    level_2 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 5)]
+    for top, slots in ((1, level_1), (2, level_1 + level_2)):
+        touched, got = _recorded_sweep(mixed, op, top, monkeypatch)
+        assert touched == (0, 1, 2)
+        assert _slots(got) == slots
+
+
+def test_merged_coupling_blocks_sweep_the_whole_basis(monkeypatch):
+    # one exact entry between slot 0 and its partner 3 joins the two
+    # sectors of the mixed twist into one block: T is every slot, no
+    # spectator is left, and the tracial sweep is the whole basis
+    module = tiny_module("mixed")
+    mats = [u.copy() for u in module.twist.unitaries]
+    mats[0][0, 3] = mats[0][3, 0] = 1e-13
+    twist = Twist(module.basis, module.gens, mats)
+    ctx = dataclasses.replace(delta_ctx(), module=FreeBimodule(module.basis, module.gens, twist))
+    f, g = _designed_pair(ctx)
+    op = anticommutator(annihilation(f), creation(g))
+    touched, got = _recorded_sweep(ctx, op, 2, monkeypatch)
+    assert touched == tuple(range(6))
+    assert [w.parts for w in got] == [w.parts for w in level_basis(ctx.module, 3, 2)]
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_mixed_twist_norm_depends_on_spectators_by_size(seed):
+    # on the mixed twist under the tracial state, the norm an operator
+    # leaves on e_s ^ e_B, s inside T, is one value per (s, |B|) across
+    # the whole basis: the class a spectator sweep takes one member of
+    ctx = dataclasses.replace(delta_ctx(), module=tiny_module("mixed"))
+    module, gens = ctx.module, ctx.module.gens
+    rng = random.Random(seed)
+
+    def vector():
+        slots = rng.sample(range(3), rng.randint(1, 2))
+        return ModuleVector(module, {b: models._random_weyl(rng, gens) for b in slots})
+
+    f, g = vector(), vector()
+    ops = [
+        anticommutator(annihilation(f), creation(g)),
+        creation(f),
+        annihilation(g) @ creation(f) @ annihilation(f),
+    ]
+    for op in ops:
+        touched = models._touched(op)
+        assert touched == {0, 1, 2}
+        classes: dict = {}
+        for v in level_basis(module, 3, 2):
+            (labels,) = v.parts.values()
+            ((slots,),) = labels.values()
+            key = (tuple(b for b in slots if b in touched), sum(b not in touched for b in slots))
+            classes.setdefault(key, set()).add(gns_norm(op.apply(v), ctx.state))
+        assert len(classes) == 12
+        for key, norms in classes.items():
+            assert _within_ulps(min(norms), max(norms)), (key, norms)
 
 
 def test_check_car_builds_the_full_sweep_once(monkeypatch):
-    ctx = dataclasses.replace(delta_ctx(), module=tiny_module("mixed"))
+    ctx = dataclasses.replace(delta_ctx(state_kind="quasifree"), module=tiny_module("mixed"))
     calls = []
 
     def counted(*args):
