@@ -14,6 +14,7 @@ every admissible twist.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -120,18 +121,10 @@ class OneParticleVector:
         return f"OneParticleVector({{{inside}}})"
 
 
-def _spectral_norm(mat: np.ndarray) -> float:
-    return float(np.linalg.norm(mat, 2))
-
-
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise complex product with every real product and sum rounded
-    on its own, as a BLAS product of two diagonal matrices rounds them;
-    numpy's complex multiply may fuse them and round differently."""
-    out = np.empty_like(b)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
+def _worst(stacks: np.ndarray) -> np.ndarray:
+    """The largest Frobenius norm of a block per (blocks, size, size) stack,
+    at most sqrt(size) above the operator norm and equal on 1 x 1 blocks."""
+    return np.sqrt(np.sum(stacks.real**2 + stacks.imag**2, axis=(-2, -1)).max(axis=-1))
 
 
 def wedge_insert(
@@ -157,28 +150,34 @@ def wedge_insert(
     return out
 
 
+class _Signatures(dict):
+    """{tuple t: the sorted block names of its slots}, filled on first use."""
+
+    def __missing__(self, t: tuple[int, ...]) -> tuple[int, ...]:
+        got = self[t] = tuple(sorted(map(self.names.__getitem__, t)))
+        return got
+
+
 class Twist:
     """Commuting unitaries U_k, one per Weyl generator, defining u(n).
 
-    Construction validates unitarity, pairwise commutativity and
-    compatibility with charge conjugation ([kappa, U_k] = 0, i.e.
-    U_k K = K conj(U_k) for the sector swap K); each within 1e-12 in
-    operator norm, and every entry must be finite.
-
-    Each U_k is a d x d matrix or, for a diagonal one, the length-d
-    vector of its diagonal, as the model twists pass it.  When every U_k
-    is diagonal (a matrix with all off-diagonal entries exactly zero, or
-    a vector), the twist keeps one phase vector per generator and
-    validates and applies it entrywise: the operator norms above are
-    then maxima over entries, diagonal unitaries commute exactly, and
-    u(n) e_b is a single phase.  Any other family is kept dense.
-
-    ``pair`` holds the only minors of u(k) the Fock layer reads.
-    ``closure`` joins slots into the twist's coupling blocks.
+    Each U_k is a d x d matrix or, if diagonal, the length-d vector of
+    its diagonal; the forms mix freely.  The twist keeps one stack per
+    generator of its coupling blocks (the components of the exact
+    off-diagonal nonzero pattern of the matrices, named by their smallest
+    slots, in name order, slots ascending, identity-padded to the largest
+    block); a diagonal family is a stack of 1 x 1 blocks.  u(n) maps each
+    block into itself, so det u(n)[s, t] = 0 unless ``signature(s) ==
+    signature(t)``: the sorted block names of the slots, t itself on
+    one-slot blocks.  Construction checks unitarity, commutativity and
+    charge conjugation (U K = K conj(U) for the sector swap K, i.e.
+    U[kappa i, kappa j] = conj U[i, j]) per block within 1e-12 in
+    Frobenius norm, and rejects non-finite entries.
     """
 
     __slots__ = (
-        "basis", "gens", "_zero", "_diagonal", "_factors", "_cache", "_blocks", "__weakref__"
+        "basis", "gens", "signature", "_zero", "_factors", "_cache", "_block", "_pos", "_members",
+        "_phase_at", "__weakref__",
     )
 
     def __init__(self, basis: OneParticleBasis, gens: GeneratorSet, unitaries) -> None:
@@ -195,97 +194,88 @@ class Twist:
         self.gens = gens
         # the label of u(0), compared as a whole tuple
         self._zero = (0,) * len(gens)
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
-        self._blocks: list[frozenset[int]] | None = None
-        self._diagonal = all(
-            u.ndim == 1 or np.count_nonzero(u) == np.count_nonzero(np.diagonal(u))
-            for u in unitaries
-        )
-        if self._diagonal:
-            # one phase vector per generator
-            self._factors = tuple((u if u.ndim == 1 else np.diagonal(u)).copy() for u in unitaries)
-            self._check_phases()
-        else:
-            self._factors = tuple(np.diag(u) if u.ndim == 1 else u for u in unitaries)
-            self._check_dense()
+        # union-find over the off-diagonal nonzeros; each root is the
+        # smallest slot of its block
+        root = np.arange(d)
 
-    def _check_phases(self) -> None:
-        half = self.basis.dim // 2
-        for idx, p in enumerate(self._factors):
-            if np.max(np.abs(p.real * p.real + p.imag * p.imag - 1.0)) > TWIST_TOL:
+        def find(i: int) -> int:
+            while root[i] != i:
+                root[i] = i = root[root[i]]
+            return i
+
+        for u in unitaries:
+            if u.ndim == 2:
+                rows, cols = np.nonzero(u)
+                for i, j in zip(rows[rows != cols].tolist(), cols[rows != cols].tolist()):
+                    i, j = find(i), find(j)
+                    root[max(i, j)] = min(i, j)
+        # point every slot at its root, the name of its block
+        while not np.array_equal(root[root], root):
+            root = root[root]
+        block = np.searchsorted(np.flatnonzero(root == np.arange(d)), root)
+        sizes = np.bincount(block)
+        size = int(sizes.max())
+        pos = np.empty(d, dtype=np.intp)
+        pos[np.argsort(block, kind="stable")] = np.arange(d) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        members = np.full((len(sizes), size), -1)
+        members[block, pos] = np.arange(d)
+        self._block, self._pos, self._members = block, pos, members
+        signatures = _Signatures()
+        signatures.names = root.tolist()
+        self.signature = signatures.__getitem__
+        # where a slot's phase sits in a flattened power when its block
+        # holds it alone, else -1
+        self._phase_at = np.where(sizes[block] == 1, block * size * size, -1).tolist()
+
+        valid, eye = members >= 0, np.eye(size, dtype=complex)
+        at = np.where(valid, members, 0)
+        f = np.zeros((len(unitaries), len(sizes), size, size), dtype=complex)
+        for k, u in enumerate(unitaries):
+            if u.ndim == 2:
+                f[k] = u[at[:, :, None], at[:, None, :]]
+            else:
+                f[k][:, range(size), range(size)] = u[at]
+        self._factors = f = np.where(valid[:, :, None] & valid[:, None, :], f, eye)
+        self._cache = {self._zero: np.broadcast_to(eye, f.shape[1:])}
+        # U[kappa i, kappa j] at each block entry, exactly 0 where the two
+        # partners sit in two blocks; a pad stands for itself
+        kappa = (members + d // 2) % d
+        kb = np.where(valid, block[kappa], np.arange(len(sizes))[:, None])
+        kp = np.where(valid, pos[kappa], np.arange(size))
+        swapped = f[:, kb[:, :, None], kp[:, :, None], kp[:, None, :]]
+        swapped = np.where(kb[:, :, None] == kb[:, None, :], swapped, 0)
+        unitary = _worst(f @ f.conj().swapaxes(-2, -1) - eye)
+        conjugation = _worst(swapped - f.conj())
+        for idx in range(len(f)):
+            if unitary[idx] > TWIST_TOL:
                 raise ValueError(f"twist generator {idx} is not unitary")
-            # U K - K conj(U) holds u_kappa(i) - conj(u_i) at (kappa(i), i)
-            if np.max(np.abs(np.roll(p, half) - p.conj())) > TWIST_TOL:
+            if conjugation[idx] > TWIST_TOL:
                 raise ValueError(f"twist generator {idx} breaks charge conjugation")
+        for a, b in itertools.combinations(range(len(f)), 2):
+            if _worst(f[a] @ f[b] - f[b] @ f[a]) > TWIST_TOL:
+                raise ValueError(f"twist generators {a} and {b} do not commute")
 
-    def _check_dense(self) -> None:
-        unitaries = self._factors
-        d = self.basis.dim
-        eye = np.eye(d)
-        # the sector swap as an index map, conj_index(i) for every i:
-        # U K = U[:, kappa] and K conj(U) = conj(U)[kappa, :]
-        kappa = np.roll(np.arange(d), d // 2)
-        for idx, u in enumerate(unitaries):
-            if _spectral_norm(u @ u.conj().T - eye) > TWIST_TOL:
-                raise ValueError(f"twist generator {idx} is not unitary")
-            if _spectral_norm(u[:, kappa] - u.conj()[kappa, :]) > TWIST_TOL:
-                raise ValueError(f"twist generator {idx} breaks charge conjugation")
-        for a in range(len(unitaries)):
-            for b in range(a + 1, len(unitaries)):
-                comm = unitaries[a] @ unitaries[b] - unitaries[b] @ unitaries[a]
-                if _spectral_norm(comm) > TWIST_TOL:
-                    raise ValueError(f"twist generators {a} and {b} do not commute")
-
-    @property
-    def diagonal(self) -> bool:
-        """True when every generator is diagonal, so u(n) e_b = phase_n(b) e_b."""
-        return self._diagonal
+    def _assemble(self, stack: np.ndarray) -> np.ndarray:
+        """The d x d matrix whose coupling blocks the stack holds; a pad's
+        slot -1 writes into a last row and column that are cut off."""
+        out = np.zeros((self.basis.dim + 1,) * 2, dtype=complex)
+        out[self._members[:, :, None], self._members[:, None, :]] = stack
+        return out[:-1, :-1].copy()
 
     @property
     def unitaries(self) -> tuple[np.ndarray, ...]:
         """The generators U_k as dense matrices."""
-        if self._diagonal:
-            return tuple(np.diag(p) for p in self._factors)
-        return self._factors
+        return tuple(self._assemble(f) for f in self._factors)
 
     def closure(self, slots) -> set[int]:
-        """The slots together with every coupling block they meet.
-
-        A coupling block is a connected component of the exact nonzero
-        pattern of the U_k and U_k*.  Every u(n) is a product of these,
-        so it maps the span of a block into itself, and a vector stays
-        inside the blocks its entries sit in.  On a diagonal twist each
-        slot is a block of its own, and the slots come back unchanged;
-        a dense family finds its blocks once, on first use.
-        """
+        """The slots together with every coupling block they meet."""
         slots = set(slots)
-        if self._diagonal:
-            return slots
-        if self._blocks is None:
-            mask = np.zeros((self.basis.dim,) * 2, dtype=bool)
-            for u in self._factors:
-                mask |= u != 0
-            mask |= mask.T
-            # the block of each slot, found by a search from its first slot
-            blocks: list = [None] * self.basis.dim
-            for start in range(self.basis.dim):
-                if blocks[start] is not None:
-                    continue
-                members, stack = {start}, [start]
-                while stack:
-                    for j in np.flatnonzero(mask[stack.pop()]).tolist():
-                        if j not in members:
-                            members.add(j)
-                            stack.append(j)
-                block = frozenset(members)
-                for j in block:
-                    blocks[j] = block
-            self._blocks = blocks
-        return slots.union(*(self._blocks[b] for b in slots))
+        met = self._members[self._block[list(slots)]]
+        return slots.union(met[met >= 0].tolist())
 
     def _power(self, n: tuple[int, ...]) -> np.ndarray:
-        """Cached u(n): its phase vector when diagonal, else its matrix;
-        any sequence of ints labels it."""
+        """Cached u(n) as a stack of its blocks; any sequence of ints
+        labels it."""
         if type(n) is not tuple:
             n = tuple(int(v) for v in n)
         cached = self._cache.get(n)
@@ -293,66 +283,77 @@ class Twist:
             return cached
         if len(n) != len(self.gens):
             raise ValueError("exponent length mismatch")
-        d = self.basis.dim
-        if self._diagonal:
-            out, mul = np.ones(d, dtype=complex), _times
-        else:
-            out, mul = np.eye(d, dtype=complex), np.matmul
+        out = self._cache[self._zero]
         for k, power in enumerate(n):
             if power == 0:
                 continue
-            # inverse = adjoint; .T leaves a phase vector as it is
-            base = self._factors[k] if power > 0 else self._factors[k].conj().T
+            # inverse = adjoint
+            base = self._factors[k] if power > 0 else self._factors[k].conj().swapaxes(-2, -1)
             for _ in range(abs(power)):
-                out = mul(base, out)
+                out = np.matmul(base, out)
         self._cache[n] = out
         return out
 
     def matrix(self, n: tuple[int, ...]) -> np.ndarray:
         """u(n) = prod_k U_k^{n_k}; u(0) is the exact identity."""
-        u = self._power(n)
-        return np.diag(u) if self._diagonal else u
+        return self._assemble(self._power(n))
 
     def column(self, n: tuple[int, ...], b: int) -> dict[int, complex]:
         """Sparse column u(n) e_b."""
-        if n == self._zero:
-            return {b: 1.0 + 0.0j}
-        if self._diagonal:
-            return {b: complex(self._power(n)[b])}
-        col = self.matrix(n)[:, b]
-        return {i: complex(col[i]) for i in np.nonzero(np.abs(col) > PRUNE_TOL)[0]}
+        return {b: 1.0 + 0.0j} if n == self._zero else self._column(self._power(n), b)
+
+    def _column(self, u: np.ndarray, b: int) -> dict[int, complex]:
+        """u e_b for a power u, read from the block of b."""
+        at = self._phase_at[b]
+        if at >= 0:
+            return {b: u.item(at)}
+        i = self._block[b]
+        col = u[i, :, self._pos[b]].tolist()
+        return {s: c for s, c in zip(self._members[i].tolist(), col) if s >= 0 and abs(c) > PRUNE_TOL}
 
     def pair(self, k: tuple[int, ...], x: dict, y: dict) -> complex:
         """sum conj(x_s) y_t det u(k)[s, t] over the tuples x and y carry,
-        both {canonical tuple: complex} on one level, at most PAIR_BLOCK
-        minors per determinant call."""
-        if self._diagonal:
-            p = self._power(k)
-            total = 0.0 + 0.0j
-            for t in x.keys() & y.keys():
-                z = x[t].conjugate() * y[t]
-                for b in t:
-                    z *= p.item(b)
-                total += z
-            return total
-        u = self._power(k)
-        rows, cols = np.array(list(x), dtype=np.intp), np.array(list(y), dtype=np.intp)
-        xs, ys = np.conj(list(x.values())), np.array(list(y.values()))
-        step = max(1, PAIR_BLOCK // len(cols))
+        both {canonical tuple: complex} on one level, taking minors only
+        within one ``signature`` (exactly 0 with none shared): on one-slot
+        blocks the product of the phases in slot order, else gathered from
+        the blocks, at most PAIR_BLOCK per determinant call."""
+        sig = self.signature
+        gx: dict[tuple[int, ...], list] = {}
+        gy: dict[tuple[int, ...], list] = {}
+        for s in x:
+            gx.setdefault(sig(s), []).append(s)
+        for t in y:
+            gy.setdefault(sig(t), []).append(t)
         total = 0.0 + 0.0j
-        for i in range(0, len(rows), step):
-            minors = np.linalg.det(u[rows[i : i + step, None, :, None], cols[None, :, None, :]])
-            total += complex(xs[i : i + step] @ minors @ ys)
+        shared = gx.keys() & gy.keys()
+        if not shared:
+            return total
+        u, at = self._power(k), self._phase_at
+        for g in shared:
+            if min(map(at.__getitem__, g), default=0) >= 0:
+                # one-slot blocks only: g is the one tuple on both sides
+                z = x[g].conjugate() * y[g]
+                for b in g:
+                    z *= u.item(at[b])
+                total += z
+                continue
+            rows, cols = np.array(gx[g]), np.array(gy[g])
+            xs, ys = np.conj([x[s] for s in gx[g]]), np.array([y[t] for t in gy[g]])
+            bx, px = self._block[rows][:, None, :, None], self._pos[rows][:, None, :, None]
+            by, py = self._block[cols][None, :, None, :], self._pos[cols][None, :, None, :]
+            step = max(1, PAIR_BLOCK // len(cols))
+            for i in range(0, len(rows), step):
+                b = bx[i : i + step]
+                minors = np.where(b == by, u[b, px[i : i + step], py], 0)
+                total += complex(xs[i : i + step] @ np.linalg.det(minors) @ ys)
         return total
 
     def apply(self, n: tuple[int, ...], vec: OneParticleVector) -> OneParticleVector:
-        if self._diagonal:
-            p = self._power(n)
-            return OneParticleVector(self.basis, {b: p.item(b) * c for b, c in vec.coeffs.items()})
-        out: dict[int, complex] = {}
+        u, out = self._power(n), {}
         for b, c in vec.coeffs.items():
-            for i, uc in self.column(n, b).items():
-                out[i] = out.get(i, 0.0) + uc * c
+            for i, uc in self._column(u, b).items():
+                got = out.get(i)
+                out[i] = uc * c if got is None else got + uc * c
         return OneParticleVector(self.basis, out)
 
 

@@ -341,13 +341,13 @@ def _pairing(v: FockElement, w: FockElement, tracial: bool = False) -> dict:
     and lands on W(-n) W(m) once: a dot product over the shared tuples
     when k = 0, ``Twist.pair`` otherwise.  A level-l pair of equal tuples
     counts l! times, once per expansion term.  With ``tracial`` the pairs
-    with m != n, which that state sends to 0, are skipped first.  On a
-    diagonal twist, where ``Twist.pair`` reads only the shared tuples, a
-    pair of buckets in different frames that shares none is skipped too.
+    with m != n, which that state sends to 0, are skipped first.  Buckets
+    in different frames always pair through ``Twist.pair``, exactly 0 when
+    their tuples share no signature; an exact 0 adds nothing.
     """
     v._require_same(w)
     gens = v.space.gens
-    diagonal = v.space.twist.diagonal
+    twist = v.space.twist
     total: dict[tuple[int, ...], complex] = {}
     for l in v.parts.keys() & w.parts.keys():
         scale = float(math.factorial(l))
@@ -362,9 +362,9 @@ def _pairing(v: FockElement, w: FockElement, tracial: bool = False) -> dict:
                     # the frames' gap (m + p) - (n + o); level 0 has no frame
                     k = tuple(a + b - c - d for a, b, c, d in zip(m, p, n, o))
                     if l and any(k):
-                        if diagonal and vt.keys().isdisjoint(wt):
-                            continue  # the minors pair no tuple: exactly 0
-                        acc = v.space.twist.pair(k, vt, wt)
+                        acc = twist.pair(k, vt, wt)
+                        if not acc:
+                            continue  # exactly 0, as with no shared signature
                 if acc is None and len(vt) <= len(wt):
                     for t, c in vt.items():
                         d = wt.get(t)
@@ -631,18 +631,6 @@ class OperatorMatrixResult:
     rank: int
 
 
-def _bucket_keys(v: FockElement, diagonal: bool):
-    """(level, frame, tuple) of every entry of v, the frame m + o of its
-    bucket (m, o); None on level 0, which has no frame, and on a diagonal
-    twist, where buckets in any two frames pair through their shared
-    tuples alone."""
-    for l, buckets in v.parts.items():
-        for (m, o), terms in buckets.items():
-            frame = None if diagonal or not l else tuple(map(operator.add, m, o))
-            for t in terms:
-                yield l, frame, t
-
-
 def operator_matrix(op: FieldOperator, basis: list[FockElement], state: State) -> OperatorMatrixResult:
     """Compression of op to the span of basis, orthonormalized via the
     GNS Gram matrix; the norm estimate is the largest singular value.
@@ -652,31 +640,37 @@ def operator_matrix(op: FieldOperator, basis: list[FockElement], state: State) -
 
     Each Gram and compressed entry is ``gns_inner`` of a basis element
     (the row) with a basis element or an image (the column), computed
-    only where ``_pairing`` can add a term: the row shares a
-    (level, frame, tuple) key of ``_bucket_keys`` with the column, or, on
-    a twist that is not diagonal, holds a bucket on a level where the
-    column holds one in another frame, which ``Twist.pair`` couples.
-    Every other entry is exactly 0, the value ``gns_inner`` returns there.
+    only where ``_pairing`` can add a term: the row holds a tuple t of
+    the column's in the same frame m + o of a bucket (m, o) (level 0 has
+    none), or a tuple of t's ``Twist.signature`` in another frame, which
+    ``Twist.pair`` couples.  Every other entry is exactly 0.
     """
     k = len(basis)
-    diagonal = op.space.twist.diagonal
-    by_key: dict[tuple, set[int]] = {}
-    by_frame: dict[int, dict[tuple, set[int]]] = {}
+    signature = op.space.twist.signature
+
+    def entries(v: FockElement):
+        for l, buckets in v.parts.items():
+            for (m, o), terms in buckets.items():
+                frame = tuple(map(operator.add, m, o)) if l else None
+                for t in terms:
+                    yield frame, t
+
+    # rows by (frame, tuple), and by signature and frame
+    same: dict[tuple, set[int]] = {}
+    across: dict[tuple, dict[tuple, set[int]]] = {}
     for i, b in enumerate(basis):
-        for l, frame, t in _bucket_keys(b, diagonal):
-            by_key.setdefault((l, frame, t), set()).add(i)
-            if frame is not None:
-                by_frame.setdefault(l, {}).setdefault(frame, set()).add(i)
+        for frame, t in entries(b):
+            same.setdefault((frame, t), set()).add(i)
+            across.setdefault(signature(t), {}).setdefault(frame, set()).add(i)
 
     def rows(w: FockElement) -> list[int]:
         out: set[int] = set()
-        frames = set()
-        for l, frame, t in _bucket_keys(w, diagonal):
-            out.update(by_key.get((l, frame, t), ()))
-            if frame is not None:
-                frames.add((l, frame))
-        for l, frame in frames:
-            for other, members in by_frame.get(l, {}).items():
+        met = set()
+        for frame, t in entries(w):
+            out.update(same.get((frame, t), ()))
+            met.add((signature(t), frame))
+        for sig, frame in met:
+            for other, members in across.get(sig, {}).items():
                 if other != frame:
                     out |= members
         return sorted(out)

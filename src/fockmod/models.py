@@ -455,8 +455,8 @@ def level_basis(
 def _touched(op: FieldOperator) -> set[int]:
     """Every slot a creation or annihilation of ``op`` can fill or
     contract: the entries of its primitives' vectors, closed under the
-    twist's coupling blocks (``Twist.closure``), since the pulled vectors
-    u(-k) f_n the primitives insert and contract never leave them."""
+    coupling blocks the twist is stored on (``Twist.closure``), which the
+    pulled vectors u(-k) f_n the primitives insert and contract never leave."""
     return op.space.twist.closure(
         b
         for _, prims in op.terms
@@ -496,7 +496,8 @@ def _probes(
     the level; a charge-conjugate partner outside T is a spectator too.
     Only the order in which terms are summed changes with B, which can
     move a residual by an ulp.  The quasifree state pairs buckets of
-    different labels through the minors of u, which do depend on B.
+    different labels through the minors of u of one block signature
+    (``Twist.pair``), which do depend on B.
     """
     if touched is None:
         return level_basis(module, n, top)

@@ -40,7 +40,7 @@ from fockmod.fock import (
     gns_norm,
     weyl_mult,
 )
-from fockmod.models import THRESHOLD, build_context, kernel_value, level_basis, make_twist
+from fockmod.models import THRESHOLD, build_context, kernel_value, level_basis, make_twist, sigma_convolve
 from fockmod.oracle import (
     DenseTensor,
     _parity,
@@ -97,7 +97,54 @@ def mixing_twist(basis: OneParticleBasis, gens: GeneratorSet, seed: int = 5) -> 
     return Twist(basis, gens, mats)
 
 
-EQUIV_FAMILIES = ("trivial", "delta", "bump", "poisson", "lebesgue", "mixed")
+def uneven_twist(basis: OneParticleBasis, gens: GeneratorSet, seed: int = 7) -> Twist:
+    """Coupling blocks of two sizes: on the + sector slots 0 and 1 are
+    mixed by V diag(phases) V*, every other + slot keeps a phase of its
+    own, and the - sector carries the conjugate.  One V serves every
+    generator, so they commute."""
+    rng = np.random.default_rng(seed)
+    block = basis.dim // 2
+    v, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    mats = []
+    for _ in range(len(gens)):
+        a = np.diag(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, size=block)))
+        a[:2, :2] = v @ a[:2, :2] @ v.conj().T
+        u = np.zeros((basis.dim, basis.dim), dtype=complex)
+        u[:block, :block] = a
+        u[block:, block:] = a.conj()
+        mats.append(u)
+    return Twist(basis, gens, mats)
+
+
+def spinor_twist(points: int = 16, seed: int = 3) -> tuple[Twist, list[np.ndarray]]:
+    """The spinor-mixing twist on a 2D grid with ``points`` per axis and
+    two components, passed as dense d x d matrices: exp(-i phi_k(x)
+    sigma_x) on the two components of each point x of the + sector, its
+    conjugate on the - sector.  phi_k is the Poisson convolution of a
+    random s0_k; every U_k is a function of sigma_x, so they commute.
+    Returns the twist and the profiles phi_k."""
+    grid = GridSpec(dimension=2, points_per_axis=points, spacing=1.0, components=2)
+    rng = np.random.default_rng(seed)
+    zero = np.zeros(grid.n_points)
+    gens = GeneratorSet(grid, [TestFunctionPair(grid, rng.normal(size=grid.n_points), zero) for _ in range(2)])
+    basis = OneParticleBasis(grid)
+    phis = [sigma_convolve("poisson", grid, pair.s0) for pair in gens.pairs]
+    # component c of point x sits at 2x + c in the + sector, and its
+    # partner half a basis further on
+    first, half = 2 * np.arange(grid.n_points), basis.dim // 2
+    mats = []
+    for phi in phis:
+        cos, sin = np.cos(phi), -1j * np.sin(phi)
+        u = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for shift, conj in ((0, False), (half, True)):
+            a, b = first + shift, first + 1 + shift
+            u[a, a] = u[b, b] = cos
+            u[a, b] = u[b, a] = sin.conj() if conj else sin
+        mats.append(u)
+    return Twist(basis, gens, mats), phis
+
+
+EQUIV_FAMILIES = ("trivial", "delta", "bump", "poisson", "lebesgue", "mixed", "uneven")
 
 
 def tiny_module(family: str = "trivial", seed: int = 0) -> FreeBimodule:
@@ -108,6 +155,8 @@ def tiny_module(family: str = "trivial", seed: int = 0) -> FreeBimodule:
         twist = Twist(basis, gens, [np.ones(basis.dim)] * len(gens))
     elif family == "mixed":
         twist = mixing_twist(basis, gens, seed + 5)
+    elif family == "uneven":
+        twist = uneven_twist(basis, gens, seed + 7)
     else:
         twist = make_twist(family, basis, gens, 1.5 if family == "bump" else None)
     return FreeBimodule(basis, gens, twist)

@@ -26,13 +26,17 @@ from fockmod.bimodule import (
     mutually_free,
 )
 
+from fockmod.models import check_adjointness
+
 from _support import (
     EQUIV_FAMILIES,
     desk_grid,
+    mixed_car_case,
     mixing_twist,
     rand_vector,
     rand_weyl,
     raw_u_of,
+    spinor_twist,
     tiny_gens,
     tiny_grid,
     tiny_module,
@@ -161,14 +165,18 @@ def test_twist_takes_phase_vectors():
     for n in [(1, 0), (-2, 1)]:
         assert np.array_equal(as_vectors.matrix(n), as_matrices.matrix(n))
     assert all(np.array_equal(u, v) for u, v in zip(as_vectors.unitaries, as_matrices.unitaries))
+    # both forms give bit-equal stacks of 1 x 1 blocks
+    for u, v in zip(as_vectors._factors, as_matrices._factors):
+        assert u.shape == (6, 1, 1) and np.array_equal(u, v)
     # the twist keeps its own copy
     phases[0] = 1.0
     assert as_vectors.column((1, 0), 0) == as_matrices.column((1, 0), 0)
-    # a phase vector beside a non-diagonal generator joins the dense family
+    # a phase vector beside a non-diagonal generator joins its blocks
     rot = mixing_twist(basis, gens).unitaries[0]
     dense = Twist(basis, gens, [rot, np.ones(6)])
     assert np.array_equal(dense.unitaries[1], np.eye(6))
-    assert as_vectors.diagonal and as_matrices.diagonal and not dense.diagonal
+    assert [u.shape for u in dense._factors] == [(2, 3, 3)] * 2
+    assert np.array_equal(dense._factors[1], np.broadcast_to(np.eye(3), (2, 3, 3)))
     for bad in (np.ones(5), np.ones((6, 1))):
         with pytest.raises(ValueError, match="wrong shape"):
             Twist(basis, gens, [bad, np.ones(6)])
@@ -180,7 +188,7 @@ def test_twist_needs_one_unitary_per_generator():
         Twist(basis, tiny_gens(), [np.eye(6)])
 
 
-@pytest.mark.parametrize("family", ("mixed", "poisson"))
+@pytest.mark.parametrize("family", ("mixed", "poisson", "uneven"))
 def test_twist_powers_match_matrix_powers(family):
     module = tiny_module(family, seed=2)
     twist = module.twist
@@ -193,6 +201,16 @@ def test_twist_powers_match_matrix_powers(family):
                 col = twist.column(n, b)
                 assert col.keys() == {b}
                 assert abs(col[b] - u_of(n)[b, b]) <= 1e-12
+        for b in range(6):
+            col = twist.column(n, b)
+            assert all(abs(col.get(i, 0.0) - u_of(n)[i, b]) <= 1e-12 for i in range(6))
+        if family == "uneven":
+            # blocks {0, 1}, {2}, {3, 4}, {5}: the one-slot blocks 1 and 3
+            # keep their identity padding exactly
+            u = twist._power(n)
+            assert u.shape == (4, 2, 2)
+            assert np.array_equal(u[[1, 3], 1], [[0, 1], [0, 1]])
+            assert np.array_equal(u[[1, 3], :, 1], [[0, 1], [0, 1]])
     assert np.array_equal(twist.matrix((0, 0)), np.eye(6))
     assert twist.column((0, 0), 4) == {4: 1.0 + 0.0j}
     with pytest.raises(ValueError):
@@ -241,7 +259,6 @@ def test_diagonal_pair_is_the_phase_product(family):
     # a diagonal u(n) has no minor off its diagonal: two tuples pair only
     # with themselves, by the product of their phases, and others give 0
     twist = tiny_module(family).twist
-    assert twist.diagonal
     for n in [(1, 0), (0, -1), (2, -1), (-1, 3)]:
         p = [complex(c) for c in np.diagonal(twist.matrix(n))]
         for k in (1, 2, 3):
@@ -265,18 +282,86 @@ def test_twist_closure_joins_coupling_blocks():
     for n in [(1, 0), (0, -1), (2, -1)]:
         u = twist.matrix(n)
         assert not u[:3, 3:].any() and not u[3:, :3].any()
-    # on a diagonal twist each slot is its own block, and no d x d mask
-    # is built
+    # a diagonal twist has d one-slot blocks, and each slot is its own
+    # block and signature
     diagonal = tiny_module("delta").twist
+    assert [u.shape for u in diagonal._factors] == [(6, 1, 1)] * 2
     for slots in ([], [0], [1, 4], range(6)):
         assert diagonal.closure(slots) == set(slots)
-    assert diagonal._blocks is None
+        assert diagonal.signature(tuple(slots)) == tuple(slots)
+    assert twist.signature((1, 2, 4)) == (0, 0, 3)
     # one exact entry between slot 0 and its partner 3 merges the blocks
+    # into one block of 6
     mats = [u.copy() for u in twist.unitaries]
     mats[0][0, 3] = mats[0][3, 0] = 1e-13
     merged = Twist(module.basis, module.gens, mats)
-    assert not merged.diagonal
+    assert [u.shape for u in merged._factors] == [(1, 6, 6)] * 2
     assert merged.closure([4]) == set(range(6))
+    assert merged.signature((1, 2, 4)) == (0, 0, 0)
+
+
+def test_pair_evaluates_only_minors_of_one_signature(monkeypatch):
+    # the quasifree cases of check_adjointness on the rotated mixing twist
+    # pair buckets across frames: every determinant evaluated is a minor
+    # det u(k)[s, t] with s and t of one signature, one per such (s, t)
+    ctx, _ = mixed_car_case()
+    twist = ctx.module.twist
+    pairs, shared, minors = [0], [0], [0]
+    pair, det = Twist.pair, np.linalg.det
+
+    def counted_pair(self, k, x, y):
+        pairs[0] += len(x) * len(y)
+        shared[0] += sum(self.signature(s) == self.signature(t) for s in x for t in y)
+        return pair(self, k, x, y)
+
+    def counted_det(a):
+        minors[0] += math.prod(a.shape[:-2])
+        return det(a)
+
+    monkeypatch.setattr(Twist, "pair", counted_pair)
+    monkeypatch.setattr(np.linalg, "det", counted_det)
+    assert check_adjointness(ctx, 5, 10).passed
+    assert 0 < minors[0] == shared[0] < pairs[0]
+    # one call whose tuples hold three signatures: (0, 0), (0, 3), (3, 3)
+    pairs[0] = shared[0] = minors[0] = 0
+    twist.pair((1, 0), {(0, 1): 1.0, (0, 4): 1.0}, {(1, 2): 1.0, (3, 4): 1.0, (0, 5): 1.0})
+    assert (pairs[0], shared[0], minors[0]) == (6, 2, 2)
+    # the mixing twist's blocks are the two sectors, so no minor is a
+    # product of phases
+    assert twist.signature((0, 4, 5)) == (0, 3, 3)
+
+
+def test_spinor_twist_keeps_no_square_array():
+    # d = 1024 from dense inputs: the twist keeps 2 x 2 blocks only, and
+    # u(1, 0) e_b is exp(-i phi sigma_x) on the two components of b's point
+    twist, (phi, _) = spinor_twist(16)
+    d = twist.basis.dim
+    assert d == 1024
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list)):
+            for v in value:
+                yield from arrays(v)
+        elif isinstance(value, dict):
+            for v in value.values():
+                yield from arrays(v)
+
+    powers = [twist._power(n) for n in [(1, 0), (1, -1), (-2, 3)]]
+    assert all(u.size < d * d for u in powers)
+    kept = [a for name in Twist.__slots__ if name != "__weakref__" for a in arrays(getattr(twist, name))]
+    assert kept and all(a.size < d * d for a in kept)
+    assert [u.shape for u in twist._factors] == [(512, 2, 2)] * 2
+    half = d // 2
+    for x, angle in enumerate(phi):
+        c, s = math.cos(angle), math.sin(angle)
+        for shift, mix in ((0, -1j * s), (half, 1j * s)):
+            a, b = 2 * x + shift, 2 * x + 1 + shift
+            for slot, want in ((a, {a: c, b: mix}), (b, {a: mix, b: c})):
+                col = twist.column((1, 0), slot)
+                assert col.keys() <= want.keys()
+                assert all(abs(col.get(i, 0.0) - w) <= 1e-12 for i, w in want.items())
 
 
 def test_trivial_twist_identity():

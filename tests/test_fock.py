@@ -860,7 +860,7 @@ def matrix_ops(module, rng):
     ]
 
 
-@pytest.mark.parametrize("family", ("delta", "mixed"))
+@pytest.mark.parametrize("family", ("delta", "mixed", "uneven"))
 @pytest.mark.parametrize("kind", ("tracial", "quasifree"))
 def test_operator_matrix_matches_full_pairing(family, kind):
     # the entries left out are exactly the zeros the full k x k pairing
@@ -923,26 +923,32 @@ def test_operator_matrix_pairs_few_entries(family, monkeypatch):
         assert 0 < len(calls) < k * k / 4
 
 
-def test_pairing_skips_disjoint_buckets_on_a_diagonal_twist(monkeypatch):
-    # on a diagonal twist two buckets in different frames pair through
-    # their shared tuples alone: with none shared Twist.pair is not called
-    # and the pairing is exactly 0; a shared tuple calls it once
-    module = tiny_module("delta")
-    gens = module.gens
-    calls = []
-    pair = Twist.pair
+def test_pairing_without_a_shared_signature_is_exactly_0(monkeypatch):
+    # two buckets in different frames pair through Twist.pair, which
+    # groups their tuples by signature: with none shared the pairing is
+    # exactly 0 and no determinant is evaluated.  A shared signature is a
+    # phase product on the one-slot blocks of delta and a determinant on
+    # the 3-slot blocks of mixed.
+    dets = []
+    det = np.linalg.det
 
-    def counted(*args):
-        calls.append(args[1])
-        return pair(*args)
+    def counted(a):
+        dets.append(a.shape)
+        return det(a)
 
-    monkeypatch.setattr(Twist, "pair", counted)
-    v = basis_fock(module, (0, 1))
-    moved = fock_left_action(WeylElement.monomial(gens, (1, 0)), basis_fock(module, (0, 2)))
+    monkeypatch.setattr(np.linalg, "det", counted)
     state = State("quasifree")
-    assert gns_inner(v, moved, state) == 0 and not calls
-    shared = fock_left_action(WeylElement.monomial(gens, (1, 0)), basis_fock(module, (0, 1)))
-    assert gns_inner(v, shared, state) != 0 and calls == [(1, 0)]
+    for family in ("delta", "mixed"):
+        module = tiny_module(family)
+        twist, shift = module.twist, WeylElement.monomial(module.gens, (1, 0))
+        v = basis_fock(module, (0, 1))
+        apart = fock_left_action(shift, basis_fock(module, (0, 3)))
+        assert twist.signature((0, 1)) != twist.signature((0, 3))
+        assert gns_inner(v, apart, state) == 0 and not dets
+        shared = (0, 1) if family == "delta" else (1, 2)
+        assert twist.signature(shared) == twist.signature((0, 1))
+        assert gns_inner(v, fock_left_action(shift, basis_fock(module, shared)), state) != 0
+        assert dets == ([] if family == "delta" else [(1, 1, 2, 2)])
 
 
 def test_nonfock_nested_vs_slotwise():
