@@ -5,9 +5,11 @@
 #
 # BASE_DIR is a second checkout of fockmod, for example the base commit
 # of a pull request.  Both trees run `fockmod all --seed N` for N = 1, 2, 3,
-# `fockmod all --seed 1 --truncation 2` (the smallest window in which every
-# check runs), `fockmod all --seed 1 --truncation 4` (the only run that
-# reaches Fock level 4), `fockmod verify-car` (the only run of the built-in
+# `fockmod all --seed 1 --truncation 1` and `--truncation 4` (the shallowest
+# and the deepest random cases of adjointness, covariance and
+# norm_recovery, the only checks that read the truncation; every other
+# check sweeps the whole Fock space at any truncation), `fockmod
+# verify-car` (the only run of the built-in
 # CAR batteries at their default seed 7) and `fockmod model --config NAME`
 # for each bundled scenario, all with `--format json`; the script prints
 # one line per report, followed by the first 40 lines of `diff -u` for a
@@ -79,7 +81,7 @@ PY
 status=0
 for args in \
     "all --seed 1" "all --seed 2" "all --seed 3" \
-    "all --seed 1 --truncation 2" "all --seed 1 --truncation 4" "verify-car" \
+    "all --seed 1 --truncation 1" "all --seed 1 --truncation 4" "verify-car" \
     "model --config bump_freeness" "model --config car_suite" \
     "model --config delta_locality" "model --config lebesgue_gauge" \
     "model --config poisson_nonlocal"; do

@@ -67,20 +67,22 @@ def _is_int(value) -> bool:
 def _int(value, where: str) -> int:
     """value as an int, or a ConfigError naming the field; a float must be
     integral, since int() would truncate it, and a string is refused."""
-    _require(
-        _is_int(value) or (isinstance(value, float) and value.is_integer()),
-        f"{where}: expected an integer, got {value!r}",
-    )
+    if not (_is_int(value) or (isinstance(value, float) and value.is_integer())):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
     return int(value)
 
 
 def _real(value, where: str, positive: bool = False) -> float:
     """value as a finite float, or a ConfigError naming the field; a bool,
     a string or a list is refused, and with positive so is a value <= 0."""
-    _require(_is_int(value) or isinstance(value, float), f"{where}: expected a number, got {value!r}")
+    # each message is built only on failure: a profile holds thousands of values
+    if not (_is_int(value) or isinstance(value, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
     # the bound fails for NaN and inf, and for an int no float can hold
-    _require(abs(value) <= sys.float_info.max, f"{where}: expected a finite number, got {value!r}")
-    _require(not positive or value > 0, f"{where}: expected a positive number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"{where}: expected a positive number, got {value!r}")
     return float(value)
 
 
@@ -683,7 +685,10 @@ def _add_common(p: argparse.ArgumentParser, config_required: bool) -> None:
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
     p.add_argument(
-        "--truncation", type=int, default=None, help="override the Fock truncation"
+        "--truncation",
+        type=int,
+        default=None,
+        help="override the Fock depth of the random adjointness, covariance and norm_recovery cases",
     )
     p.add_argument(
         "--tolerance",

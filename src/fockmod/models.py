@@ -244,6 +244,7 @@ class ModelContext:
     gens: GeneratorSet
     module: FreeBimodule
     state: State
+    # top level of the random cases of adjointness, covariance, norm_recovery
     truncation: int
     vectors: dict[str, ModuleVector] = field(default_factory=dict)
     # sigma * s0 per generator: the phase profiles of the model twist
@@ -434,21 +435,17 @@ def gauge_transform(z: complex, op: FieldOperator) -> FieldOperator:
 # witness machinery
 
 
-def level_basis(
-    module: FreeBimodule,
-    truncation: int,
-    max_level: int,
-    indices=None,
-) -> list[FockElement]:
-    """Vacuum plus every canonical wedge over the index set, by level."""
-    if indices is None:
-        indices = range(module.basis.dim)
-    indices = sorted(indices)
+def level_basis(module: FreeBimodule, max_level: int, indices=None) -> list[FockElement]:
+    """Vacuum plus every canonical wedge over the index set, by level, in
+    the window dim: every level of the Fock space of h above dim is zero,
+    so no operator image of a witness is cut off."""
+    dim = module.basis.dim
+    indices = sorted(range(dim) if indices is None else indices)
     unit = WeylElement.unit(module.gens)
-    out = [vacuum(module, truncation)]
+    out = [vacuum(module, dim)]
     for l in range(1, max_level + 1):
         for t in itertools.combinations(indices, l):
-            out.append(FockElement(module, truncation, {l: {t: unit}}))
+            out.append(FockElement(module, dim, {l: {t: unit}}))
     return out
 
 
@@ -467,12 +464,12 @@ def _touched(op: FieldOperator) -> set[int]:
 
 
 def _probes(
-    module: FreeBimodule, n: int, top: int, touched: tuple | None = None, spectators: bool = False
+    module: FreeBimodule, top: int, touched: tuple | None = None, spectators: bool = False
 ) -> list[FockElement]:
     """The probes of an operator whose touched set T (``_touched``) is the
     sorted tuple ``touched``: the vacuum and the wedges of level <= top over
     T, in ``level_basis`` order; the whole ``level_basis`` when touched is
-    None.
+    None.  Every probe has the window dim, as in ``level_basis``.
 
     With ``spectators``, the wedges e_s ^ e_{B_k} instead, for every s
     inside T and every k <= top - |s|, where B_k is one fixed set of k
@@ -500,10 +497,11 @@ def _probes(
     (``Twist.pair``), which do depend on B.
     """
     if touched is None:
-        return level_basis(module, n, top)
+        return level_basis(module, top)
     if not spectators:
-        return level_basis(module, n, top, touched)
-    rest = sorted(set(range(module.basis.dim)).difference(touched))
+        return level_basis(module, top, touched)
+    dim = module.basis.dim
+    rest = sorted(set(range(dim)).difference(touched))
     # k <= len(rest) keeps the front and back picks of B_k disjoint
     picks = [
         tuple(rest[: (k + 1) // 2] + rest[len(rest) - k // 2 :])
@@ -519,7 +517,7 @@ def _probes(
         key=lambda t: (len(t), t),
     )
     unit = WeylElement.unit(module.gens)
-    return [FockElement(module, n, {len(t): {t: unit}}) for t in slots]
+    return [FockElement(module, dim, {len(t): {t: unit}}) for t in slots]
 
 
 @dataclass
@@ -568,14 +566,14 @@ class Claim:
     at: list[int] | None = None
 
 
-def _swept(ctx: ModelContext, cases, exact: bool = False, window: int | None = None) -> list[Claim]:
+def _swept(ctx: ModelContext, cases, exact: bool = False) -> list[Claim]:
     """Measure one check's cases, each a (Claim, ops) pair: the claim's
     residual becomes the largest GNS norm any (operator, top) of ops leaves
     on its probes, and ``at`` the slots of the first probe that reached it.
 
     Probes come from the operator (``_probes``): the vacuum and the wedges
-    of level <= min(top, n - 1) over its touched set T, n the window (the
-    context's truncation unless given).  With ``exact`` they gain
+    of level <= top over its touched set T, in the whole Fock space of h,
+    so the truncation never enters a sweep.  With ``exact`` they gain
     spectators under the tracial state, on any twist, since there a
     spectator stays in frame 0 and drops out of the norm; under the
     quasifree state they are the whole basis.  Each probe set is built
@@ -583,16 +581,15 @@ def _swept(ctx: ModelContext, cases, exact: bool = False, window: int | None = N
     the whole basis.
     """
     module = ctx.module
-    n = ctx.truncation if window is None else window
     spectators = exact and ctx.state.kind == "tracial"
     whole = exact and not spectators
     memo: dict[tuple, list[FockElement]] = {}
 
     def probes(op, top):
         # a sorted tuple, so the probe order does not follow the hash seed
-        key = (None if whole else tuple(sorted(_touched(op))), max(0, min(top, n - 1)))
+        key = (None if whole else tuple(sorted(_touched(op))), top)
         if key not in memo:
-            memo[key] = _probes(module, n, key[1], key[0], spectators)
+            memo[key] = _probes(module, top, key[0], spectators)
         return memo[key]
 
     claims = []
@@ -724,10 +721,10 @@ def check_car(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
     must show a mixed residual above THRESHOLD somewhere.  Freeness
     decisions must match expectations.
 
-    Each relation is swept on the vacuum and the wedges of level up to
-    min(2, n - 1), and up to min(2, n - 2) for {a*(f), a*(g)}, with
-    spectators where that is exact (``_swept``).  {a(f), a(g)} touches the
-    slots of {a(f), a*(g)} - <f, g>, so the two share their probes.
+    Each relation is swept on the vacuum and the wedges of level up to 2,
+    and up to 1 for {a*(f), a*(g)}, with spectators where that is exact
+    (``_swept``).  {a(f), a(g)} touches the slots of {a(f), a*(g)} - <f, g>,
+    so the two share their probes.
     """
     pairs = list(pairs)
     cases = []
@@ -741,7 +738,7 @@ def check_car(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
         if expect_free:
             ops += [
                 (anticommutator(annihilation(f), annihilation(g)), 2),
-                (anticommutator(creation(f), creation(g)), min(2, ctx.truncation - 2)),
+                (anticommutator(creation(f), creation(g)), 1),
             ]
         label = "free_residual" if expect_free else "nonfree_too_small"
         cases.append((Claim({"pair": idx, "problem": label}, vanish=expect_free, fault=fault), ops))
@@ -768,8 +765,8 @@ def _random_module_vector(rng, module) -> ModuleVector:
     return ModuleVector(module, entries)
 
 
-def _random_fock(rng, module, truncation, top) -> FockElement:
-    """Random terms on levels 0..top; levels above dim hold no wedge."""
+def _random_fock(rng, module, top) -> FockElement:
+    """Random terms on levels 0..top in the window dim, above which no wedge lives."""
     dim = module.basis.dim
     parts: dict[int, dict] = {0: {(): _random_weyl(rng, module.gens)}}
     for l in range(1, min(top, dim) + 1):
@@ -778,7 +775,7 @@ def _random_fock(rng, module, truncation, top) -> FockElement:
             t = tuple(sorted(rng.sample(range(dim), l)))
             terms[t] = _random_weyl(rng, module.gens)
         parts[l] = terms
-    return FockElement(module, truncation, parts)
+    return FockElement(module, dim, parts)
 
 
 def check_adjointness(ctx: ModelContext, seed: int, cases: int = 100, tol: float = 1e-10) -> CheckResult:
@@ -790,8 +787,8 @@ def check_adjointness(ctx: ModelContext, seed: int, cases: int = 100, tol: float
     states = [State(k) for k in State.KINDS]
     for i in range(cases):
         f = _random_module_vector(rng, module)
-        v = _random_fock(rng, module, n, n - 1)
-        w = _random_fock(rng, module, n, n)
+        v = _random_fock(rng, module, n - 1)
+        w = _random_fock(rng, module, n)
         st = states[i % 2]
         lhs = gns_inner(v, annihilate(f, w), st)
         rhs = gns_inner(create(f, v), w, st)
@@ -805,7 +802,6 @@ def check_covariance(ctx: ModelContext, seed: int, cases: int = 100, tol: float 
     rng = random.Random(seed)
     module = ctx.module
     gens = module.gens
-    n_tr = ctx.truncation
     m = len(gens)
     claims = []
     states = [State(k) for k in State.KINDS]
@@ -825,7 +821,7 @@ def check_covariance(ctx: ModelContext, seed: int, cases: int = 100, tol: float 
         wmono = WeylElement.monomial(gens, n)
         f = module.embed(wv)
         fu = module.embed(module.twist.apply(n, wv))
-        probe = _random_fock(rng, module, n_tr, n_tr - 1)
+        probe = _random_fock(rng, module, ctx.truncation - 1)
         st = states[i % 2]
         lhs = weyl_mult(module, wmono) @ creation(f)
         rhs = creation(fu) @ weyl_mult(module, wmono)
@@ -856,7 +852,7 @@ def check_norm_recovery(ctx: ModelContext, seed: int, cases: int = 20, tol: floa
         vec = (1.0 / nrm) * vec
         extras = [b for b in rng.sample(range(dim), 2) if b not in picks]
         span = sorted(set(picks) | set(extras))
-        basis = level_basis(module, ctx.truncation, ctx.truncation, span)
+        basis = level_basis(module, ctx.truncation, span)
         res = operator_matrix(annihilation(module.embed(vec)), basis, state)
         fault = {"case": i, "problem": "degenerate"} if res.degenerate else None
         claims.append(Claim({"case": i}, abs(res.norm_estimate - 1.0), fault=fault))
@@ -892,7 +888,7 @@ def check_nonfock(ctx: ModelContext) -> CheckResult:
     f2 = module.basis_element(y, wneg)
     g1 = module.basis_element(x)
     g2 = module.basis_element(y)
-    vac = vacuum(module, ctx.truncation)
+    vac = vacuum(module, module.basis.dim)
     # <v, w> = <a(g2) a(g1) v, Omega>: w's creators moved over as annihilators
     nested = gns_inner(annihilate(g2, annihilate(g1, create(f1, create(f2, vac)))), vac, state)
     slotwise = state(module_inner(f1, g1)) * state(module_inner(f2, g2))
@@ -908,7 +904,7 @@ def check_pauli(ctx: ModelContext, tol: float = 1e-12) -> CheckResult:
     basis = module.basis
     gens = module.gens
     state = State("tracial")
-    vac = vacuum(module, ctx.truncation)
+    vac = vacuum(module, basis.dim)
     # free pair: plain one-particle vectors at distinct sites
     x, y = _two_sites(basis)
     a = module.basis_element(x)
@@ -1026,15 +1022,12 @@ def check_observable_net(
 
     specs: list of (s WeylElement, w1, w2); disjoint_pairs: index pairs
     expected to commute.  A product of two bilinears drives a level-1
-    probe through level-4 intermediates, so the probes carry enough
-    truncation headroom, the window, that nothing is chopped
-    asymmetrically between the two orders.
+    probe through level-5 intermediates, which the probes' window, the
+    whole Fock space of h, holds in both orders.
     """
     ops = [observable(s, w1, w2) for s, w1, w2 in specs]
-    headroom = max(ctx.truncation, 1 + 3)
     cases = [(Claim({"pair": [i, j]}), [(commutator(ops[i], ops[j]), 1)]) for i, j in disjoint_pairs]
-    details = {"effective_truncation": headroom}
-    return _evaluate("observable_net", _swept(ctx, cases, window=headroom), tol, details=details)
+    return _evaluate("observable_net", _swept(ctx, cases), tol)
 
 
 def check_gauge_invariance(ctx: ModelContext, specs, angles) -> CheckResult:

@@ -214,14 +214,13 @@ def ref_sigma_convolve(kind: str, grid: GridSpec, s0, radius=None) -> np.ndarray
 
 def ref_car_sweep(ctx, pairs, tol: float = 1e-10) -> dict:
     """Independent route to check_car's verdict: every pair swept on the
-    vacuum and every wedge of level <= min(2, n - 1), <= min(2, n - 2) for
-    {a*(f), a*(g)}, over the whole one-particle basis.  Returns the status,
-    the problem of the last broken case (None on a pass), free_max and
+    vacuum and every wedge of level <= 2, <= 1 for {a*(f), a*(g)}, over the
+    whole one-particle basis in the window dim.  Returns the status, the
+    problem of the last broken case (None on a pass), free_max and
     nonfree_min."""
     module = ctx.module
-    n = ctx.truncation
-    sweep = level_basis(module, n, min(2, n - 1))
-    sweep_cre = level_basis(module, n, min(2, max(n - 2, 0)))
+    sweep = level_basis(module, 2)
+    sweep_cre = level_basis(module, 1)
     free_max, nonfree_min, problem = 0.0, None, None
     for f, g, expect_free in pairs:
         if mutually_free(f, g).free != expect_free:

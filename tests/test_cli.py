@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from fockmod import models
+from fockmod import fock, models
 from fockmod.cli import (
     BUNDLED,
     CHECK_PARAMS,
@@ -340,18 +340,34 @@ def test_main_reports_failure(tmp_path):
     assert report["runs"][0]["checks"][0]["witness"] is not None
 
 
-def test_main_truncation_one_reports_failures(capsys):
-    # a window of one particle cannot hold the level-2 witnesses: the run
-    # still writes its report, and the checks that need level 2 fail
-    assert main(["all", "--truncation", "1", "--format", "json"]) == 1
-    report = json.loads(capsys.readouterr().out)
-    assert report["summary"]["status"] == "fail"
-    status = {}
-    for run in report["runs"]:
-        for check in run["checks"]:
-            status.setdefault(check["name"], set()).add(check["status"])
-    assert status["pauli"] == {"fail"}
-    assert status["nonfock_witness"] == {"fail"}
+def test_main_truncation_sets_only_the_random_case_depth(capsys, monkeypatch):
+    # every witness lives in the whole Fock space of h, so no create call
+    # cuts a level off, and the truncation moves only the three checks
+    # whose random cases it sizes
+    cut = []
+
+    def counted(create):
+        def wrapped(f, v):
+            out = create(f, v)
+            cut.append(out.truncated and not v.truncated)
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(fock, "create", counted(fock.create))
+    monkeypatch.setattr(models, "create", counted(models.create))
+    random_cases = {"adjointness", "covariance", "norm_recovery"}
+    records = {}
+    for t in (1, 2, 3, 4):
+        cut.clear()
+        assert main(["all", "--seed", "1", "--truncation", str(t), "--format", "json"]) == 0
+        assert cut and not any(cut), t
+        report = json.loads(capsys.readouterr().out)
+        records[t] = [
+            [c for c in run["checks"] if c["name"] not in random_cases] for run in report["runs"]
+        ]
+    for t in (1, 2, 4):
+        assert records[t] == records[3], t
 
 
 def test_main_config_errors(tmp_path, capsys):

@@ -868,7 +868,7 @@ def test_operator_matrix_matches_full_pairing(family, kind):
     module = tiny_module(family)
     state = State(kind)
     rng = random.Random(71)
-    basis = level_basis(module, 3, 2)
+    basis = level_basis(module, 2)
     for op in matrix_ops(module, rng):
         assert_same_matrix_result(operator_matrix(op, basis, state), ref_operator_matrix(op, basis, state))
         # a repeated element makes the Gram matrix singular
@@ -887,7 +887,7 @@ def test_operator_matrix_matches_full_pairing_across_frames(family):
     state = State("quasifree")
     rng = random.Random(73)
     basis = [
-        fock_left_action(rand_weyl(rng, module.gens), _random_fock(rng, module, 3, 2))
+        fock_left_action(rand_weyl(rng, module.gens), _random_fock(rng, module, 2))
         for _ in range(8)
     ]
     frames = {
@@ -904,7 +904,7 @@ def test_operator_matrix_pairs_few_entries(family, monkeypatch):
     # builds: fewer than a quarter of the k^2 entries of each matrix are
     # paired, for a vector without and one with a Weyl label
     module = tiny_module(family)
-    basis = level_basis(module, 3, 3, [0, 1, 2, 4, 5])
+    basis = level_basis(module, 3, [0, 1, 2, 4, 5])
     k = len(basis)
     assert k == 26
     calls = []

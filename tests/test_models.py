@@ -361,9 +361,9 @@ def test_gauge_rejects_off_circle():
 
 def test_level_basis_counts():
     ctx = delta_ctx()
-    assert len(level_basis(ctx.module, 3, 2)) == 1 + 6 + 15
-    assert len(level_basis(ctx.module, 3, 2, [0, 1, 2])) == 1 + 3 + 3
-    assert len(level_basis(ctx.module, 3, 0)) == 1
+    assert len(level_basis(ctx.module, 2)) == 1 + 6 + 15
+    assert len(level_basis(ctx.module, 2, [0, 1, 2])) == 1 + 3 + 3
+    assert len(level_basis(ctx.module, 0)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -524,8 +524,8 @@ def _recorded_sweep(ctx, op, top, monkeypatch):
     probes = models._probes
     built = []
 
-    def recorded(module, n, top_, touched=None, spectators=False):
-        built.append((touched, probes(module, n, top_, touched, spectators)))
+    def recorded(module, top_, touched=None, spectators=False):
+        built.append((touched, probes(module, top_, touched, spectators)))
         return built[-1][1]
 
     monkeypatch.setattr(models, "_probes", recorded)
@@ -543,7 +543,7 @@ def test_spectator_witnesses_fall_back_to_the_whole_basis(monkeypatch):
         op = anticommutator(annihilation(a), creation(b))
         touched, got = _recorded_sweep(quasifree, op, top, monkeypatch)
         assert touched is None
-        assert [w.parts for w in got] == [w.parts for w in level_basis(quasifree.module, 3, top)]
+        assert [w.parts for w in got] == [w.parts for w in level_basis(quasifree.module, top)]
     # diagonal and tracial: every subset of the touched slots {0, 1} with
     # the spectator sets {}, {2} (the first untouched index) and {2, 5}
     # (the first and the last); the partners 3 and 4 are untouched
@@ -582,7 +582,7 @@ def test_merged_coupling_blocks_sweep_the_whole_basis(monkeypatch):
     op = anticommutator(annihilation(f), creation(g))
     touched, got = _recorded_sweep(ctx, op, 2, monkeypatch)
     assert touched == tuple(range(6))
-    assert [w.parts for w in got] == [w.parts for w in level_basis(ctx.module, 3, 2)]
+    assert [w.parts for w in got] == [w.parts for w in level_basis(ctx.module, 2)]
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
@@ -608,7 +608,7 @@ def test_mixed_twist_norm_depends_on_spectators_by_size(seed):
         touched = models._touched(op)
         assert touched == {0, 1, 2}
         classes: dict = {}
-        for v in level_basis(module, 3, 2):
+        for v in level_basis(module, 2):
             (labels,) = v.parts.values()
             ((slots,),) = labels.values()
             key = (tuple(b for b in slots if b in touched), sum(b not in touched for b in slots))
@@ -623,7 +623,7 @@ def test_check_car_builds_the_full_sweep_once(monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(args[2:])
+        calls.append(args[1:])
         return level_basis(*args)
 
     monkeypatch.setattr(models, "level_basis", counted)
@@ -642,9 +642,9 @@ def test_check_car_builds_a_pair_witness_set_once(monkeypatch):
     calls = []
     build = models._probes
 
-    def counted(module, n, top, touched=None, spectators=False):
+    def counted(module, top, touched=None, spectators=False):
         calls.append((touched, top))
-        return build(module, n, top, touched, spectators)
+        return build(module, top, touched, spectators)
 
     monkeypatch.setattr(models, "_probes", counted)
     assert check_car(ctx, pairs).passed
@@ -671,7 +671,7 @@ def test_check_car_scales_to_2d_two_components():
         op = anticommutator(annihilation(f), creation(g))
         touched = tuple(sorted(models._touched(op)))
         count = sum(math.comb(len(touched), j) * (3 - j) for j in range(3))
-        assert len(models._probes(ctx.module, ctx.truncation, 2, touched, spectators=True)) == count
+        assert len(models._probes(ctx.module, 2, touched, spectators=True)) == count
 
 
 def test_check_adjointness_and_covariance():
@@ -761,17 +761,28 @@ def test_check_anticommutator_model():
     assert res.residuals["max"] <= 1e-10
 
 
-def test_check_observable_net():
+def test_check_observable_net(monkeypatch):
     ctx = delta_ctx()
     w0 = plus_vector(ctx.module, [1.0, 0.0, 0.0])
     w2 = plus_vector(ctx.module, [0.0, 0.0, 1.0])
     unit = UNIT_W(ctx.gens)
+    images = []
+    apply = FieldOperator.apply
+
+    def recorded(op, v):
+        images.append(apply(op, v))
+        return images[-1]
+
+    monkeypatch.setattr(FieldOperator, "apply", recorded)
     res = check_observable_net(
         ctx, [(unit, w0, w0), (unit, w2, w2)], [(0, 1)]
     )
     assert res.passed
-    assert res.details["effective_truncation"] == 4
+    assert res.details == {}
     assert res.residuals["max"] <= 1e-10
+    # words with four creations step a level-1 probe to level 5, inside
+    # the window dim = 6
+    assert images and not any(v.truncated for v in images)
 
 
 def _probe_slots(monkeypatch):
@@ -822,8 +833,8 @@ def _model_sweep(name):
     ["relative_locality", "bilinear_locality", "anticommutator_model", "covariance_phase", "neutral_commutant"],
 )
 def test_model_sweeps_probe_the_wedges_over_the_touched_slots(name, monkeypatch):
-    # the vacuum and every wedge of level <= min(2, n - 1) = 2 over the
-    # operator's touched set T, in level_basis order, and no spectator
+    # the vacuum and every wedge of level <= 2 over the operator's
+    # touched set T, in level_basis order, and no spectator
     seen = _probe_slots(monkeypatch)
     _model_sweep(name)
     assert seen
