@@ -73,13 +73,13 @@ SQRT2 = math.sqrt(2.0)
 RANK_TOL = 1e-10
 
 # ---------------------------------------------------------------------------
-# truncated Fock elements
+# Fock elements
 
 
 class FockElement:
-    """Finite-level element: level 0 holds a Weyl coefficient, level
-    l >= 1 canonical antisymmetric terms.  Levels above the truncation
-    are dropped by the operators, which then set the truncated flag.
+    """Element of the whole Fock space of h: level 0 holds a Weyl
+    coefficient, level l >= 1 canonical antisymmetric terms.  h has
+    dimension dim, so the levels are 0..dim and no cutoff is needed.
 
     ``parts[level][(m, o)][t]`` is the scalar x_t of the bucket at label
     m in the frame o (see the module docstring); level 0 uses the single
@@ -92,22 +92,16 @@ class FockElement:
     index outside [0, dim).
     """
 
-    __slots__ = ("space", "truncation", "parts", "truncated")
+    __slots__ = ("space", "parts")
 
-    def __init__(
-        self,
-        space: FreeBimodule,
-        truncation: int,
-        parts: dict | None = None,
-        truncated: bool = False,
-    ) -> None:
-        if truncation < 1:
-            raise ValueError("truncation must be >= 1")
+    # The whole Fock space cuts nothing off; bench/tracing.py still reads
+    # this flag, so it stays a constant.
+    truncated = False
+
+    def __init__(self, space: FreeBimodule, parts: dict | None = None) -> None:
         dim = space.basis.dim
         maps = {}
         for level, terms in (parts or {}).items():
-            if not 0 <= level <= truncation:
-                raise ValueError("level outside truncation window")
             labels = maps[level] = {}
             for t, a in terms.items():
                 if len(t) != level:
@@ -118,20 +112,18 @@ class FockElement:
                     raise ValueError(f"tuple {t} has an index outside [0, {dim})")
                 for n, c in a.terms.items():
                     labels.setdefault((n, tuple(map(operator.neg, n))), {})[t] = c
-        self._fill(space, truncation, maps, truncated)
+        self._fill(space, maps)
 
     @classmethod
-    def _of(cls, space: FreeBimodule, truncation: int, maps: dict, truncated: bool):
+    def _of(cls, space: FreeBimodule, maps: dict):
         """Element over label-major levels {level: {(m, o): {t: complex}}}; it
         takes the dicts over, so the caller must have built them."""
         v = cls.__new__(cls)
-        v._fill(space, truncation, maps, truncated)
+        v._fill(space, maps)
         return v
 
-    def _fill(self, space, truncation, maps, truncated) -> None:
+    def _fill(self, space, maps) -> None:
         self.space = space
-        self.truncation = truncation
-        self.truncated = truncated
         # pruned in place: every caller hands over dicts it built
         for level, labels in list(maps.items()):
             for n, terms in list(labels.items()):
@@ -160,7 +152,7 @@ class FockElement:
     # -- arithmetic --------------------------------------------------
 
     def _require_same(self, other: "FockElement") -> None:
-        if self.space is not other.space or self.truncation != other.truncation:
+        if self.space is not other.space:
             raise ValueError("fock elements are not compatible")
 
     def __add__(self, other: "FockElement") -> "FockElement":
@@ -168,9 +160,7 @@ class FockElement:
         parts = {l: {n: dict(ts) for n, ts in labels.items()} for l, labels in self.parts.items()}
         for l, labels in other.parts.items():
             _add_level(parts.setdefault(l, {}), labels, 1.0)
-        return FockElement._of(
-            self.space, self.truncation, parts, self.truncated or other.truncated
-        )
+        return FockElement._of(self.space, parts)
 
     def __sub__(self, other: "FockElement") -> "FockElement":
         return self + (-1.0) * other
@@ -181,15 +171,14 @@ class FockElement:
             l: {n: {t: s * c for t, c in ts.items()} for n, ts in labels.items()}
             for l, labels in self.parts.items()
         }
-        return FockElement._of(self.space, self.truncation, parts, self.truncated)
+        return FockElement._of(self.space, parts)
 
     def __repr__(self) -> str:
         shape = {
             l: len({t for ts in labels.values() for t in ts})
             for l, labels in sorted(self.parts.items())
         }
-        flag = ", truncated" if self.truncated else ""
-        return f"FockElement({shape}{flag})"
+        return f"FockElement({shape})"
 
 
 def _add_level(level: dict, labels: dict, scalar: complex) -> None:
@@ -201,11 +190,11 @@ def _add_level(level: dict, labels: dict, scalar: complex) -> None:
             target[t] = target.get(t, 0.0) + scalar * c
 
 
-def vacuum(space: FreeBimodule, truncation: int, coeff: WeylElement | None = None) -> FockElement:
+def vacuum(space: FreeBimodule, coeff: WeylElement | None = None) -> FockElement:
     """Level-0 element; the algebra itself is the zero-particle space."""
     if coeff is None:
         coeff = WeylElement.unit(space.gens)
-    return FockElement(space, truncation, {0: {(): coeff}})
+    return FockElement(space, {0: {(): coeff}})
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +206,8 @@ def create(f: ModuleVector, v: FockElement) -> FockElement:
 
     Per group component f_n . W(n) and bucket (m, o), one
     ``wedge_insert`` call inserts u(-(n + m + o)) f_n into the scalars
-    and the bucket moves to (n + m, o).  The top level of the window is
-    dropped and flagged, never folded back.
+    and the bucket moves to (n + m, o).  A level-dim tuple holds every
+    slot, so ``wedge_insert`` gives it no image and the top level maps to 0.
     """
     space = v.space
     if f.space is not space:
@@ -226,11 +215,7 @@ def create(f: ModuleVector, v: FockElement) -> FockElement:
     gens = space.gens
     groups = f.by_group()
     out: dict[int, dict] = {}
-    truncated = v.truncated
     for l, buckets in v.parts.items():
-        if l + 1 > v.truncation:
-            truncated = True
-            continue
         level = out.setdefault(l + 1, {})
         scale = 1.0 / math.sqrt(l + 1)
         for n in groups:
@@ -245,7 +230,7 @@ def create(f: ModuleVector, v: FockElement) -> FockElement:
                     continue
                 for s, x in img.items():
                     target[s] = target.get(s, 0.0) + x
-    return FockElement._of(space, v.truncation, out, truncated)
+    return FockElement._of(space, out)
 
 
 def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
@@ -287,7 +272,7 @@ def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
                 target = level.setdefault((key, o), {})
                 for r, c in contracted.items():
                     target[r] = target.get(r, 0.0) + c * w
-    return FockElement._of(space, v.truncation, out, v.truncated)
+    return FockElement._of(space, out)
 
 
 def fock_left_action(a: WeylElement, v: FockElement) -> FockElement:
@@ -308,7 +293,7 @@ def fock_left_action(a: WeylElement, v: FockElement) -> FockElement:
                 target = level.setdefault((key, o), {})
                 for t, b in terms.items():
                     target[t] = target.get(t, 0.0) + b * w
-    return FockElement._of(space, v.truncation, out, v.truncated)
+    return FockElement._of(space, out)
 
 
 def fock_right_mul(v: FockElement, a: WeylElement) -> FockElement:
@@ -326,7 +311,7 @@ def fock_right_mul(v: FockElement, a: WeylElement) -> FockElement:
                 target = level.setdefault((key, tuple(map(operator.sub, o, m))), {})
                 for t, c in terms.items():
                     target[t] = target.get(t, 0.0) + c * b * phase
-    return FockElement._of(v.space, v.truncation, out, v.truncated)
+    return FockElement._of(v.space, out)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +521,7 @@ class FieldOperator:
         return self._plan
 
     def apply(self, v: FockElement) -> FockElement:
-        """Sum of the words' images; truncated if v or any word's image is.
+        """Sum of the words' images.
 
         Each shared suffix is evaluated once; an empty image passes
         through the primitives above it unchanged."""
@@ -548,13 +533,11 @@ class FieldOperator:
             src = v if parent < 0 else images[parent]
             images.append(prim.apply(src) if src.parts else src)
         parts: dict[int, dict] = {}
-        truncated = v.truncated
         for scalar, node in words:
             img = v if node < 0 else images[node]
-            truncated = truncated or img.truncated
             for l, labels in img.parts.items():
                 _add_level(parts.setdefault(l, {}), labels, scalar)
-        return FockElement._of(self.space, v.truncation, parts, truncated)
+        return FockElement._of(self.space, parts)
 
     def equivalent(self, other: "FieldOperator", tol: float = 1e-12) -> bool:
         """Structural equality up to term order and coefficient noise."""

@@ -436,16 +436,14 @@ def gauge_transform(z: complex, op: FieldOperator) -> FieldOperator:
 
 
 def level_basis(module: FreeBimodule, max_level: int, indices=None) -> list[FockElement]:
-    """Vacuum plus every canonical wedge over the index set, by level, in
-    the window dim: every level of the Fock space of h above dim is zero,
-    so no operator image of a witness is cut off."""
-    dim = module.basis.dim
-    indices = sorted(range(dim) if indices is None else indices)
+    """Vacuum plus every canonical wedge over the index set (all of h by
+    default), by level."""
+    indices = sorted(range(module.basis.dim) if indices is None else indices)
     unit = WeylElement.unit(module.gens)
-    out = [vacuum(module, dim)]
+    out = [vacuum(module)]
     for l in range(1, max_level + 1):
         for t in itertools.combinations(indices, l):
-            out.append(FockElement(module, dim, {l: {t: unit}}))
+            out.append(FockElement(module, {l: {t: unit}}))
     return out
 
 
@@ -469,7 +467,7 @@ def _probes(
     """The probes of an operator whose touched set T (``_touched``) is the
     sorted tuple ``touched``: the vacuum and the wedges of level <= top over
     T, in ``level_basis`` order; the whole ``level_basis`` when touched is
-    None.  Every probe has the window dim, as in ``level_basis``.
+    None.
 
     With ``spectators``, the wedges e_s ^ e_{B_k} instead, for every s
     inside T and every k <= top - |s|, where B_k is one fixed set of k
@@ -500,8 +498,7 @@ def _probes(
         return level_basis(module, top)
     if not spectators:
         return level_basis(module, top, touched)
-    dim = module.basis.dim
-    rest = sorted(set(range(dim)).difference(touched))
+    rest = sorted(set(range(module.basis.dim)).difference(touched))
     # k <= len(rest) keeps the front and back picks of B_k disjoint
     picks = [
         tuple(rest[: (k + 1) // 2] + rest[len(rest) - k // 2 :])
@@ -517,7 +514,7 @@ def _probes(
         key=lambda t: (len(t), t),
     )
     unit = WeylElement.unit(module.gens)
-    return [FockElement(module, dim, {len(t): {t: unit}}) for t in slots]
+    return [FockElement(module, {len(t): {t: unit}}) for t in slots]
 
 
 @dataclass
@@ -572,13 +569,12 @@ def _swept(ctx: ModelContext, cases, exact: bool = False) -> list[Claim]:
     on its probes, and ``at`` the slots of the first probe that reached it.
 
     Probes come from the operator (``_probes``): the vacuum and the wedges
-    of level <= top over its touched set T, in the whole Fock space of h,
-    so the truncation never enters a sweep.  With ``exact`` they gain
-    spectators under the tracial state, on any twist, since there a
-    spectator stays in frame 0 and drops out of the norm; under the
-    quasifree state they are the whole basis.  Each probe set is built
-    once per check, when it is first swept: per (T, top), or per top for
-    the whole basis.
+    of level <= top over its touched set T; the truncation never enters a
+    sweep.  With ``exact`` they gain spectators under the tracial state, on
+    any twist, since there a spectator stays in frame 0 and drops out of
+    the norm; under the quasifree state they are the whole basis.  Each
+    probe set is built once per check, when it is first swept: per (T,
+    top), or per top for the whole basis.
     """
     module = ctx.module
     spectators = exact and ctx.state.kind == "tracial"
@@ -766,7 +762,7 @@ def _random_module_vector(rng, module) -> ModuleVector:
 
 
 def _random_fock(rng, module, top) -> FockElement:
-    """Random terms on levels 0..top in the window dim, above which no wedge lives."""
+    """Random terms on levels 0..top; no wedge lives above level dim."""
     dim = module.basis.dim
     parts: dict[int, dict] = {0: {(): _random_weyl(rng, module.gens)}}
     for l in range(1, min(top, dim) + 1):
@@ -775,7 +771,7 @@ def _random_fock(rng, module, top) -> FockElement:
             t = tuple(sorted(rng.sample(range(dim), l)))
             terms[t] = _random_weyl(rng, module.gens)
         parts[l] = terms
-    return FockElement(module, dim, parts)
+    return FockElement(module, parts)
 
 
 def check_adjointness(ctx: ModelContext, seed: int, cases: int = 100, tol: float = 1e-10) -> CheckResult:
@@ -888,7 +884,7 @@ def check_nonfock(ctx: ModelContext) -> CheckResult:
     f2 = module.basis_element(y, wneg)
     g1 = module.basis_element(x)
     g2 = module.basis_element(y)
-    vac = vacuum(module, module.basis.dim)
+    vac = vacuum(module)
     # <v, w> = <a(g2) a(g1) v, Omega>: w's creators moved over as annihilators
     nested = gns_inner(annihilate(g2, annihilate(g1, create(f1, create(f2, vac)))), vac, state)
     slotwise = state(module_inner(f1, g1)) * state(module_inner(f2, g2))
@@ -899,33 +895,29 @@ def check_nonfock(ctx: ModelContext) -> CheckResult:
 
 def check_pauli(ctx: ModelContext, tol: float = 1e-12) -> CheckResult:
     """Wedge of a mutually free pair antisymmetrizes to zero; a twisted
-    self-pair does not."""
+    self-pair does not.  The self-pair needs a generator with two points
+    whose phases differ by more than 0.5; with none (a one-point grid, say)
+    the check fails with the witness no_twisted_pair."""
     module = ctx.module
     basis = module.basis
     gens = module.gens
     state = State("tracial")
-    vac = vacuum(module, basis.dim)
+    vac = vacuum(module)
     # free pair: plain one-particle vectors at distinct sites
     x, y = _two_sites(basis)
     a = module.basis_element(x)
     b = module.basis_element(y)
     free_norm = gns_norm(create(a, create(b, vac)) + create(b, create(a, vac)), state)
     # twisted self-pair: spread over two sites the twist phases apart
-    twisted_norm = 0.0
-    witness = None
+    spreads = {}
     for k, phi in enumerate(ctx.phis):
-        pts = [p for p in range(basis.grid.n_points)]
-        best = None
-        for p1 in pts:
-            for p2 in pts:
-                if p1 < p2 and abs(phi[p1] - phi[p2]) > 0.5:
-                    best = (p1, p2)
-                    break
-            if best:
+        for p1, p2 in itertools.combinations(range(basis.grid.n_points), 2):
+            if abs(phi[p1] - phi[p2]) > 0.5:
+                spreads[k] = (p1, p2)
                 break
-        if best is None:
-            continue
-        p1, p2 = best
+    twisted_norm = 0.0
+    witness = None if spreads else {"problem": "no_twisted_pair"}
+    for k, (p1, p2) in spreads.items():
         vec = OneParticleVector(
             basis,
             {
@@ -1021,9 +1013,11 @@ def check_observable_net(
     """Bilinears with disjoint total supports commute.
 
     specs: list of (s WeylElement, w1, w2); disjoint_pairs: index pairs
-    expected to commute.  A product of two bilinears drives a level-1
-    probe through level-5 intermediates, which the probes' window, the
-    whole Fock space of h, holds in both orders.
+    expected to commute.  A product of two bilinears is four field
+    operators, so on a level-1 probe it could reach level 5, but only on
+    a touched set of at least five slots: the bundled scenarios peak at
+    level 4.  Every level is held, since a probe lives in the whole Fock
+    space of h.
     """
     ops = [observable(s, w1, w2) for s, w1, w2 in specs]
     cases = [(Claim({"pair": [i, j]}), [(commutator(ops[i], ops[j]), 1)]) for i, j in disjoint_pairs]

@@ -27,7 +27,8 @@ __all__ = [
 ]
 
 MAX_DIM = 6
-# level 4 lets the oracle reach the top of a truncation-4 window
+# level 4 reaches the deepest random case (--truncation 4) and one
+# creation above a level-3 wedge
 MAX_LEVEL = 4
 
 

@@ -215,7 +215,7 @@ def ref_sigma_convolve(kind: str, grid: GridSpec, s0, radius=None) -> np.ndarray
 def ref_car_sweep(ctx, pairs, tol: float = 1e-10) -> dict:
     """Independent route to check_car's verdict: every pair swept on the
     vacuum and every wedge of level <= 2, <= 1 for {a*(f), a*(g)}, over the
-    whole one-particle basis in the window dim.  Returns the status, the
+    whole one-particle basis.  Returns the status, the
     problem of the last broken case (None on a pass), free_max and
     nonfree_min."""
     module = ctx.module
@@ -319,21 +319,19 @@ def apply_word_by_word(op, v: FockElement) -> FockElement:
     to left, stopping once its image is empty, then the words' images
     added in term order."""
     parts: dict = {}
-    truncated = v.truncated
     for scalar, prims in op.terms:
         acc = v
         for prim in reversed(prims):
             acc = prim.apply(acc)
             if not acc.parts:
                 break
-        truncated = truncated or acc.truncated
         for l, labels in acc.parts.items():
             level = parts.setdefault(l, {})
             for n, ts in labels.items():
                 target = level.setdefault(n, {})
                 for t, c in ts.items():
                     target[t] = target.get(t, 0.0) + scalar * c
-    return FockElement._of(op.space, v.truncation, parts, truncated)
+    return FockElement._of(op.space, parts)
 
 
 def ref_operator_matrix(op, basis: list[FockElement], state) -> OperatorMatrixResult:
@@ -467,13 +465,13 @@ def rand_vector(rng: random.Random, module: FreeBimodule, max_entries: int = 2) 
     return ModuleVector(module, entries)
 
 
-def rand_wedge(rng: random.Random, module: FreeBimodule, level: int, truncation: int = 3) -> FockElement:
+def rand_wedge(rng: random.Random, module: FreeBimodule, level: int) -> FockElement:
     dim = module.basis.dim
     terms = {}
     for _ in range(rng.randint(1, 2)):
         t = tuple(sorted(rng.sample(range(dim), level)))
         terms[t] = rand_weyl(rng, module.gens)
-    return FockElement(module, truncation, {level: terms})
+    return FockElement(module, {level: terms})
 
 
 # ---------------------------------------------------------------------------

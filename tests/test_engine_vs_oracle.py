@@ -48,7 +48,7 @@ def test_nonfock_nested_matches_oracle(family):
     gens = module.gens
     dim = module.basis.dim
     u_of = raw_u_of(module.twist)
-    vac = vacuum(module, 3)
+    vac = vacuum(module)
 
     def plain(a, b):
         seed = DenseTensor.from_terms(gens, dim, 1, {(i,): c for i, c in b.entries.items()})

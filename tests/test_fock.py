@@ -77,9 +77,9 @@ def maps_close(x: dict, y: dict, tol: float) -> bool:
     return not any(abs(x.get(n, 0.0) - y.get(n, 0.0)) > tol for n in x.keys() | y.keys())
 
 
-def basis_fock(module, t, truncation=3, coeff=None):
+def basis_fock(module, t, coeff=None):
     coeff = coeff if coeff is not None else unit_of(module)
-    return FockElement(module, truncation, {len(t): {tuple(t): coeff}})
+    return FockElement(module, {len(t): {tuple(t): coeff}})
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +96,7 @@ def test_antisymmetrize_worked():
     module = tiny_module("trivial")
     one = unit_of(module)
     # P_-(e0 x e1) is stored on its increasing representative alone
-    p = FockElement(module, 3, {2: {(0, 1): 0.5 * one}})
+    p = FockElement(module, {2: {(0, 1): 0.5 * one}})
     # its signed expansion holds both orders
     full = dense_from_level(p, 2)
     assert full.entries[(0, 1)].close_to(0.5 * one)
@@ -137,7 +137,7 @@ def test_fock_inner_factorial():
     one = unit_of(module)
     v = basis_fock(module, (0, 1))
     assert fock_inner(v, v).close_to(2.0 * one)  # level! on equal tuples
-    assert fock_inner(vacuum(module, 3), v).is_zero()
+    assert fock_inner(vacuum(module), v).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -146,14 +146,14 @@ def test_fock_inner_factorial():
 
 def test_create_on_vacuum():
     module = tiny_module("trivial")
-    out = create(module.basis_element(0), vacuum(module, 3))
+    out = create(module.basis_element(0), vacuum(module))
     assert sorted(out.parts) == [1]
     assert maps_close(weyl_at(out, 1, (0,)).terms, unit_of(module).terms, 1e-12)
 
 
 def test_create_twice_is_wedge():
     module = tiny_module("trivial")
-    om = vacuum(module, 3)
+    om = vacuum(module)
     e0 = module.basis_element(0)
     e1 = module.basis_element(1)
     w01 = create(e0, create(e1, om))
@@ -170,7 +170,7 @@ def test_create_twice_is_wedge():
 def test_pauli_exclusion_plain():
     module = tiny_module("trivial")
     e0 = module.basis_element(0)
-    assert create(e0, create(e0, vacuum(module, 3))).is_zero()
+    assert create(e0, create(e0, vacuum(module))).is_zero()
 
 
 def test_create_carries_group_coefficient():
@@ -178,10 +178,10 @@ def test_create_carries_group_coefficient():
     gens = module.gens
     n = (1, 0)
     f = module.basis_element(0, WeylElement.monomial(gens, n))
-    out = create(f, vacuum(module, 3))
+    out = create(f, vacuum(module))
     # the second call reads f's cached group decomposition
     assert f.by_group() is f.by_group()
-    assert create(f, vacuum(module, 3)).parts == out.parts
+    assert create(f, vacuum(module)).parts == out.parts
     g = rand_vector(random.Random(5), module)
     w = rand_wedge(random.Random(6), module, 2)
     first = create(g, w)
@@ -200,7 +200,7 @@ def test_annihilate_inverts_on_wedge():
     # w01 = a*(e0) a*(e1) vac; contracting e1 walks past the first
     # creator and picks up the fermionic sign, contracting e0 does not
     module = tiny_module("trivial")
-    om = vacuum(module, 3)
+    om = vacuum(module)
     e0 = module.basis_element(0)
     e1 = module.basis_element(1)
     w01 = create(e0, create(e1, om))
@@ -212,7 +212,7 @@ def test_annihilate_inverts_on_wedge():
 
 def test_annihilate_vacuum_is_zero():
     module = tiny_module("trivial")
-    assert annihilate(module.basis_element(0), vacuum(module, 3)).is_zero()
+    assert annihilate(module.basis_element(0), vacuum(module)).is_zero()
 
 
 def test_car_residuals_exact_zero():
@@ -224,7 +224,7 @@ def test_car_residuals_exact_zero():
     mixed = anticommutator(annihilation(f), creation(g)) - weyl_mult(
         module, module_inner(f, g)
     )
-    probes = [vacuum(module, 3), basis_fock(module, (1,)), basis_fock(module, (0, 2))]
+    probes = [vacuum(module), basis_fock(module, (1,)), basis_fock(module, (0, 2))]
     for v in probes:
         assert gns_norm(mixed.apply(v), state) == 0.0
         assert gns_norm(anticommutator(creation(f), creation(g)).apply(v), state) == 0.0
@@ -246,8 +246,8 @@ def test_adjoint_check_random():
 
 @pytest.mark.parametrize("family", ["mixed", "poisson"])
 def test_create_into_level_four_is_the_minor(family):
-    # only truncation 4 reaches level 4: a*(f_n . W(n)) e_t with |t| = 3
-    # holds, on each s, the minor det [f_n | u(n)[:, t]][s] times 1/sqrt(4)
+    # a*(f_n . W(n)) e_t with |t| = 3 holds, on each s, the minor
+    # det [f_n | u(n)[:, t]][s] times 1/sqrt(4)
     module = tiny_module(family)
     gens = module.gens
     d = module.basis.dim
@@ -258,7 +258,7 @@ def test_create_into_level_four_is_the_minor(family):
             fn = rng.normal(size=d) + 1j * rng.normal(size=d)
             vec = OneParticleVector(module.basis, dict(enumerate(fn)))
             f = module.embed(vec, WeylElement.monomial(gens, n))
-            out = create(f, basis_fock(module, t, truncation=4))
+            out = create(f, basis_fock(module, t))
             assert level_tuples(out, 4) <= set(itertools.combinations(range(d), 4))
             level = right_normal(out, 4)
             assert set(level) <= {n}
@@ -276,12 +276,12 @@ def test_adjoint_at_level_four(family):
         st_ = State(kind)
         for _ in range(12):
             f = rand_vector(rng, module, max_entries=4)
-            w = rand_wedge(rng, module, 4, truncation=4)
+            w = rand_wedge(rng, module, 4)
             # one level-3 term under a tuple of w, so that the pair can act
             t = rng.choice(sorted(level_tuples(w, 4)))
             k = rng.randrange(4)
-            under = FockElement(module, 4, {3: {t[:k] + t[k + 1 :]: rand_weyl(rng, module.gens)}})
-            v = rand_wedge(rng, module, 3, truncation=4) + under
+            under = FockElement(module, {3: {t[:k] + t[k + 1 :]: rand_weyl(rng, module.gens)}})
+            v = rand_wedge(rng, module, 3) + under
             rhs = gns_inner(create(f, v), w, st_)
             assert abs(gns_inner(v, annihilate(f, w), st_) - rhs) <= 1e-12
             acting += abs(rhs) > 1e-3
@@ -309,7 +309,7 @@ def test_two_groups_meet_on_one_label_against_the_oracle():
 
     def element(l):
         tuples = rng.sample(list(itertools.combinations(range(d), l)), 2)
-        return FockElement(module, 4, {l: {t: both() for t in tuples}})
+        return FockElement(module, {l: {t: both() for t in tuples}})
 
     f = ModuleVector(module, {b: both() for b in range(d)})
     a = both()
@@ -347,10 +347,10 @@ def weyl_on(rng, gens, labels):
     return WeylElement(gens, {n: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for n in labels})
 
 
-def full_support(module, rng, level, labels, truncation):
+def full_support(module, rng, level, labels):
     """Every tuple of one level under each of the given labels."""
     tuples = itertools.combinations(range(module.basis.dim), level)
-    return FockElement(module, truncation, {level: {t: weyl_on(rng, module.gens, labels) for t in tuples}})
+    return FockElement(module, {level: {t: weyl_on(rng, module.gens, labels) for t in tuples}})
 
 
 def test_full_support_create_and_annihilate_against_the_oracle():
@@ -365,7 +365,7 @@ def test_full_support_create_and_annihilate_against_the_oracle():
     rng = random.Random(31)
     f = ModuleVector(module, {b: weyl_on(rng, gens, [(1, 0), (0, 1)]) for b in range(d)})
     for l in range(1, 5):
-        v = full_support(module, rng, l, [(0, 1), (1, -1)], truncation=4)
+        v = full_support(module, rng, l, [(0, 1), (1, -1)])
         dense = dense_from_level(v, l)
         if l < 4:
             # the oracle stops at level 4
@@ -394,7 +394,7 @@ def test_mixed_frames_on_one_label_against_the_oracle():
     f = ModuleVector(module, {b: weyl_on(rng, gens, [(1, 0), (0, 1)]) for b in range(d)})
     states = [State(kind) for kind in State.KINDS]
     for l in range(1, 5):
-        v = full_support(module, rng, l, [(1, 1), (0, 2)], truncation=4)
+        v = full_support(module, rng, l, [(1, 1), (0, 2)])
         got = annihilate(f, v)
         assert sorted(o for m, o in got.parts[l - 1] if m == (0, 1)) == [(-1, -1), (0, -2)]
         want = oracle_fermi_annihilate(f.entries, dense_from_level(v, l), u_of)
@@ -403,7 +403,7 @@ def test_mixed_frames_on_one_label_against_the_oracle():
             continue
         dense = dense_from_level(got, l - 1)
         assert dense.max_deviation(want) <= 1e-12, l
-        w = got + full_support(module, rng, l - 1, [(0, 1), (1, 0)], truncation=4)
+        w = got + full_support(module, rng, l - 1, [(0, 1), (1, 0)])
         for other in (got, w):
             pairing = oracle_nested_inner(dense, dense_from_level(other, l - 1), u_of)
             # the pairings reach about 2.6e3 on level 3: round-off, relative
@@ -424,7 +424,7 @@ def test_operators_read_no_exterior_power(monkeypatch):
     groups = [(1, 0), (0, 1)]
     labels = [(0, 1), (1, -1)]
     f = ModuleVector(module, {b: weyl_on(rng, gens, groups) for b in range(d)})
-    v = full_support(module, rng, 3, labels, truncation=4)
+    v = full_support(module, rng, 3, labels)
     calls = {"pair": 0, "det": 0, "insert": 0}
     pair, det, insert = Twist.pair, np.linalg.det, fock_module.wedge_insert
 
@@ -480,7 +480,7 @@ def test_left_action_level_zero_is_product():
     module = tiny_module("delta")
     a = rand_weyl(random.Random(3), module.gens)
     c = rand_weyl(random.Random(4), module.gens)
-    out = fock_left_action(a, vacuum(module, 3, c))
+    out = fock_left_action(a, vacuum(module, c))
     assert out.scalar.close_to(a * c, 1e-13)
 
 
@@ -519,32 +519,29 @@ def test_creation_intertwines_with_left_action():
 
 
 # ---------------------------------------------------------------------------
-# truncation window
+# top of the Fock space
 
 
-def test_create_above_truncation_drops_and_flags():
-    module = tiny_module("trivial")
-    top = basis_fock(module, (0, 1, 2), truncation=3)
-    out = create(module.basis_element(3), top)
-    assert out.is_zero()
-    assert out.truncated
-    # the flag survives further operations
-    again = annihilate(module.basis_element(0), out + basis_fock(module, (0, 1)))
-    assert again.truncated
-    # an operator's image is truncated when any word's is, even a word
-    # whose image is zero; the order of the words does not matter
-    e0, e3 = module.basis_element(0), module.basis_element(3)
-    for op in (creation(e3) + annihilation(e0), annihilation(e0) + creation(e3)):
-        image = op.apply(top)
-        assert image.truncated
-        assert fock_close(image, annihilate(e0, top))
-    assert not annihilation(e0).apply(top).truncated
+def test_create_at_the_top_of_the_fock_space():
+    # h has dim 6, so level 6 is the top: its one tuple holds every slot
+    module = tiny_module("mixed")
+    d = module.basis.dim
+    assert d == 6
+    rng = random.Random(103)
+    f = rand_vector(rng, module, max_entries=d)
+    full = tuple(range(d))
+    assert create(f, basis_fock(module, full)).is_zero()
+    # level 5 lands on level 6, on the full tuple alone
+    out = create(module.basis_element(5), basis_fock(module, full[:5]))
+    assert sorted(out.parts) == [d] and level_tuples(out, d) == {full}
+    with pytest.raises(ValueError):
+        FockElement(module, {d + 1: {tuple(range(d + 1)): unit_of(module)}})
 
 
 def test_cancelled_words_leave_no_empty_dicts():
     module = tiny_module("delta")
     gens = module.gens
-    vac = vacuum(module, 3)
+    vac = vacuum(module)
     f = module.basis_element(0) + module.basis_element(2)
     g = module.basis_element(0, WeylElement.monomial(gens, (1, 0))) + module.basis_element(1)
     # {a*(f), a*(g)} vanishes on the vacuum, its two words cancelling exactly
@@ -574,18 +571,18 @@ def test_fock_arithmetic_and_guards():
     assert (2.0 * v - v - v).is_zero()
     assert sorted(v.parts) == [2]
     with pytest.raises(ValueError):
-        v._require_same(basis_fock(module, (0, 1), truncation=2))
+        v._require_same(basis_fock(tiny_module("trivial"), (0, 1)))
     # Weyl coefficients go in and come back out unchanged; zero ones and
     # empty levels are not stored
     gens = module.gens
     a = WeylElement(gens, {(1, 0): 0.5j, (0, -1): 2.0})
     zero = WeylElement.zero(gens)
-    x = FockElement(module, 3, {0: {(): a}, 1: {(2,): zero}, 2: {(0, 1): a, (1, 2): zero}})
+    x = FockElement(module, {0: {(): a}, 1: {(2,): zero}, 2: {(0, 1): a, (1, 2): zero}})
     assert sorted(x.parts) == [0, 2]
     assert x.scalar.terms == a.terms and x.scalar.gens is gens
     assert x.parts[2] == {(n, tuple(-v for v in n)): {(0, 1): c} for n, c in a.terms.items()}
-    assert FockElement(module, 3, {0: {(): zero}}).is_zero()
-    assert FockElement(module, 3).scalar.is_zero()
+    assert FockElement(module, {0: {(): zero}}).is_zero()
+    assert FockElement(module).scalar.is_zero()
 
 
 @pytest.mark.parametrize(
@@ -598,7 +595,7 @@ def test_fock_element_rejects_a_tuple_that_is_not_canonical(level, t):
     # stored e_(1,1) would carry GNS norm^2 2 though the wedge vanishes
     module = tiny_module("delta")
     with pytest.raises(ValueError):
-        FockElement(module, 3, {level: {t: unit_of(module)}})
+        FockElement(module, {level: {t: unit_of(module)}})
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +606,11 @@ def test_gns_inner_levelwise():
     module = tiny_module("trivial")
     one = unit_of(module)
     state = State("tracial")
-    v = vacuum(module, 3) + basis_fock(module, (0, 1))
+    v = vacuum(module) + basis_fock(module, (0, 1))
     w = basis_fock(module, (0, 1))
     # only the shared level contributes, with the 2! factor
     assert gns_inner(v, w, state) == 2.0
-    assert gns_inner(vacuum(module, 3), w, state) == 0.0
+    assert gns_inner(vacuum(module), w, state) == 0.0
     assert abs(gns_norm(w, state) - SQ2) <= 1e-15
 
 
@@ -683,7 +680,7 @@ def test_field_operator_stops_a_killed_word():
 
     module = tiny_module("trivial")
     e0, e1 = module.basis_element(0), module.basis_element(1)
-    vac = vacuum(module, 3)
+    vac = vacuum(module)
     # a(e1) kills the vacuum, so the word contributes nothing
     op = FieldOperator(module, [(2.0, (Unreachable(), AnnihilateOp(e1))), (1.0, (CreateOp(e0),))])
     assert fock_close(op.apply(vac), create(e0, vac), 0.0)
@@ -717,13 +714,11 @@ def test_field_operator_matches_word_by_word_on_an_observable_net_commutator():
     assert len(word_suffixes(op)) < 32 * 6
     rng = random.Random(97)
     for level in (0, 1, 2):
-        for truncation in (2, 4):
-            v = rand_wedge(rng, module, level, truncation)
-            got, want = op.apply(v), apply_word_by_word(op, v)
-            assert got.parts == want.parts, (level, truncation)
-            assert got.truncated == want.truncated
-            # the cached plan gives the same sums on a second call
-            assert op.apply(v).parts == got.parts
+        v = rand_wedge(rng, module, level)
+        got, want = op.apply(v), apply_word_by_word(op, v)
+        assert got.parts == want.parts, level
+        # the cached plan gives the same sums on a second call
+        assert op.apply(v).parts == got.parts
 
 
 def test_field_operator_passes_an_empty_middle_image_through():
@@ -732,7 +727,7 @@ def test_field_operator_passes_an_empty_middle_image_through():
     f, g = rand_vector(rng, module), rand_vector(rng, module)
     e0, e1 = module.basis_element(0), module.basis_element(1)
     a, c = AnnihilateOp(e1), CreateOp(e0)
-    vac = vacuum(module, 3)
+    vac = vacuum(module)
     # a(e1) a(e1) c(e0) vac is empty after its middle primitive; a word
     # sharing the suffix c(e0) still gets that suffix's image
     op = FieldOperator(
@@ -741,22 +736,6 @@ def test_field_operator_passes_an_empty_middle_image_through():
     )
     got, want = op.apply(vac), apply_word_by_word(op, vac)
     assert got.parts == want.parts and got.parts
-    assert not got.truncated and not want.truncated
-
-
-def test_field_operator_flags_a_truncated_word():
-    module = tiny_module("poisson")
-    rng = random.Random(103)
-    f, g = rand_vector(rng, module), rand_vector(rng, module)
-    v = rand_wedge(rng, module, 1, truncation=2) + rand_wedge(rng, module, 2, truncation=2)
-    cf, cg = CreateOp(f), CreateOp(g)
-    op = FieldOperator(module, [(1.0, (AnnihilateOp(g), cf)), (-1.0, (cg, cf))])
-    got, want = op.apply(v), apply_word_by_word(op, v)
-    assert got.parts == want.parts
-    assert got.truncated and want.truncated
-    # a word that never climbs past the window leaves the flag off
-    kept = FieldOperator(module, [(1.0, (AnnihilateOp(g),))]).apply(v)
-    assert not kept.truncated
 
 
 def test_field_operator_applies_each_suffix_once(monkeypatch):
@@ -765,7 +744,7 @@ def test_field_operator_applies_each_suffix_once(monkeypatch):
     A = creation(rand_vector(rng, module)) + weyl_mult(module, rand_weyl(rng, module.gens))
     B = creation(rand_vector(rng, module)) + annihilation(rand_vector(rng, module))
     op = A @ B @ A + 2.0 * (B @ A) - A
-    v = vacuum(module, 4, rand_weyl(rng, module.gens)) + rand_wedge(rng, module, 1, truncation=4)
+    v = vacuum(module, rand_weyl(rng, module.gens)) + rand_wedge(rng, module, 1)
     want = apply_word_by_word(op, v)
     calls = count_primitives(monkeypatch)
     got = op.apply(v)
@@ -821,18 +800,18 @@ def test_dirac_bracket_sector_structure():
     f = module.basis_element(0)
     g = module.basis_element(1)
     op = anticommutator(dirac(f), dirac(g))
-    assert gns_norm(op.apply(vacuum(module, 3)), state) == 0.0
+    assert gns_norm(op.apply(vacuum(module)), state) == 0.0
     assert gns_norm(op.apply(basis_fock(module, (0, 1))), state) == 0.0
     # pairing f with its conjugate partner closes to the identity
     op2 = anticommutator(dirac(f), dirac(conjugate_vector(f)))
-    for probe in (vacuum(module, 3), basis_fock(module, (1, 2))):
+    for probe in (vacuum(module), basis_fock(module, (1, 2))):
         assert fock_close(op2.apply(probe), probe, 1e-12)
 
 
 def test_operator_matrix_norms():
     module = tiny_module("trivial")
     state = State("tracial")
-    basis = [vacuum(module, 3)] + [basis_fock(module, (i,)) for i in range(3)]
+    basis = [vacuum(module)] + [basis_fock(module, (i,)) for i in range(3)]
     ident = weyl_mult(module, unit_of(module))
     res = operator_matrix(ident, basis, state)
     assert not res.degenerate and res.rank == 4
@@ -961,7 +940,7 @@ def test_nonfock_nested_vs_slotwise():
     f2 = module.basis_element(1, WeylElement.monomial(gens, (-1, 0)))
     g1 = module.basis_element(0)
     g2 = module.basis_element(1)
-    vac = vacuum(module, 3)
+    vac = vacuum(module)
     nested = gns_inner(annihilate(g2, annihilate(g1, create(f1, create(f2, vac)))), vac, state)
     slotwise = state(module_inner(f1, g1)) * state(module_inner(f2, g2))
     assert abs(nested - slotwise) == 1.0

@@ -26,7 +26,7 @@ from fockmod.fock import (
     dirac,
     gns_norm,
 )
-from fockmod import models
+from fockmod import fock, models
 from fockmod.models import (
     SIGMA_KINDS,
     build_context,
@@ -726,6 +726,16 @@ def test_check_pauli_delta():
         assert res.witness["points"] == [0, 1]
 
 
+def test_check_pauli_one_point_grid_has_no_twisted_pair():
+    # one point: no two phases to spread a self-pair over
+    grid = GridSpec(1, 1)
+    ctx = build_context("delta", grid, [TestFunctionPair(grid, [1.0], [0.0])])
+    res = check_pauli(ctx)
+    assert not res.passed
+    assert res.residuals == {"free": 0.0, "twisted": 0.0}
+    assert res.witness == {"problem": "no_twisted_pair"}
+
+
 def test_check_dirac_adjoint():
     assert check_dirac_adjoint(delta_ctx(), seed=17, cases=5).passed
 
@@ -766,23 +776,25 @@ def test_check_observable_net(monkeypatch):
     w0 = plus_vector(ctx.module, [1.0, 0.0, 0.0])
     w2 = plus_vector(ctx.module, [0.0, 0.0, 1.0])
     unit = UNIT_W(ctx.gens)
-    images = []
-    apply = FieldOperator.apply
+    levels = []
+    create = fock.create
 
-    def recorded(op, v):
-        images.append(apply(op, v))
-        return images[-1]
+    def recorded(f, v):
+        out = create(f, v)
+        levels.append(max(out.parts, default=0))
+        return out
 
-    monkeypatch.setattr(FieldOperator, "apply", recorded)
+    monkeypatch.setattr(fock, "create", recorded)
     res = check_observable_net(
         ctx, [(unit, w0, w0), (unit, w2, w2)], [(0, 1)]
     )
     assert res.passed
     assert res.details == {}
     assert res.residuals["max"] <= 1e-10
-    # words with four creations step a level-1 probe to level 5, inside
-    # the window dim = 6
-    assert images and not any(v.truncated for v in images)
+    # words with four creations could step a level-1 probe to level 5, but
+    # the touched set holds four slots, e_0 and e_2 with their charge
+    # conjugates, so the creations fill at most level 4
+    assert max(levels) == 4
 
 
 def _probe_slots(monkeypatch):
