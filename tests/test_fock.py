@@ -522,18 +522,25 @@ def test_creation_intertwines_with_left_action():
 # top of the Fock space
 
 
-def test_create_at_the_top_of_the_fock_space():
-    # h has dim 6, so level 6 is the top: its one tuple holds every slot
+def test_create_above_truncation_drops_and_flags():
+    # the Fock space stops at level d = dim h, its natural truncation:
+    # level d holds one tuple with every slot, and a creator on it is zero
     module = tiny_module("mixed")
     d = module.basis.dim
     assert d == 6
     rng = random.Random(103)
     f = rand_vector(rng, module, max_entries=d)
     full = tuple(range(d))
-    assert create(f, basis_fock(module, full)).is_zero()
-    # level 5 lands on level 6, on the full tuple alone
+    top = basis_fock(module, full)
+    out = create(f, top)
+    assert out.is_zero()
+    # nothing is cut off, so the flag stays off, also after further operations
+    assert not out.truncated
+    assert not annihilate(module.basis_element(0), out + top).truncated
+    # level d - 1 lands on level d, on the full tuple alone
     out = create(module.basis_element(5), basis_fock(module, full[:5]))
     assert sorted(out.parts) == [d] and level_tuples(out, d) == {full}
+    assert not out.truncated
     with pytest.raises(ValueError):
         FockElement(module, {d + 1: {tuple(range(d + 1)): unit_of(module)}})
 
@@ -736,6 +743,25 @@ def test_field_operator_passes_an_empty_middle_image_through():
     )
     got, want = op.apply(vac), apply_word_by_word(op, vac)
     assert got.parts == want.parts and got.parts
+
+
+def test_field_operator_flags_a_truncated_word():
+    # a word that climbs past the top level d = dim h has a zero image;
+    # the operator sums the other words as word-by-word application does
+    # and, since no level is cut off, flags nothing
+    module = tiny_module("poisson")
+    d = module.basis.dim
+    rng = random.Random(103)
+    f, g = rand_vector(rng, module), rand_vector(rng, module)
+    v = rand_wedge(rng, module, d - 1) + rand_wedge(rng, module, d)
+    cf, cg = CreateOp(f), CreateOp(g)
+    op = FieldOperator(module, [(1.0, (AnnihilateOp(g), cf)), (-1.0, (cg, cf))])
+    got, want = op.apply(v), apply_word_by_word(op, v)
+    assert got.parts == want.parts and got.parts
+    assert FieldOperator(module, [(-1.0, (cg, cf))]).apply(v).is_zero()
+    kept = FieldOperator(module, [(1.0, (AnnihilateOp(g), cf))]).apply(v)
+    assert fock_close(got, kept, 0.0)
+    assert not got.truncated and not want.truncated and not kept.truncated
 
 
 def test_field_operator_applies_each_suffix_once(monkeypatch):
