@@ -196,6 +196,8 @@ def build_scenario(config: dict):
         _require(0 <= comp < grid.components, f"vectors.{name}.component out of range")
         prof = _parse_profile(grid, vs.get("profile", {}), f"vectors.{name}.profile")
         vectors[name] = models.plus_vector(ctx.module, prof, comp, _SECTORS[sign])
+        # a zero vector makes every relation it enters vanish vacuously
+        _require(not vectors[name].is_zero(), f"vectors.{name}.profile: no nonzero entry")
     ctx.vectors = vectors
     return ctx
 
@@ -224,6 +226,7 @@ def _fspec(ctx: ModelContext, spec, where: str) -> ModuleVector:
         coeff = WeylElement.monomial(ctx.gens, tuple(exps))
         part = ModuleVector(ctx.module, {b: coeff * a for b, a in vec.entries.items()})
         total = part if total is None else total + part
+    _require(not total.is_zero(), f"{where}: the terms sum to the zero vector")
     return total
 
 
@@ -311,8 +314,9 @@ def _disjoint(ctx, params, name):
         _require(
             isinstance(item, list)
             and len(item) == 2
-            and all(_is_int(x) and 0 <= x < n for x in item),
-            f"{where}: expected a valid index pair",
+            and all(_is_int(x) and 0 <= x < n for x in item)
+            and item[0] != item[1],
+            f"{where}: expected a valid index pair of two different observables",
         )
         return item[0], item[1]
 

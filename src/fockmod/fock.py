@@ -64,12 +64,11 @@ __all__ = [
     "dirac",
     "anticommutator",
     "commutator",
-    "operator_matrix",
-    "OperatorMatrixResult",
+    "compression_norm",
 ]
 
 SQRT2 = math.sqrt(2.0)
-# relative Gram eigenvalue at or below which operator_matrix drops a direction
+# relative Gram eigenvalue at or below which compression_norm drops a direction
 RANK_TOL = 1e-10
 
 # ---------------------------------------------------------------------------
@@ -606,73 +605,51 @@ def commutator(a: FieldOperator, b: FieldOperator) -> FieldOperator:
 # numeric probes
 
 
-@dataclass(frozen=True)
-class OperatorMatrixResult:
-    matrix: np.ndarray
-    norm_estimate: float
-    degenerate: bool
-    rank: int
+def compression_norm(op: FieldOperator, wedges: list[FockElement]) -> tuple[float, bool]:
+    """(norm, degenerate): the largest singular value of op compressed to
+    the span of wedges, orthonormalized via the GNS Gram matrix.
 
-
-def operator_matrix(op: FieldOperator, basis: list[FockElement], state: State) -> OperatorMatrixResult:
-    """Compression of op to the span of basis, orthonormalized via the
-    GNS Gram matrix; the norm estimate is the largest singular value.
-
-    A Gram eigenvalue at or below RANK_TOL (relative to the largest)
-    drops that direction and flags the result as degenerate.
-
-    Each Gram and compressed entry is ``gns_inner`` of a basis element
-    (the row) with a basis element or an image (the column), computed
-    only where ``_pairing`` can add a term: the row holds a tuple t of
-    the column's in the same frame m + o of a bucket (m, o) (level 0 has
-    none), or a tuple of t's ``Twist.signature`` in another frame, which
-    ``Twist.pair`` couples.  Every other entry is exactly 0.
+    Every wedge is a unit basis wedge e_t . W(0) in the bucket (W(0),
+    frame 0), as ``models.level_basis`` builds them, and op keeps that
+    bucket, as a(f) does when f has the unit coefficient.  There every
+    pairing reads only the label 0, where each state is 1, and a level-l
+    tuple counts l! times: the Gram entry of two wedges is l! where they
+    hold the same tuple, and T[i, j] = l_i! (op b_j)[t_i], read off the
+    image.  A Gram eigenvalue at or below RANK_TOL (relative to the
+    largest) drops that direction and flags the result as degenerate.
+    Raises ValueError for a wedge or an image outside that bucket.
     """
-    k = len(basis)
-    signature = op.space.twist.signature
+    zero = (0,) * len(op.space.gens)
+    home = (zero, zero)
 
-    def entries(v: FockElement):
-        for l, buckets in v.parts.items():
-            for (m, o), terms in buckets.items():
-                frame = tuple(map(operator.add, m, o)) if l else None
-                for t in terms:
-                    yield frame, t
+    def entries(v: FockElement, what: str):
+        for buckets in v.parts.values():
+            if buckets.keys() != {home}:
+                raise ValueError(f"{what} has a bucket outside (W(0), frame 0)")
+            yield from buckets[home].items()
 
-    # rows by (frame, tuple), and by signature and frame
-    same: dict[tuple, set[int]] = {}
-    across: dict[tuple, dict[tuple, set[int]]] = {}
-    for i, b in enumerate(basis):
-        for frame, t in entries(b):
-            same.setdefault((frame, t), set()).add(i)
-            across.setdefault(signature(t), {}).setdefault(frame, set()).add(i)
-
-    def rows(w: FockElement) -> list[int]:
-        out: set[int] = set()
-        met = set()
-        for frame, t in entries(w):
-            out.update(same.get((frame, t), ()))
-            met.add((signature(t), frame))
-        for sig, frame in met:
-            for other, members in across.get(sig, {}).items():
-                if other != frame:
-                    out |= members
-        return sorted(out)
-
+    # rows by tuple; a repeated wedge holds its tuple twice
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for i, b in enumerate(wedges):
+        got = list(entries(b, "wedge"))
+        if len(got) != 1 or got[0][1] != 1:
+            raise ValueError("wedge is not a unit basis wedge")
+        rows.setdefault(got[0][0], []).append(i)
+    k = len(wedges)
     gram = np.zeros((k, k), dtype=complex)
     tmat = np.zeros((k, k), dtype=complex)
-    for j, b in enumerate(basis):
-        for i in rows(b):
-            gram[i, j] = gns_inner(basis[i], b, state)
-        image = op.apply(b)
-        for i in rows(image):
-            tmat[i, j] = gns_inner(basis[i], image, state)
+    for t, members in rows.items():
+        gram[np.ix_(members, members)] = math.factorial(len(t))
+    for j, b in enumerate(wedges):
+        for t, y in entries(op.apply(b), "image"):
+            for i in rows.get(t, ()):
+                tmat[i, j] = math.factorial(len(t)) * y
     eigvals, eigvecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
     cutoff = RANK_TOL * max(1.0, float(eigvals.max(initial=0.0)))
     keep = eigvals > cutoff
     rank = int(np.count_nonzero(keep))
     if rank == 0:
-        return OperatorMatrixResult(np.zeros((0, 0)), 0.0, True, 0)
+        return 0.0, True
     basis_mat = eigvecs[:, keep] / np.sqrt(eigvals[keep])
     compressed = basis_mat.conj().T @ tmat @ basis_mat
-    norm = float(np.linalg.norm(compressed, 2))
-    return OperatorMatrixResult(compressed, norm, rank < k, rank)
+    return float(np.linalg.norm(compressed, 2)), rank < k

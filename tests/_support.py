@@ -27,7 +27,6 @@ from fockmod.cli import SCHEMA
 from fockmod.fock import (
     RANK_TOL,
     FockElement,
-    OperatorMatrixResult,
     annihilate,
     annihilation,
     anticommutator,
@@ -334,9 +333,11 @@ def apply_word_by_word(op, v: FockElement) -> FockElement:
     return FockElement._of(op.space, parts)
 
 
-def ref_operator_matrix(op, basis: list[FockElement], state) -> OperatorMatrixResult:
-    """Reference for operator_matrix: every Gram and compressed entry
-    paired by ``gns_inner``, zero or not, in a k x k double loop."""
+def ref_operator_matrix(op, basis: list[FockElement], state) -> tuple[float, bool]:
+    """Reference for ``fock.compression_norm``: (norm, degenerate) of the
+    compression of op to the span of basis under state, every Gram and
+    compressed entry paired by ``gns_inner``, zero or not, in a k x k
+    double loop."""
     k = len(basis)
     gram = np.zeros((k, k), dtype=complex)
     images = [op.apply(b) for b in basis]
@@ -350,11 +351,10 @@ def ref_operator_matrix(op, basis: list[FockElement], state) -> OperatorMatrixRe
     keep = eigvals > cutoff
     rank = int(np.count_nonzero(keep))
     if rank == 0:
-        return OperatorMatrixResult(np.zeros((0, 0)), 0.0, True, 0)
+        return 0.0, True
     basis_mat = eigvecs[:, keep] / np.sqrt(eigvals[keep])
     compressed = basis_mat.conj().T @ tmat @ basis_mat
-    norm = float(np.linalg.norm(compressed, 2))
-    return OperatorMatrixResult(compressed, norm, rank < k, rank)
+    return float(np.linalg.norm(compressed, 2)), rank < k
 
 
 def word_suffixes(op) -> set[tuple[int, ...]]:

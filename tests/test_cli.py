@@ -561,6 +561,46 @@ def test_main_check_with_nothing_to_test_exits_2(tmp_path, capsys, check):
     assert f"fockmod: {check['check']}: nothing to test" in capsys.readouterr().err
 
 
+def test_main_observable_net_self_pair_exits_2(tmp_path, capsys):
+    # an observable commutes with itself, so the pair [0, 0] would pass
+    # with max 0.0 on an operator that vanishes
+    cfg = load_config("lebesgue_gauge")
+    net = next(c for c in cfg["checks"] if c["check"] == "observable_net")
+    cfg["checks"] = [dict(net, disjoint=[[0, 0]])]
+    assert _main_exit(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert "fockmod: observable_net.disjoint[0]: expected a valid index pair of two different" in err
+
+
+@pytest.mark.parametrize(
+    "profile",
+    (
+        {"shape": "zero"},
+        {"shape": "point", "center": 2, "amplitude": 0.0},
+        {"shape": "values", "values": [0.0, 0.0, 0.0]},
+    ),
+    ids=("zero", "amplitude-0", "values-0"),
+)
+def test_main_zero_vector_exits_2(tmp_path, capsys, profile):
+    # a zero vector is local to every generator and free with every
+    # vector, so relative_locality and car would pass with 0.0 on it
+    cfg = tiny_config()
+    cfg["vectors"]["wA"]["profile"] = profile
+    cfg["checks"] = [{"check": "relative_locality", "local": [["wA", 0]]}]
+    assert _main_exit(tmp_path, cfg) == 2
+    assert "fockmod: vectors.wA.profile: no nonzero entry" in capsys.readouterr().err
+
+
+def test_main_zero_term_sum_exits_2(tmp_path, capsys):
+    # wA - wA as a car free partner of wB: the free pair would pass with 0.0
+    cfg = tiny_config()
+    cfg["vectors"]["wN"] = {"profile": {"shape": "point", "center": 2, "amplitude": -1.0}}
+    zero = [["wA", [0, 0]], ["wN", [0, 0]]]
+    cfg["checks"] = [{"check": "car", "free": [[zero, [["wB", [0, 0]]]]]}]
+    assert _main_exit(tmp_path, cfg) == 2
+    assert "fockmod: car.free[0][0]: the terms sum to the zero vector" in capsys.readouterr().err
+
+
 def _count_checks(monkeypatch) -> list:
     """Wrap every models.check_* so that each call is recorded."""
     calls = []

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from fockmod import fock as fock_module
 from fockmod.weyl import State, WeylElement
 from fockmod.bimodule import ModuleVector, OneParticleVector, Twist, conjugate_vector, module_inner
-from fockmod.models import _random_fock, build_context, check_car, level_basis, observable, plus_vector
+from fockmod.models import build_context, check_car, level_basis, observable, plus_vector
 from fockmod.oracle import (
     DenseTensor,
     oracle_antisymmetrize,
@@ -33,6 +33,7 @@ from fockmod.fock import (
     annihilation,
     anticommutator,
     commutator,
+    compression_norm,
     create,
     creation,
     dirac,
@@ -41,7 +42,6 @@ from fockmod.fock import (
     fock_right_mul,
     gns_inner,
     gns_norm,
-    operator_matrix,
     vacuum,
     weyl_mult,
 )
@@ -835,97 +835,96 @@ def test_dirac_bracket_sector_structure():
 
 
 def test_operator_matrix_norms():
+    # compression_norm gives the norm of the operator's matrix on the
+    # span of the wedges
     module = tiny_module("trivial")
-    state = State("tracial")
     basis = [vacuum(module)] + [basis_fock(module, (i,)) for i in range(3)]
     ident = weyl_mult(module, unit_of(module))
-    res = operator_matrix(ident, basis, state)
-    assert not res.degenerate and res.rank == 4
-    assert abs(res.norm_estimate - 1.0) <= 1e-12
+    norm, degenerate = compression_norm(ident, basis)
+    assert not degenerate
+    assert abs(norm - 1.0) <= 1e-12
     # annihilator of a unit vector has compression norm 1
-    res2 = operator_matrix(annihilation(module.basis_element(1)), basis, state)
-    assert abs(res2.norm_estimate - 1.0) <= 1e-10
+    norm, degenerate = compression_norm(annihilation(module.basis_element(1)), basis)
+    assert not degenerate
+    assert abs(norm - 1.0) <= 1e-10
     # duplicated directions are flagged, not inverted through
-    res3 = operator_matrix(ident, basis + [basis[1]], state)
-    assert res3.degenerate and res3.rank == 4
+    norm, degenerate = compression_norm(ident, basis + [basis[1]])
+    assert degenerate
+    assert abs(norm - 1.0) <= 1e-12
 
 
-def assert_same_matrix_result(got, want):
-    assert got.matrix.shape == want.matrix.shape
-    assert got.matrix.tobytes() == want.matrix.tobytes()
-    assert (got.norm_estimate, got.degenerate, got.rank) == (want.norm_estimate, want.degenerate, want.rank)
+def bucket_ops(module, rng):
+    """Operators that keep the bucket (W(0), frame 0) of a unit wedge:
+    vectors with the unit coefficient and a scalar left action."""
 
+    def vec():
+        dim = module.basis.dim
+        coeffs = {rng.randrange(dim): complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(2)}
+        return module.embed(OneParticleVector(module.basis, coeffs))
 
-def matrix_ops(module, rng):
-    f, g = rand_vector(rng, module), rand_vector(rng, module)
+    f, g = vec(), vec()
+    scalar = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
     return [
         annihilation(f),
         dirac(g),
-        creation(g) @ annihilation(f) + weyl_mult(module, rand_weyl(rng, module.gens)),
+        creation(g) @ annihilation(f) + weyl_mult(module, scalar * unit_of(module)),
     ]
 
 
 @pytest.mark.parametrize("family", ("delta", "mixed", "uneven"))
 @pytest.mark.parametrize("kind", ("tracial", "quasifree"))
 def test_operator_matrix_matches_full_pairing(family, kind):
-    # the entries left out are exactly the zeros the full k x k pairing
-    # computes, so every field comes out bit for bit the same
+    # read off the images, the compression gives the norm and the rank
+    # flag of the full k x k GNS pairing bit for bit; on the bucket
+    # (W(0), frame 0) the pairing reads only label 0, where both states
+    # are 1, so compression_norm takes no state
     module = tiny_module(family)
     state = State(kind)
     rng = random.Random(71)
     basis = level_basis(module, 2)
-    for op in matrix_ops(module, rng):
-        assert_same_matrix_result(operator_matrix(op, basis, state), ref_operator_matrix(op, basis, state))
+    for op in bucket_ops(module, rng):
+        assert compression_norm(op, basis) == ref_operator_matrix(op, basis, state)
         # a repeated element makes the Gram matrix singular
         twice = basis + [basis[3]]
-        got = operator_matrix(op, twice, state)
-        assert got.degenerate
-        assert_same_matrix_result(got, ref_operator_matrix(op, twice, state))
-
-
-@pytest.mark.parametrize("family", ("delta", "mixed"))
-def test_operator_matrix_matches_full_pairing_across_frames(family):
-    # random elements moved by a left action hold buckets at several
-    # labels in several frames, which the quasifree state pairs through
-    # the minors of u on the mixed twist
-    module = tiny_module(family)
-    state = State("quasifree")
-    rng = random.Random(73)
-    basis = [
-        fock_left_action(rand_weyl(rng, module.gens), _random_fock(rng, module, 2))
-        for _ in range(8)
-    ]
-    frames = {
-        tuple(map(sum, zip(m, o))) for v in basis for l, labels in v.parts.items() if l for m, o in labels
-    }
-    assert len(frames) > 1
-    for op in matrix_ops(module, rng):
-        assert_same_matrix_result(operator_matrix(op, basis, state), ref_operator_matrix(op, basis, state))
+        got = compression_norm(op, twice)
+        assert got[1]
+        assert got == ref_operator_matrix(op, twice, state)
 
 
 @pytest.mark.parametrize("family", ("delta", "mixed"))
 def test_operator_matrix_pairs_few_entries(family, monkeypatch):
     # the 26-element level-3 basis over five slots that check_norm_recovery
-    # builds: fewer than a quarter of the k^2 entries of each matrix are
-    # paired, for a vector without and one with a Weyl label
+    # builds: compression_norm pairs no entry through gns_inner, it reads
+    # every entry off the images
     module = tiny_module(family)
     basis = level_basis(module, 3, [0, 1, 2, 4, 5])
-    k = len(basis)
-    assert k == 26
+    assert len(basis) == 26
     calls = []
-    inner = fock_module.gns_inner
-
-    def counted(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(fock_module, "gns_inner", counted)
+    for name in ("gns_inner", "_pairing"):
+        inner = getattr(fock_module, name)
+        monkeypatch.setattr(fock_module, name, lambda *a, inner=inner: calls.append(a) or inner(*a))
     unit = module.embed(OneParticleVector(module.basis, {0: 0.6, 4: 0.8j}))
-    labelled = module.basis_element(1, WeylElement.monomial(module.gens, (1, 0)))
-    for vec in (unit, labelled):
-        calls.clear()
-        operator_matrix(annihilation(vec), basis, State("tracial"))
-        assert 0 < len(calls) < k * k / 4
+    norm, degenerate = compression_norm(annihilation(unit), basis)
+    assert calls == []
+    assert not degenerate
+    assert abs(norm - 1.0) <= 1e-12
+
+
+def test_compression_norm_rejects_other_buckets():
+    module = tiny_module("delta")
+    basis = level_basis(module, 2)
+    label = WeylElement.monomial(module.gens, (1, 0))
+    ident = weyl_mult(module, unit_of(module))
+    # a labelled wedge sits in the bucket (W(1, 0), frame -(1, 0))
+    with pytest.raises(ValueError, match="bucket outside"):
+        compression_norm(ident, basis + [basis_fock(module, (0,), label)])
+    # a wedge of another coefficient, or of two tuples, is no unit wedge
+    for wedge in (2.0 * basis[1], basis[1] + basis[2]):
+        with pytest.raises(ValueError, match="unit basis wedge"):
+            compression_norm(ident, basis + [wedge])
+    # a(f) with f carrying W(1, 0) moves the image to the label -(1, 0)
+    with pytest.raises(ValueError, match="bucket outside"):
+        compression_norm(annihilation(module.basis_element(1, label)), basis)
 
 
 def test_pairing_without_a_shared_signature_is_exactly_0(monkeypatch):

@@ -280,6 +280,13 @@ def test_plus_vector_and_supports():
         coeff=WeylElement.monomial(ctx.gens, (1, 0)),
     )
     assert set(g.entries) == {0} and set(g.by_group()) == {(1, 0)}
+    # the support in grid order, with the profile's values
+    h = plus_vector(ctx.module, [-1.5, 0.0, 0.25])
+    assert list(h.by_group()[(0, 0)].coeffs.items()) == [(0, -1.5), (2, 0.25)]
+    # a profile of another length than the grid is refused, not cut or padded
+    for profile in ([1.0, 0.0], [0.0, 0.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="length"):
+            plus_vector(ctx.module, profile)
 
 
 def test_plus_vector_minus_sector():
