@@ -11,7 +11,11 @@
 # check sweeps the whole Fock space at any truncation), `fockmod
 # verify-car` (the only run of the built-in
 # CAR batteries at their default seed 7) and `fockmod model --config NAME`
-# for each bundled scenario, all with `--format json`; the script prints
+# for each bundled scenario, all with `--format json`.  No bundled config
+# uses the quasifree state, the only one under which a sweep takes the
+# whole basis, so each tree also runs a copy of each of its bundled
+# configs with `"state": "quasifree"`, written under the script's
+# temporary directory.  The script prints
 # one line per report, followed by the first 40 lines of `diff -u` for a
 # report that differs byte for byte.  No CLI run reaches a twist that is
 # not diagonal, a grid beyond 1D or a second spinor component, so both
@@ -79,6 +83,17 @@ PY
 }
 
 status=0
+# prints the verdict on $out/base.json and $out/head.json for the run $1
+compare() {
+    if cmp -s "$out/base.json" "$out/head.json"; then
+        echo "identical  $1"
+    else
+        echo "DIFFERENT  $1"
+        diff -u "$out/base.json" "$out/head.json" | head -n 40
+        summarize "$out/base.json" "$out/head.json"
+        status=1
+    fi
+}
 for args in \
     "all --seed 1" "all --seed 2" "all --seed 3" \
     "all --seed 1 --truncation 1" "all --seed 1 --truncation 4" "verify-car" \
@@ -91,14 +106,25 @@ for args in \
         PYTHONPATH="$tree/src" "${PYTHON:-python}" -m fockmod.cli $args --format json \
             > "$out/$side.json" || [ $? -eq 1 ]
     done
-    if cmp -s "$out/base.json" "$out/head.json"; then
-        echo "identical  $args"
-    else
-        echo "DIFFERENT  $args"
-        diff -u "$out/base.json" "$out/head.json" | head -n 40
-        summarize "$out/base.json" "$out/head.json"
-        status=1
-    fi
+    compare "$args"
+done
+for name in bump_freeness car_suite delta_locality lebesgue_gauge poisson_nonlocal; do
+    for side in base head; do
+        eval tree=\$$side
+        "${PYTHON:-python}" - "$tree/src/fockmod/configs/$name.json" "$out/$side-$name.json" <<'PY'
+import json
+import sys
+
+with open(sys.argv[1]) as fh:
+    config = json.load(fh)
+config["state"] = "quasifree"
+with open(sys.argv[2], "w") as fh:
+    json.dump(config, fh)
+PY
+        PYTHONPATH="$tree/src" "${PYTHON:-python}" -m fockmod.cli model --config "$out/$side-$name.json" \
+            --format json > "$out/$side.json" || [ $? -eq 1 ]
+    done
+    compare "model --config $name, quasifree"
 done
 # one run of workload $2 in tree $1 for seed $3: the digest on the first
 # line, then one line per check; no byte-code lands in bench/

@@ -18,6 +18,7 @@ that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -202,13 +203,22 @@ def build_scenario(config: dict):
     return ctx
 
 
-def _vector(ctx: ModelContext, name, where: str) -> ModuleVector:
+def _vector(ctx: ModelContext, name, where: str, plus: bool = False) -> ModuleVector:
+    """The named vector; with ``plus``, one a matter field psi(w) takes,
+    which must lie in the + sector."""
     _require(isinstance(name, str) and name in ctx.vectors, f"{where}: unknown vector {name!r}")
-    return ctx.vectors[name]
+    vec = ctx.vectors[name]
+    basis = ctx.module.basis
+    _require(
+        not plus or all(basis.sector_of(b) == SECTOR_PLUS for b in vec.entries),
+        f"{where}: vector {name!r} has a '-' sector entry; a matter field takes '+' sector vectors",
+    )
+    return vec
 
 
-def _fspec(ctx: ModelContext, spec, where: str) -> ModuleVector:
-    """Module vector from [[vector, exponents], ...] term lists."""
+def _fspec(ctx: ModelContext, spec, where: str, plus: bool = False) -> ModuleVector:
+    """Module vector from [[vector, exponents], ...] term lists; with
+    ``plus``, every term's vector must lie in the + sector."""
     _require(isinstance(spec, list) and spec, f"{where}: expected a nonempty term list")
     m = len(ctx.gens)
     total = None
@@ -217,7 +227,7 @@ def _fspec(ctx: ModelContext, spec, where: str) -> ModuleVector:
             isinstance(term, list) and len(term) == 2,
             f"{where}[{j}]: expected [vector, exponents]",
         )
-        vec = _vector(ctx, term[0], f"{where}[{j}]")
+        vec = _vector(ctx, term[0], f"{where}[{j}]", plus)
         exps = term[1]
         _require(
             isinstance(exps, list) and len(exps) == m and all(_is_int(e) for e in exps),
@@ -273,20 +283,20 @@ def _generator(ctx, k, where: str) -> int:
     return k
 
 
-def _pair(ctx, item, where: str):
+def _pair(ctx, item, where: str, plus: bool = False):
     _require(isinstance(item, list) and len(item) == 2, f"{where}: expected [f, g]")
-    return _fspec(ctx, item[0], f"{where}[0]"), _fspec(ctx, item[1], f"{where}[1]")
+    return _fspec(ctx, item[0], f"{where}[0]", plus), _fspec(ctx, item[1], f"{where}[1]", plus)
 
 
 def _vector_generator(ctx, item, where: str):
     _require(isinstance(item, list) and len(item) == 2, f"{where}: expected [vector, generator]")
-    return _vector(ctx, item[0], f"{where}[0]"), _generator(ctx, item[1], f"{where}[1]")
+    return _vector(ctx, item[0], f"{where}[0]", plus=True), _generator(ctx, item[1], f"{where}[1]")
 
 
 def _triple(ctx, item, where: str):
     _require(isinstance(item, list) and len(item) == 3, f"{where}: expected [generator, w1, w2]")
     k = _generator(ctx, item[0], f"{where}[0]")
-    return k, _vector(ctx, item[1], f"{where}[1]"), _vector(ctx, item[2], f"{where}[2]")
+    return k, _vector(ctx, item[1], f"{where}[1]", plus=True), _vector(ctx, item[2], f"{where}[2]", plus=True)
 
 
 def _observable(ctx, item, where: str):
@@ -296,8 +306,8 @@ def _observable(ctx, item, where: str):
         s = WeylElement.unit(ctx.gens)
     else:
         s = WeylElement.monomial(ctx.gens, ctx.gens.unit(_generator(ctx, k, f"{where}.generator")))
-    w1 = _vector(ctx, item.get("w1"), f"{where}.w1")
-    return s, w1, _vector(ctx, item.get("w2"), f"{where}.w2")
+    w1 = _vector(ctx, item.get("w1"), f"{where}.w1", plus=True)
+    return s, w1, _vector(ctx, item.get("w2"), f"{where}.w2", plus=True)
 
 
 def _car_pairs(ctx, params, name):
@@ -346,7 +356,7 @@ CHECK_PARAMS = {
         _each("witness", _vector_generator),
     ),
     "bilinear_locality": ("ctx", _each("commuting", _triple), _each("witness", _triple)),
-    "anticommutator_model": ("ctx", _each("pairs", _pair)),
+    "anticommutator_model": ("ctx", _each("pairs", functools.partial(_pair, plus=True))),
     "observable_net": ("ctx", _each("observables", _observable), _disjoint),
     "gauge_invariance": ("ctx", _each("observables", _observable), _angles),
     "covariance_phase": ("ctx", _each("pairs", _vector_generator)),

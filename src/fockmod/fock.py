@@ -47,6 +47,7 @@ from .weyl import PRUNE_TOL, State, WeylElement
 __all__ = [
     "FockElement",
     "vacuum",
+    "wedge",
     "create",
     "annihilate",
     "fock_left_action",
@@ -68,8 +69,6 @@ __all__ = [
 ]
 
 SQRT2 = math.sqrt(2.0)
-# relative Gram eigenvalue at or below which compression_norm drops a direction
-RANK_TOL = 1e-10
 
 # ---------------------------------------------------------------------------
 # Fock elements
@@ -103,12 +102,7 @@ class FockElement:
         for level, terms in (parts or {}).items():
             labels = maps[level] = {}
             for t, a in terms.items():
-                if len(t) != level:
-                    raise ValueError(f"tuple {t} does not have length {level}")
-                if any(i >= j for i, j in zip(t, t[1:])):
-                    raise ValueError(f"tuple {t} is not strictly increasing")
-                if t and not (0 <= t[0] and t[-1] < dim):
-                    raise ValueError(f"tuple {t} has an index outside [0, {dim})")
+                _require_canonical(t, level, dim)
                 for n, c in a.terms.items():
                     labels.setdefault((n, tuple(map(operator.neg, n))), {})[t] = c
         self._fill(space, maps)
@@ -180,6 +174,15 @@ class FockElement:
         return f"FockElement({shape})"
 
 
+def _require_canonical(t: tuple[int, ...], level: int, dim: int) -> None:
+    if len(t) != level:
+        raise ValueError(f"tuple {t} does not have length {level}")
+    if any(i >= j for i, j in zip(t, t[1:])):
+        raise ValueError(f"tuple {t} is not strictly increasing")
+    if t and not (0 <= t[0] and t[-1] < dim):
+        raise ValueError(f"tuple {t} has an index outside [0, {dim})")
+
+
 def _add_level(level: dict, labels: dict, scalar: complex) -> None:
     """level += scalar * labels in place, entry by entry; the caller owns
     level's dicts."""
@@ -194,6 +197,16 @@ def vacuum(space: FreeBimodule, coeff: WeylElement | None = None) -> FockElement
     if coeff is None:
         coeff = WeylElement.unit(space.gens)
     return FockElement(space, {0: {(): coeff}})
+
+
+def wedge(space: FreeBimodule, t: tuple[int, ...]) -> FockElement:
+    """The unit basis wedge e_t . W(0) of a canonical tuple t: the scalar 1
+    at t in the bucket (W(0), frame 0), where the constructor puts it; ()
+    gives the vacuum.  It builds no WeylElement.  Raises ValueError for a
+    tuple that is not canonical, as the constructor does."""
+    _require_canonical(t, len(t), space.basis.dim)
+    zero = space.gens.zero()
+    return FockElement._of(space, {len(t): {(zero, zero): {t: 1.0 + 0.0j}}})
 
 
 # ---------------------------------------------------------------------------
@@ -605,51 +618,31 @@ def commutator(a: FieldOperator, b: FieldOperator) -> FieldOperator:
 # numeric probes
 
 
-def compression_norm(op: FieldOperator, wedges: list[FockElement]) -> tuple[float, bool]:
-    """(norm, degenerate): the largest singular value of op compressed to
-    the span of wedges, orthonormalized via the GNS Gram matrix.
+def compression_norm(op: FieldOperator, slots: list[tuple[int, ...]]) -> float:
+    """The largest singular value of op compressed to the span of the unit
+    basis wedges e_t . W(0) (``wedge``) of the distinct canonical tuples
+    ``slots``.
 
-    Every wedge is a unit basis wedge e_t . W(0) in the bucket (W(0),
-    frame 0), as ``models.level_basis`` builds them, and op keeps that
-    bucket, as a(f) does when f has the unit coefficient.  There every
-    pairing reads only the label 0, where each state is 1, and a level-l
-    tuple counts l! times: the Gram entry of two wedges is l! where they
-    hold the same tuple, and T[i, j] = l_i! (op b_j)[t_i], read off the
-    image.  A Gram eigenvalue at or below RANK_TOL (relative to the
-    largest) drops that direction and flags the result as degenerate.
-    Raises ValueError for a wedge or an image outside that bucket.
+    op must keep the bucket (W(0), frame 0) of a wedge, as a(f) does when
+    f has the unit coefficient.  There every pairing reads only the label
+    0, where each state is 1, and a level-l tuple counts l! times: the
+    Gram matrix is D = diag(l_i!), and T[i, j] = l_i! (op e_j)[t_i] is read
+    off the image, with no GNS pairing.  The norm is that of
+    D^(-1/2) T D^(-1/2).  Raises ValueError for a repeated tuple, or for an
+    image outside that bucket.
     """
-    zero = (0,) * len(op.space.gens)
-    home = (zero, zero)
-
-    def entries(v: FockElement, what: str):
-        for buckets in v.parts.values():
-            if buckets.keys() != {home}:
-                raise ValueError(f"{what} has a bucket outside (W(0), frame 0)")
-            yield from buckets[home].items()
-
-    # rows by tuple; a repeated wedge holds its tuple twice
-    rows: dict[tuple[int, ...], list[int]] = {}
-    for i, b in enumerate(wedges):
-        got = list(entries(b, "wedge"))
-        if len(got) != 1 or got[0][1] != 1:
-            raise ValueError("wedge is not a unit basis wedge")
-        rows.setdefault(got[0][0], []).append(i)
-    k = len(wedges)
-    gram = np.zeros((k, k), dtype=complex)
-    tmat = np.zeros((k, k), dtype=complex)
-    for t, members in rows.items():
-        gram[np.ix_(members, members)] = math.factorial(len(t))
-    for j, b in enumerate(wedges):
-        for t, y in entries(op.apply(b), "image"):
-            for i in rows.get(t, ()):
-                tmat[i, j] = math.factorial(len(t)) * y
-    eigvals, eigvecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    cutoff = RANK_TOL * max(1.0, float(eigvals.max(initial=0.0)))
-    keep = eigvals > cutoff
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        return 0.0, True
-    basis_mat = eigvecs[:, keep] / np.sqrt(eigvals[keep])
-    compressed = basis_mat.conj().T @ tmat @ basis_mat
-    return float(np.linalg.norm(compressed, 2)), rank < k
+    row = {t: i for i, t in enumerate(slots)}
+    if len(row) != len(slots):
+        raise ValueError("compression_norm needs distinct tuples")
+    zero = op.space.gens.zero()
+    tmat = np.zeros((len(slots), len(slots)), dtype=complex)
+    for j, t in enumerate(slots):
+        for level, buckets in op.apply(wedge(op.space, t)).parts.items():
+            if buckets.keys() != {(zero, zero)}:
+                raise ValueError("image has a bucket outside (W(0), frame 0)")
+            for s, y in buckets[zero, zero].items():
+                i = row.get(s)
+                if i is not None:
+                    tmat[i, j] = math.factorial(level) * y
+    scale = 1.0 / np.sqrt([float(math.factorial(len(t))) for t in slots])
+    return float(np.linalg.norm(scale[:, None] * tmat * scale[None, :], 2))

@@ -71,6 +71,7 @@ from .fock import (
     gns_inner,
     gns_norm,
     vacuum,
+    wedge,
     weyl_mult,
 )
 
@@ -432,16 +433,12 @@ def gauge_transform(z: complex, op: FieldOperator) -> FieldOperator:
 # witness machinery
 
 
-def level_basis(module: FreeBimodule, max_level: int, indices=None) -> list[FockElement]:
-    """Vacuum plus every canonical wedge over the index set (all of h by
-    default), by level."""
+def level_basis(module: FreeBimodule, max_level: int, indices=None) -> list[tuple[int, ...]]:
+    """The vacuum's tuple () and every canonical tuple of level <= max_level
+    over the index set (all of h by default), by level, then
+    lexicographically; ``fock.wedge`` builds each one's unit wedge."""
     indices = sorted(range(module.basis.dim) if indices is None else indices)
-    unit = WeylElement.unit(module.gens)
-    out = [vacuum(module)]
-    for l in range(1, max_level + 1):
-        for t in itertools.combinations(indices, l):
-            out.append(FockElement(module, {l: {t: unit}}))
-    return out
+    return [t for l in range(max_level + 1) for t in itertools.combinations(indices, l)]
 
 
 def _touched(op: FieldOperator) -> set[int]:
@@ -460,13 +457,14 @@ def _touched(op: FieldOperator) -> set[int]:
 
 def _probes(
     module: FreeBimodule, top: int, touched: tuple | None = None, spectators: bool = False
-) -> list[FockElement]:
+) -> list[tuple[int, ...]]:
     """The probes of an operator whose touched set T (``_touched``) is the
-    sorted tuple ``touched``: the vacuum and the wedges of level <= top over
-    T, in ``level_basis`` order; the whole ``level_basis`` when touched is
+    sorted tuple ``touched``, each as its slot tuple (``fock.wedge`` builds
+    the unit wedge): the vacuum () and the tuples of level <= top over T,
+    in ``level_basis`` order; the whole ``level_basis`` when touched is
     None.
 
-    With ``spectators``, the wedges e_s ^ e_{B_k} instead, for every s
+    With ``spectators``, the tuples of e_s ^ e_{B_k} instead, for every s
     inside T and every k <= top - |s|, where B_k is one fixed set of k
     spectators, untouched indices taken from the front and back of those
     outside T (B_1 the first, B_2 the first and the last); a size above the
@@ -501,7 +499,7 @@ def _probes(
         tuple(rest[: (k + 1) // 2] + rest[len(rest) - k // 2 :])
         for k in range(min(top, len(rest)) + 1)
     ]
-    slots = sorted(
+    return sorted(
         (
             tuple(sorted(s + picks[k]))
             for j in range(min(top, len(touched)) + 1)
@@ -510,8 +508,6 @@ def _probes(
         ),
         key=lambda t: (len(t), t),
     )
-    unit = WeylElement.unit(module.gens)
-    return [FockElement(module, {len(t): {t: unit}}) for t in slots]
 
 
 @dataclass
@@ -547,7 +543,7 @@ class Claim:
 
     A vanishing claim needs ``residual`` at most tol, an acting one above
     THRESHOLD; ``label`` names the case in a failure witness.  ``at`` is
-    the slots of the probe wedge that set a swept residual, [] for the
+    the slot tuple of the probe that set a swept residual, () for the
     vacuum, and None when the residual was not swept.  ``fault`` is the
     witness of a precondition the case failed; it fails the check whatever
     the residual.
@@ -557,13 +553,14 @@ class Claim:
     residual: float = 0.0
     vanish: bool = True
     fault: dict | None = None
-    at: list[int] | None = None
+    at: tuple[int, ...] | None = None
 
 
 def _swept(ctx: ModelContext, cases, exact: bool = False) -> list[Claim]:
     """Measure one check's cases, each a (Claim, ops) pair: the claim's
     residual becomes the largest GNS norm any (operator, top) of ops leaves
-    on its probes, and ``at`` the slots of the first probe that reached it.
+    on its probes, and ``at`` the slot tuple of the first probe that
+    reached it.
 
     Probes come from the operator (``_probes``): the vacuum and the wedges
     of level <= top over its touched set T; the truncation never enters a
@@ -571,33 +568,30 @@ def _swept(ctx: ModelContext, cases, exact: bool = False) -> list[Claim]:
     any twist, since there a spectator stays in frame 0 and drops out of
     the norm; under the quasifree state they are the whole basis.  Each
     probe set is built once per check, when it is first swept: per (T,
-    top), or per top for the whole basis.
+    top), or per top for the whole basis, as (slots, unit wedge) pairs.
     """
     module = ctx.module
     spectators = exact and ctx.state.kind == "tracial"
     whole = exact and not spectators
-    memo: dict[tuple, list[FockElement]] = {}
+    memo: dict[tuple, list[tuple]] = {}
 
     def probes(op, top):
         # a sorted tuple, so the probe order does not follow the hash seed
         key = (None if whole else tuple(sorted(_touched(op))), top)
         if key not in memo:
-            memo[key] = _probes(module, top, key[0], spectators)
+            memo[key] = [(t, wedge(module, t)) for t in _probes(module, top, key[0], spectators)]
         return memo[key]
 
     claims = []
     for claim, ops in cases:
         worst, at = 0.0, None
         for op, top in ops:
-            for v in probes(op, top):
+            for slots, v in probes(op, top):
                 r = gns_norm(op.apply(v), ctx.state)
                 if at is None or r > worst:
-                    worst, at = r, v
+                    worst, at = r, slots
         if at is not None:
-            # a basis wedge holds one tuple under one label on one level
-            (labels,) = at.parts.values()
-            ((slots,),) = labels.values()
-            claim.residual, claim.at = worst, list(slots)
+            claim.residual, claim.at = worst, at
         claims.append(claim)
     return claims
 
@@ -615,7 +609,7 @@ def _evaluate(
     None, and, when any claim must act, the smallest acting residual
     under keys[1].  The witness is the last fault, or the last case that
     set a new extreme and broke its claim, whichever came later; a swept
-    case's witness also gives its probe wedge's slots as witness_slots.
+    case's witness also gives its probe's slot tuple as witness_slots.
     """
     worst, best, faulty, wit = 0.0, None, False, None
     for c in claims:
@@ -833,10 +827,10 @@ def check_norm_recovery(ctx: ModelContext, seed: int, cases: int = 20, tol: floa
     """Compression norm of a(w) equals ||w|| = 1 for unit w in h.
 
     Each case compresses a(w) to the vacuum and the unit wedges of level
-    <= truncation over w's sites and up to two more (``level_basis``);
-    ``compression_norm`` reads the compression off the images, with no
-    GNS pairing.  A singular Gram matrix would be reported as the fault
-    "degenerate"."""
+    <= truncation over w's sites and up to two more, given as their
+    distinct tuples (``level_basis``); ``compression_norm`` reads the
+    compression off the images, with no GNS pairing.  Their Gram matrix
+    is diagonal, so the detail "degenerate" is always false."""
     rng = random.Random(seed)
     module = ctx.module
     dim = module.basis.dim
@@ -850,11 +844,9 @@ def check_norm_recovery(ctx: ModelContext, seed: int, cases: int = 20, tol: floa
         vec = (1.0 / nrm) * vec
         extras = [b for b in rng.sample(range(dim), 2) if b not in picks]
         span = sorted(set(picks) | set(extras))
-        basis = level_basis(module, ctx.truncation, span)
-        norm, degenerate = compression_norm(annihilation(module.embed(vec)), basis)
-        fault = {"case": i, "problem": "degenerate"} if degenerate else None
-        claims.append(Claim({"case": i}, abs(norm - 1.0), fault=fault))
-    details = {"cases": cases, "degenerate": any(c.fault is not None for c in claims)}
+        norm = compression_norm(annihilation(module.embed(vec)), level_basis(module, ctx.truncation, span))
+        claims.append(Claim({"case": i}, abs(norm - 1.0)))
+    details = {"cases": cases, "degenerate": False}
     return _evaluate("norm_recovery", claims, tol, ("max_error", None), details)
 
 

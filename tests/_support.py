@@ -25,7 +25,6 @@ from fockmod.bimodule import (
 )
 from fockmod.cli import SCHEMA
 from fockmod.fock import (
-    RANK_TOL,
     FockElement,
     annihilate,
     annihilation,
@@ -37,6 +36,7 @@ from fockmod.fock import (
     fock_right_mul,
     gns_inner,
     gns_norm,
+    wedge,
     weyl_mult,
 )
 from fockmod.models import THRESHOLD, build_context, kernel_value, level_basis, make_twist, sigma_convolve
@@ -218,8 +218,8 @@ def ref_car_sweep(ctx, pairs, tol: float = 1e-10) -> dict:
     problem of the last broken case (None on a pass), free_max and
     nonfree_min."""
     module = ctx.module
-    sweep = level_basis(module, 2)
-    sweep_cre = level_basis(module, 1)
+    sweep = [wedge(module, t) for t in level_basis(module, 2)]
+    sweep_cre = [wedge(module, t) for t in level_basis(module, 1)]
     free_max, nonfree_min, problem = 0.0, None, None
     for f, g, expect_free in pairs:
         if mutually_free(f, g).free != expect_free:
@@ -333,11 +333,17 @@ def apply_word_by_word(op, v: FockElement) -> FockElement:
     return FockElement._of(op.space, parts)
 
 
-def ref_operator_matrix(op, basis: list[FockElement], state) -> tuple[float, bool]:
-    """Reference for ``fock.compression_norm``: (norm, degenerate) of the
-    compression of op to the span of basis under state, every Gram and
-    compressed entry paired by ``gns_inner``, zero or not, in a k x k
-    double loop."""
+# relative Gram eigenvalue at or below which ref_operator_matrix drops a
+# direction
+REF_RANK_TOL = 1e-10
+
+
+def ref_operator_matrix(op, basis: list[FockElement], state) -> float:
+    """Reference for ``fock.compression_norm``: the norm of the compression
+    of op to the span of basis under state, every Gram and compressed entry
+    paired by ``gns_inner``, zero or not, in a k x k double loop, and the
+    Gram matrix orthonormalized by ``eigh``, any direction of relative
+    eigenvalue at or below REF_RANK_TOL dropped."""
     k = len(basis)
     gram = np.zeros((k, k), dtype=complex)
     images = [op.apply(b) for b in basis]
@@ -347,14 +353,12 @@ def ref_operator_matrix(op, basis: list[FockElement], state) -> tuple[float, boo
             gram[i, j] = gns_inner(basis[i], basis[j], state)
             tmat[i, j] = gns_inner(basis[i], images[j], state)
     eigvals, eigvecs = np.linalg.eigh((gram + gram.conj().T) / 2.0)
-    cutoff = RANK_TOL * max(1.0, float(eigvals.max(initial=0.0)))
-    keep = eigvals > cutoff
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        return 0.0, True
+    keep = eigvals > REF_RANK_TOL * max(1.0, float(eigvals.max(initial=0.0)))
+    if not keep.any():
+        return 0.0
     basis_mat = eigvecs[:, keep] / np.sqrt(eigvals[keep])
     compressed = basis_mat.conj().T @ tmat @ basis_mat
-    return float(np.linalg.norm(compressed, 2)), rank < k
+    return float(np.linalg.norm(compressed, 2))
 
 
 def word_suffixes(op) -> set[tuple[int, ...]]:

@@ -572,6 +572,60 @@ def test_main_observable_net_self_pair_exits_2(tmp_path, capsys):
     assert "fockmod: observable_net.disjoint[0]: expected a valid index pair of two different" in err
 
 
+MINUS = [["wM", [0, 0]]]
+
+
+@pytest.mark.parametrize(
+    "check, field",
+    (
+        ({"check": "relative_locality", "local": [["wM", 1]]}, "relative_locality.local[0][0]"),
+        ({"check": "bilinear_locality", "commuting": [[1, "wA", "wM"]]}, "bilinear_locality.commuting[0][2]"),
+        (
+            {"check": "anticommutator_model", "pairs": [[[["wA", [0, 0]]], MINUS]]},
+            "anticommutator_model.pairs[0][1][0]",
+        ),
+        (
+            {
+                "check": "observable_net",
+                "observables": [{"w1": "wM", "w2": "wM"}, {"generator": 0, "w1": "wB", "w2": "wB"}],
+                "disjoint": [[0, 1]],
+            },
+            "observable_net.observables[0].w1",
+        ),
+        ({"check": "gauge_invariance", "observables": [{"w1": "wA", "w2": "wM"}]}, "gauge_invariance.observables[0].w2"),
+        ({"check": "covariance_phase", "pairs": [["wM", 1]]}, "covariance_phase.pairs[0][0]"),
+        ({"check": "neutral_commutant", "pairs": [["wM", 0]]}, "neutral_commutant.pairs[0][0]"),
+    ),
+    ids=(
+        "relative_locality",
+        "bilinear_locality",
+        "anticommutator_model",
+        "observable_net",
+        "gauge_invariance",
+        "covariance_phase",
+        "neutral_commutant",
+    ),
+)
+def test_main_minus_sector_matter_field_exits_2(tmp_path, capsys, check, field):
+    # the matter field psi(w) takes + sector vectors alone; a - sector one
+    # is refused before the first check runs, naming the field
+    cfg = load_config("lebesgue_gauge")
+    cfg["vectors"]["wM"] = {"sector": "-", "component": 0, "profile": {"shape": "point", "center": 7}}
+    cfg["checks"] = [cfg["checks"][0], check]
+    assert _main_exit(tmp_path, cfg) == 2
+    err = capsys.readouterr().err
+    assert f"fockmod: {field}: vector 'wM' has a '-' sector entry" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_main_car_and_mutual_freeness_take_both_sectors(tmp_path):
+    cfg = load_config("lebesgue_gauge")
+    cfg["vectors"]["wM"] = {"sector": "-", "component": 0, "profile": {"shape": "point", "center": 7}}
+    pair = [[["wA", [0, 0]]], MINUS]
+    cfg["checks"] = [{"check": "car", "free": [pair]}, {"check": "mutual_freeness", "free": [pair]}]
+    assert _main_exit(tmp_path, cfg) == 0
+
+
 @pytest.mark.parametrize(
     "profile",
     (

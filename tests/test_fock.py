@@ -43,6 +43,7 @@ from fockmod.fock import (
     gns_inner,
     gns_norm,
     vacuum,
+    wedge,
     weyl_mult,
 )
 
@@ -836,21 +837,35 @@ def test_dirac_bracket_sector_structure():
 
 def test_operator_matrix_norms():
     # compression_norm gives the norm of the operator's matrix on the
-    # span of the wedges
+    # span of the wedges of the tuples
     module = tiny_module("trivial")
-    basis = [vacuum(module)] + [basis_fock(module, (i,)) for i in range(3)]
+    slots = [()] + [(i,) for i in range(3)]
     ident = weyl_mult(module, unit_of(module))
-    norm, degenerate = compression_norm(ident, basis)
-    assert not degenerate
-    assert abs(norm - 1.0) <= 1e-12
+    assert abs(compression_norm(ident, slots) - 1.0) <= 1e-12
     # annihilator of a unit vector has compression norm 1
-    norm, degenerate = compression_norm(annihilation(module.basis_element(1)), basis)
-    assert not degenerate
-    assert abs(norm - 1.0) <= 1e-10
-    # duplicated directions are flagged, not inverted through
-    norm, degenerate = compression_norm(ident, basis + [basis[1]])
-    assert degenerate
-    assert abs(norm - 1.0) <= 1e-12
+    assert abs(compression_norm(annihilation(module.basis_element(1)), slots) - 1.0) <= 1e-10
+    # a repeated tuple would make the Gram matrix singular: it is refused
+    for twice in (slots + [(1,)], [(), ()]):
+        with pytest.raises(ValueError, match="distinct tuples"):
+            compression_norm(ident, twice)
+
+
+def test_wedge_is_the_unit_basis_wedge(monkeypatch):
+    # the wedge of t is the constructor's e_t . W(0), () the vacuum, and it
+    # builds no WeylElement
+    module = tiny_module("delta")
+    want = {t: basis_fock(module, t).parts for t in ((), (2,), (0, 3, 5))}
+    assert want[()] == vacuum(module).parts
+
+    def refused(*args):
+        raise AssertionError("wedge built a WeylElement")
+
+    monkeypatch.setattr(WeylElement, "__init__", refused)
+    for t, parts in want.items():
+        assert wedge(module, t).parts == parts
+    for t in ((1, 0), (0, 0), (0, 6), (-1, 2)):
+        with pytest.raises(ValueError, match="tuple"):
+            wedge(module, t)
 
 
 def bucket_ops(module, rng):
@@ -874,21 +889,17 @@ def bucket_ops(module, rng):
 @pytest.mark.parametrize("family", ("delta", "mixed", "uneven"))
 @pytest.mark.parametrize("kind", ("tracial", "quasifree"))
 def test_operator_matrix_matches_full_pairing(family, kind):
-    # read off the images, the compression gives the norm and the rank
-    # flag of the full k x k GNS pairing bit for bit; on the bucket
-    # (W(0), frame 0) the pairing reads only label 0, where both states
-    # are 1, so compression_norm takes no state
+    # read off the images, the compression gives the norm of the full
+    # k x k GNS pairing bit for bit; on the bucket (W(0), frame 0) the
+    # pairing reads only label 0, where both states are 1, so
+    # compression_norm takes no state
     module = tiny_module(family)
     state = State(kind)
     rng = random.Random(71)
-    basis = level_basis(module, 2)
+    slots = level_basis(module, 2)
+    basis = [wedge(module, t) for t in slots]
     for op in bucket_ops(module, rng):
-        assert compression_norm(op, basis) == ref_operator_matrix(op, basis, state)
-        # a repeated element makes the Gram matrix singular
-        twice = basis + [basis[3]]
-        got = compression_norm(op, twice)
-        assert got[1]
-        assert got == ref_operator_matrix(op, twice, state)
+        assert compression_norm(op, slots) == ref_operator_matrix(op, basis, state)
 
 
 @pytest.mark.parametrize("family", ("delta", "mixed"))
@@ -897,34 +908,31 @@ def test_operator_matrix_pairs_few_entries(family, monkeypatch):
     # builds: compression_norm pairs no entry through gns_inner, it reads
     # every entry off the images
     module = tiny_module(family)
-    basis = level_basis(module, 3, [0, 1, 2, 4, 5])
-    assert len(basis) == 26
+    slots = level_basis(module, 3, [0, 1, 2, 4, 5])
+    assert len(slots) == 26
     calls = []
     for name in ("gns_inner", "_pairing"):
         inner = getattr(fock_module, name)
         monkeypatch.setattr(fock_module, name, lambda *a, inner=inner: calls.append(a) or inner(*a))
     unit = module.embed(OneParticleVector(module.basis, {0: 0.6, 4: 0.8j}))
-    norm, degenerate = compression_norm(annihilation(unit), basis)
+    norm = compression_norm(annihilation(unit), slots)
     assert calls == []
-    assert not degenerate
     assert abs(norm - 1.0) <= 1e-12
 
 
 def test_compression_norm_rejects_other_buckets():
     module = tiny_module("delta")
-    basis = level_basis(module, 2)
+    slots = level_basis(module, 2)
     label = WeylElement.monomial(module.gens, (1, 0))
-    ident = weyl_mult(module, unit_of(module))
-    # a labelled wedge sits in the bucket (W(1, 0), frame -(1, 0))
+    # W(1, 0) moves the image of a wedge to the bucket (W(1, 0), frame 0)
     with pytest.raises(ValueError, match="bucket outside"):
-        compression_norm(ident, basis + [basis_fock(module, (0,), label)])
-    # a wedge of another coefficient, or of two tuples, is no unit wedge
-    for wedge in (2.0 * basis[1], basis[1] + basis[2]):
-        with pytest.raises(ValueError, match="unit basis wedge"):
-            compression_norm(ident, basis + [wedge])
+        compression_norm(weyl_mult(module, label), slots)
     # a(f) with f carrying W(1, 0) moves the image to the label -(1, 0)
     with pytest.raises(ValueError, match="bucket outside"):
-        compression_norm(annihilation(module.basis_element(1, label)), basis)
+        compression_norm(annihilation(module.basis_element(1, label)), slots)
+    # a tuple that is not canonical names no wedge
+    with pytest.raises(ValueError, match="not strictly increasing"):
+        compression_norm(weyl_mult(module, unit_of(module)), slots + [(2, 1)])
 
 
 def test_pairing_without_a_shared_signature_is_exactly_0(monkeypatch):

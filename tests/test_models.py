@@ -25,6 +25,7 @@ from fockmod.fock import (
     creation,
     dirac,
     gns_norm,
+    wedge,
 )
 from fockmod import fock, models
 from fockmod.models import (
@@ -373,6 +374,16 @@ def test_level_basis_counts():
     assert len(level_basis(ctx.module, 0)) == 1
 
 
+def test_level_basis_orders_tuples_by_level_then_lexicographically():
+    # the vacuum's tuple () first, whatever order the indices come in
+    module = delta_ctx().module
+    assert level_basis(module, 0) == [()]
+    assert level_basis(module, 2, [4, 1, 3]) == [(), (1,), (3,), (4,), (1, 3), (1, 4), (3, 4)]
+    got = level_basis(module, 3)
+    assert got == sorted(got, key=lambda t: (len(t), t))
+    assert got[:3] == [(), (0,), (1,)] and got[-1] == (3, 4, 5)
+
+
 # ---------------------------------------------------------------------------
 # verification battery on designed scenarios
 
@@ -507,8 +518,7 @@ def test_check_car_matches_full_sweep(case, monkeypatch):
     got = check_car(ctx, pairs)
     assert built
     # no witness repeats a slot, and no two witnesses of a sweep coincide
-    for witnesses in built:
-        slots = [t for w in witnesses for labels in w.parts.values() for terms in labels.values() for t in terms]
+    for slots in built:
         assert all(a < b for t in slots for a, b in zip(t, t[1:]))
         assert len(set(slots)) == len(slots)
     want = ref_car_sweep(ctx, pairs)
@@ -517,13 +527,13 @@ def test_check_car_matches_full_sweep(case, monkeypatch):
     for key in ("free_max", "nonfree_min"):
         assert _within_ulps(got.residuals.get(key), want[key]), key
     if case == "claimed_free":
+        # the witness is the probe tuple that set the residual, one holding
+        # the spectator slot 2
         f, g, _ = pairs[0]
         touched = models._touched(anticommutator(annihilation(f), creation(g)))
-        assert set(got.witness["witness_slots"]) - touched == {2}
-
-
-def _slots(witnesses):
-    return [t for w in witnesses for labels in w.parts.values() for terms in labels.values() for t in terms]
+        at = got.witness["witness_slots"]
+        assert isinstance(at, tuple) and any(at in slots for slots in built)
+        assert set(at) - touched == {2}
 
 
 def _recorded_sweep(ctx, op, top, monkeypatch):
@@ -550,7 +560,7 @@ def test_spectator_witnesses_fall_back_to_the_whole_basis(monkeypatch):
         op = anticommutator(annihilation(a), creation(b))
         touched, got = _recorded_sweep(quasifree, op, top, monkeypatch)
         assert touched is None
-        assert [w.parts for w in got] == [w.parts for w in level_basis(quasifree.module, top)]
+        assert got == level_basis(quasifree.module, top)
     # diagonal and tracial: every subset of the touched slots {0, 1} with
     # the spectator sets {}, {2} (the first untouched index) and {2, 5}
     # (the first and the last); the partners 3 and 4 are untouched
@@ -561,7 +571,7 @@ def test_spectator_witnesses_fall_back_to_the_whole_basis(monkeypatch):
     for top, slots in ((1, level_1), (2, level_1 + [(0, 1), (0, 2), (1, 2), (2, 5)])):
         touched, got = _recorded_sweep(diagonal, op, top, monkeypatch)
         assert touched == (0, 1)
-        assert _slots(got) == slots
+        assert got == slots
     # the mixed twist under the tracial state: T is the + block {0, 1, 2},
     # the coupling block of the touched slots 0 and 1, and the spectators
     # come from the - block, {3} and {3, 5}
@@ -573,7 +583,7 @@ def test_spectator_witnesses_fall_back_to_the_whole_basis(monkeypatch):
     for top, slots in ((1, level_1), (2, level_1 + level_2)):
         touched, got = _recorded_sweep(mixed, op, top, monkeypatch)
         assert touched == (0, 1, 2)
-        assert _slots(got) == slots
+        assert got == slots
 
 
 def test_merged_coupling_blocks_sweep_the_whole_basis(monkeypatch):
@@ -589,7 +599,7 @@ def test_merged_coupling_blocks_sweep_the_whole_basis(monkeypatch):
     op = anticommutator(annihilation(f), creation(g))
     touched, got = _recorded_sweep(ctx, op, 2, monkeypatch)
     assert touched == tuple(range(6))
-    assert [w.parts for w in got] == [w.parts for w in level_basis(ctx.module, 2)]
+    assert got == level_basis(ctx.module, 2)
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
@@ -615,11 +625,9 @@ def test_mixed_twist_norm_depends_on_spectators_by_size(seed):
         touched = models._touched(op)
         assert touched == {0, 1, 2}
         classes: dict = {}
-        for v in level_basis(module, 2):
-            (labels,) = v.parts.values()
-            ((slots,),) = labels.values()
+        for slots in level_basis(module, 2):
             key = (tuple(b for b in slots if b in touched), sum(b not in touched for b in slots))
-            classes.setdefault(key, set()).add(gns_norm(op.apply(v), ctx.state))
+            classes.setdefault(key, set()).add(gns_norm(op.apply(wedge(module, slots)), ctx.state))
         assert len(classes) == 12
         for key, norms in classes.items():
             assert _within_ulps(min(norms), max(norms)), (key, norms)
@@ -810,7 +818,9 @@ def _probe_slots(monkeypatch):
     apply = FieldOperator.apply
 
     def recorded(op, v):
-        seen.setdefault(id(op), (op, []))[1].extend(_slots([v]))
+        # a probe is a unit wedge: one tuple in one bucket on one level
+        (slots,) = (t for labels in v.parts.values() for ts in labels.values() for t in ts)
+        seen.setdefault(id(op), (op, []))[1].append(slots)
         return apply(op, v)
 
     monkeypatch.setattr(FieldOperator, "apply", recorded)
