@@ -32,9 +32,11 @@
 # largest relative change of any residual, |a - b| / max(|a|, |b|), with
 # its check and both values: a round-off move keeps statuses and
 # witnesses, and moves a residual by about 1e-16 of itself, or one that
-# measures a zero (itself about 1e-16) by any fraction.  The script reads bench/ and writes nothing
-# there.  It exits 1 if any report or digest differs.  Set PYTHON to pick
-# the interpreter.
+# measures a zero (itself about 1e-16) by any fraction.  Before that line
+# it lists every residual that moved, one line each in report order:
+# `run/check key: before -> after` (a digest's lines name the check
+# alone).  The script reads bench/ and writes nothing there.  It exits 1
+# if any report or digest differs.  Set PYTHON to pick the interpreter.
 set -eu
 [ $# -eq 1 ] || { echo "usage: $0 BASE_DIR" >&2; exit 2; }
 base=$(cd "$1" && pwd)
@@ -72,6 +74,9 @@ base, head = checks(sys.argv[1]), checks(sys.argv[2])
 same = [(n, s, w) for n, s, w, _ in base] == [(n, s, w) for n, s, w, _ in head]
 worst, where = 0.0, "none"
 for (name, _, _, a), (_, _, _, b) in zip(base, head):
+    for key in [*a, *(k for k in b if k not in a)]:
+        if a.get(key) != b.get(key):
+            print(f"           {name} {key}: {a.get(key, 'absent')!r} -> {b.get(key, 'absent')!r}")
     for key in a.keys() & b.keys():
         scale = max(abs(a[key]), abs(b[key]))
         change = abs(a[key] - b[key]) / scale if scale else 0.0

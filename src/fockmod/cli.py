@@ -749,7 +749,9 @@ def _configs_for(args) -> list[dict]:
 
 def _reserve(path: str) -> str:
     """A new file beside path, renamed onto it once the report is whole, so
-    a path in no writable directory fails before any check runs."""
+    a path that cannot be written fails before any check runs."""
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: Is a directory")
     try:
         fd, tmp = tempfile.mkstemp(prefix=".fockmod-", dir=os.path.dirname(os.path.abspath(path)))
     except OSError as e:

@@ -1,10 +1,10 @@
 """Fermionic Fock bimodule and generalized field operators.
 
-Levels are spans of antisymmetric tensors over the free bimodule, kept
-on strictly increasing basis tuples (with the coefficient an increasing
-representative carries in the full signed expansion).  WeylElement
-objects appear only at the edges: the FockElement constructor takes
-them, and ``scalar`` and ``fock_inner`` return them.
+A level holds the coefficients of its unit wedges e_t = a*(e_t1) ...
+a*(e_tl) Omega, t strictly increasing: an orthonormal basis, so no
+level weight is read anywhere.  WeylElement objects appear only at the
+edges: the FockElement constructor takes them, and ``scalar`` and
+``fock_inner`` return them.
 
 A level is stored in buckets keyed (m, o): scalars {tuple t: x_t} that
 stand for (Lambda u(m + o) x) . W(m), the exterior power of u(m + o)
@@ -76,13 +76,14 @@ SQRT2 = math.sqrt(2.0)
 
 class FockElement:
     """Element of the whole Fock space of h: level 0 holds a Weyl
-    coefficient, level l >= 1 canonical antisymmetric terms.  h has
+    coefficient, level l >= 1 the coefficients of unit wedges.  h has
     dimension dim, so the levels are 0..dim and no cutoff is needed.
 
     ``parts[level][(m, o)][t]`` is the scalar x_t of the bucket at label
     m in the frame o (see the module docstring); level 0 uses the single
-    tuple ().  Entries at or below PRUNE_TOL, then empty buckets and
-    empty levels, are dropped when an element is built.  The constructor
+    tuple ().  {l: {t: A}} is A . e_t, of the norm of A.  Entries at or
+    below PRUNE_TOL, then empty buckets and empty levels, are dropped
+    when an element is built.  The constructor
     takes {level: {tuple: WeylElement}} and ``scalar`` returns a
     WeylElement; no dict inside an element changes after it is built.
     The constructor raises ValueError for a tuple that is not canonical:
@@ -200,10 +201,11 @@ def vacuum(space: FreeBimodule, coeff: WeylElement | None = None) -> FockElement
 
 
 def wedge(space: FreeBimodule, t: tuple[int, ...]) -> FockElement:
-    """The unit basis wedge e_t . W(0) of a canonical tuple t: the scalar 1
-    at t in the bucket (W(0), frame 0), where the constructor puts it; ()
-    gives the vacuum.  It builds no WeylElement.  Raises ValueError for a
-    tuple that is not canonical, as the constructor does."""
+    """The unit wedge e_t . W(0) = a*(e_t1) ... a*(e_tl) Omega of a
+    canonical tuple t: the scalar 1 at t in the bucket (W(0), frame 0),
+    where the constructor puts it; () gives the vacuum.  It builds no
+    WeylElement.  Raises ValueError for a tuple that is not canonical, as
+    the constructor does."""
     _require_canonical(t, len(t), space.basis.dim)
     zero = space.gens.zero()
     return FockElement._of(space, {len(t): {(zero, zero): {t: 1.0 + 0.0j}}})
@@ -214,7 +216,8 @@ def wedge(space: FreeBimodule, t: tuple[int, ...]) -> FockElement:
 
 
 def create(f: ModuleVector, v: FockElement) -> FockElement:
-    """Fermionic creation: sqrt(l+1) P_-(f x .) levelwise.
+    """Fermionic creation: a*(e_b) e_t is the unit wedge of b inserted
+    into t, signed by its position.
 
     Per group component f_n . W(n) and bucket (m, o), one
     ``wedge_insert`` call inserts u(-(n + m + o)) f_n into the scalars
@@ -229,13 +232,11 @@ def create(f: ModuleVector, v: FockElement) -> FockElement:
     out: dict[int, dict] = {}
     for l, buckets in v.parts.items():
         level = out.setdefault(l + 1, {})
-        scale = 1.0 / math.sqrt(l + 1)
         for n in groups:
             for (m, o), terms in buckets.items():
                 key, phase = gens.product(n, m)
-                w = scale * phase
                 col = f.pulled(tuple(map(operator.add, key, o)) if any(o) else key)[n]
-                img = wedge_insert(col, {t: b * w for t, b in terms.items()})
+                img = wedge_insert(col, {t: b * phase for t, b in terms.items()})
                 target = level.get((key, o))
                 if target is None:
                     level[key, o] = img  # a fresh dict, owned from here on
@@ -246,12 +247,12 @@ def create(f: ModuleVector, v: FockElement) -> FockElement:
 
 
 def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
-    """Fermionic annihilation: sqrt(l) times the slot-1 contraction.
+    """Fermionic annihilation, the adjoint of ``create``.
 
     Per group component f_n . W(n) and bucket (m, o), every slot k of a
-    tuple t that g = u(-(m + o)) f_n reaches adds
-    (-1)^k sqrt(l) conj(g(t_k)) x_t onto the surviving tuple, and the
-    bucket moves to (m - n, o).  Level 0 is the kernel.
+    tuple t that g = u(-(m + o)) f_n reaches adds (-1)^k conj(g(t_k)) x_t
+    onto the surviving tuple, and the bucket moves to (m - n, o).  Level 0
+    is the kernel.
     """
     space = v.space
     if f.space is not space:
@@ -263,7 +264,6 @@ def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
         if l == 0:
             continue
         level = out.setdefault(l - 1, {})
-        scale = math.sqrt(l)
         for (m, o), terms in buckets.items():
             pulled = f.pulled(tuple(map(operator.add, m, o)) if any(o) else m)
             for n, neg in negs:
@@ -280,10 +280,9 @@ def annihilate(f: ModuleVector, v: FockElement) -> FockElement:
                 if not contracted:
                     continue  # f_n reaches no slot of the bucket
                 key, phase = gens.product(neg, m)
-                w = scale * phase
                 target = level.setdefault((key, o), {})
                 for r, c in contracted.items():
-                    target[r] = target.get(r, 0.0) + c * w
+                    target[r] = target.get(r, 0.0) + c * phase
     return FockElement._of(space, out)
 
 
@@ -336,18 +335,17 @@ def _pairing(v: FockElement, w: FockElement, tracial: bool = False) -> dict:
     Per level and pair of buckets (n, o) of v and (m, p) of w, the sum of
     conj(x_s) y_t det u(k)[s, t], k = (m + p) - (n + o), is taken first
     and lands on W(-n) W(m) once: a dot product over the shared tuples
-    when k = 0, ``Twist.pair`` otherwise.  A level-l pair of equal tuples
-    counts l! times, once per expansion term.  With ``tracial`` the pairs
-    with m != n, which that state sends to 0, are skipped first.  Buckets
-    in different frames always pair through ``Twist.pair``, exactly 0 when
-    their tuples share no signature; an exact 0 adds nothing.
+    when k = 0, ``Twist.pair`` otherwise; unit wedges are orthonormal.
+    With ``tracial`` the pairs with m != n, which that state sends to 0,
+    are skipped first.  Buckets in different frames always pair through
+    ``Twist.pair``, exactly 0 when their tuples share no signature; an
+    exact 0 adds nothing.
     """
     v._require_same(w)
     gens = v.space.gens
     twist = v.space.twist
     total: dict[tuple[int, ...], complex] = {}
     for l in v.parts.keys() & w.parts.keys():
-        scale = float(math.factorial(l))
         w_buckets = w.parts[l]
         for kv, vt in v.parts[l].items():
             for kw, wt in w_buckets.items():
@@ -362,21 +360,16 @@ def _pairing(v: FockElement, w: FockElement, tracial: bool = False) -> dict:
                         acc = twist.pair(k, vt, wt)
                         if not acc:
                             continue  # exactly 0, as with no shared signature
-                if acc is None and len(vt) <= len(wt):
-                    for t, c in vt.items():
-                        d = wt.get(t)
-                        if d is not None:
-                            x = c.conjugate() * d
-                            acc = x if acc is None else acc + x
-                elif acc is None:
-                    for t, d in wt.items():
-                        c = vt.get(t)
-                        if c is not None:
+                if acc is None:
+                    # a dot product over the smaller bucket's tuples, in its order
+                    for t in vt if len(vt) <= len(wt) else wt:
+                        c, d = vt.get(t), wt.get(t)
+                        if c is not None and d is not None:
                             x = c.conjugate() * d
                             acc = x if acc is None else acc + x
                 if acc is not None:
                     key, phase = gens.product(tuple(map(operator.neg, kv[0])), kw[0])
-                    total[key] = total.get(key, 0.0) + scale * (acc * phase)
+                    total[key] = total.get(key, 0.0) + acc * phase
     return total
 
 
@@ -598,7 +591,7 @@ def weyl_mult(space: FreeBimodule, a: WeylElement) -> FieldOperator:
 
 
 def dirac(f: ModuleVector) -> FieldOperator:
-    """Self-dual combination (a*(f) + a(kappa f)) / sqrt(2)."""
+    """Self-dual combination (a*(f) + a(kappa f)) / SQRT2."""
     kf = conjugate_vector(f)
     return FieldOperator(
         f.space,
@@ -625,11 +618,10 @@ def compression_norm(op: FieldOperator, slots: list[tuple[int, ...]]) -> float:
 
     op must keep the bucket (W(0), frame 0) of a wedge, as a(f) does when
     f has the unit coefficient.  There every pairing reads only the label
-    0, where each state is 1, and a level-l tuple counts l! times: the
-    Gram matrix is D = diag(l_i!), and T[i, j] = l_i! (op e_j)[t_i] is read
-    off the image, with no GNS pairing.  The norm is that of
-    D^(-1/2) T D^(-1/2).  Raises ValueError for a repeated tuple, or for an
-    image outside that bucket.
+    0, where each state is 1, and unit wedges are orthonormal: the Gram
+    matrix is I, and the norm is ||T||_2 with T[i, j] = (op e_j)[t_i],
+    read off the image with no GNS pairing.  Raises ValueError for a
+    repeated tuple, or for an image outside that bucket.
     """
     row = {t: i for i, t in enumerate(slots)}
     if len(row) != len(slots):
@@ -637,12 +629,11 @@ def compression_norm(op: FieldOperator, slots: list[tuple[int, ...]]) -> float:
     zero = op.space.gens.zero()
     tmat = np.zeros((len(slots), len(slots)), dtype=complex)
     for j, t in enumerate(slots):
-        for level, buckets in op.apply(wedge(op.space, t)).parts.items():
+        for buckets in op.apply(wedge(op.space, t)).parts.values():
             if buckets.keys() != {(zero, zero)}:
                 raise ValueError("image has a bucket outside (W(0), frame 0)")
             for s, y in buckets[zero, zero].items():
                 i = row.get(s)
                 if i is not None:
-                    tmat[i, j] = math.factorial(level) * y
-    scale = 1.0 / np.sqrt([float(math.factorial(len(t))) for t in slots])
-    return float(np.linalg.norm(scale[:, None] * tmat * scale[None, :], 2))
+                    tmat[i, j] = y
+    return float(np.linalg.norm(tmat, 2))

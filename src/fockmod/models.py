@@ -460,9 +460,9 @@ def _probes(
 ) -> list[tuple[int, ...]]:
     """The probes of an operator whose touched set T (``_touched``) is the
     sorted tuple ``touched``, each as its slot tuple (``fock.wedge`` builds
-    the unit wedge): the vacuum () and the tuples of level <= top over T,
-    in ``level_basis`` order; the whole ``level_basis`` when touched is
-    None.
+    the unit wedge, of norm 1): the vacuum () and the tuples of level <=
+    top over T, in ``level_basis`` order; the whole ``level_basis`` when
+    touched is None.
 
     With ``spectators``, the tuples of e_s ^ e_{B_k} instead, for every s
     inside T and every k <= top - |s|, where B_k is one fixed set of k
@@ -475,19 +475,16 @@ def _probes(
     operator changes a frame.  A creation or annihilation inserts or
     contracts only the pulled vectors u(-k) f_n, which lie in the span of
     T, since T is closed under the twist's coupling blocks.  So a spectator
-    b outside T is never filled or contracted, and
-    Op(e_s ^ e_B) = Op(e_s) ^ e_B in every bucket, up to the level scale
-    of ``create`` and ``annihilate``, which depends on |B| alone, and the
-    sign of sorting B into each output tuple, which squares away.  Under
-    the tracial state only buckets of one label pair, and all of them sit
-    in frame 0, so they pair by a plain tuple dot product that never
-    reads u.  The norm on e_s ^ e_B thus depends on the spectator set B
-    through its size alone, and one set per size reaches every witness of
-    the level; a charge-conjugate partner outside T is a spectator too.
-    Only the order in which terms are summed changes with B, which can
-    move a residual by an ulp.  The quasifree state pairs buckets of
-    different labels through the minors of u of one block signature
-    (``Twist.pair``), which do depend on B.
+    b outside T is never filled or contracted, and Op(e_s ^ e_B) =
+    Op(e_s) ^ e_B in every bucket, up to the sign of sorting B into each
+    output tuple, which squares away; a unit wedge carries no level scale.
+    Under the tracial state only buckets of one label pair, all in frame
+    0, by a plain tuple dot product that never reads u.  So the norm on
+    e_s ^ e_B is the norm on e_s, up to the order in which terms are
+    summed (an ulp); a charge-conjugate partner outside T is a spectator
+    too.  The quasifree state pairs buckets of different labels through
+    the minors of u of one block signature (``Twist.pair``), which do
+    depend on B.
     """
     if touched is None:
         return level_basis(module, top)
@@ -559,8 +556,8 @@ class Claim:
 def _swept(ctx: ModelContext, cases, exact: bool = False) -> list[Claim]:
     """Measure one check's cases, each a (Claim, ops) pair: the claim's
     residual becomes the largest GNS norm any (operator, top) of ops leaves
-    on its probes, and ``at`` the slot tuple of the first probe that
-    reached it.
+    on its probes, unit wedges of norm 1, and ``at`` the slot tuple of the
+    first probe that reached it.
 
     Probes come from the operator (``_probes``): the vacuum and the wedges
     of level <= top over its touched set T; the truncation never enters a
@@ -640,22 +637,30 @@ def _evaluate(
 
 def check_weyl_exactness(gens: GeneratorSet, seed: int, cases: int = 200, tol: float = 1e-14) -> CheckResult:
     """Random words multiply to the exact group element with the cocycle
-    phase, and single products match exp(i eta / 2) to tolerance."""
+    phase, and single products match exp(i eta / 2) to tolerance; the
+    witness is the last case that broke its keys or a new worst residual."""
     rng = random.Random(seed)
     m = len(gens)
-    worst_phase = 0.0
-    worst_mod = 0.0
+    worst = {"phase": 0.0, "word_modulus": 0.0}
     exact_keys = True
-    for _ in range(cases):
+    witness = None
+
+    def measure(i, problem, r):
+        nonlocal witness
+        if r > worst[problem]:
+            worst[problem] = r
+            if r > tol:
+                witness = {"case": i, "problem": problem, "residual": r}
+
+    for i in range(cases):
         n = tuple(rng.randint(-2, 2) for _ in range(m))
         n2 = tuple(rng.randint(-2, 2) for _ in range(m))
         prod = WeylElement.monomial(gens, n) * WeylElement.monomial(gens, n2)
         key = tuple(a + b for a, b in zip(n, n2))
         if set(prod.terms) != {key}:
-            exact_keys = False
+            exact_keys, witness = False, {"case": i, "problem": "exact_keys"}
             continue
-        expected = cmath.exp(0.5j * gens.eta(n, n2))
-        worst_phase = max(worst_phase, abs(prod.terms[key] - expected))
+        measure(i, "phase", abs(prod.terms[key] - cmath.exp(0.5j * gens.eta(n, n2))))
         # longer word: unitarity of the accumulated cocycle
         word = WeylElement.monomial(gens, n)
         total = list(n)
@@ -664,15 +669,16 @@ def check_weyl_exactness(gens: GeneratorSet, seed: int, cases: int = 200, tol: f
             word = word * WeylElement.monomial(gens, nk)
             total = [a + b for a, b in zip(total, nk)]
         if set(word.terms) != {tuple(total)}:
-            exact_keys = False
+            exact_keys, witness = False, {"case": i, "problem": "exact_keys"}
             continue
-        worst_mod = max(worst_mod, abs(abs(word.terms[tuple(total)]) - 1.0))
-    ok = exact_keys and worst_phase <= tol and worst_mod <= tol
+        measure(i, "word_modulus", abs(abs(word.terms[tuple(total)]) - 1.0))
+    ok = exact_keys and max(worst.values()) <= tol
     return _result(
         "weyl_exactness",
         ok,
-        {"phase": worst_phase, "word_modulus": worst_mod},
+        worst,
         {"phase": tol, "word_modulus": tol},
+        witness,
         details={"cases": cases, "exact_keys": exact_keys},
     )
 
@@ -829,8 +835,8 @@ def check_norm_recovery(ctx: ModelContext, seed: int, cases: int = 20, tol: floa
     Each case compresses a(w) to the vacuum and the unit wedges of level
     <= truncation over w's sites and up to two more, given as their
     distinct tuples (``level_basis``); ``compression_norm`` reads the
-    compression off the images, with no GNS pairing.  Their Gram matrix
-    is diagonal, so the detail "degenerate" is always false."""
+    compression off the images, with no GNS pairing.  The unit wedges are
+    orthonormal, so the detail "degenerate" is always false."""
     rng = random.Random(seed)
     module = ctx.module
     dim = module.basis.dim

@@ -388,12 +388,15 @@ def raw_u_of(twist: Twist):
 
 def right_normal(v: FockElement, level: int) -> dict[tuple[int, ...], dict[tuple[int, ...], complex]]:
     """One level of v as {label m: {increasing tuple s: c}}, the element
-    sum c e_s . W(m), Weyl factors on the right.  A bucket (m, o) holding
-    x stands for Lambda u(m + o) x at label m, so c_s adds
-    det u(m + o)[s, t] x_t over its tuples t; the minors are taken from
-    plain matrix powers (``raw_u_of``), not from the engine."""
+    sum c e_s . W(m), Weyl factors on the right, in the oracle's
+    convention: e_s is the full signed expansion, of norm sqrt(level!).  A
+    bucket (m, o) holding x stands for Lambda u(m + o) x at label m on the
+    unit wedges e_s / sqrt(level!), so c_s adds det u(m + o)[s, t] x_t over
+    its tuples t, divided by sqrt(level!); the minors are taken from plain
+    matrix powers (``raw_u_of``), not from the engine."""
     u_of = raw_u_of(v.space.twist)
     rows = list(itertools.combinations(range(v.space.basis.dim), level))
+    unit = 1.0 / math.sqrt(math.factorial(level))
     out: dict = {}
     for (m, o), terms in v.parts.get(level, {}).items():
         u = u_of(tuple(a + b for a, b in zip(m, o)))
@@ -402,7 +405,7 @@ def right_normal(v: FockElement, level: int) -> dict[tuple[int, ...], dict[tuple
         minors = np.linalg.det(u[s_idx[:, None, :, None], t_idx[None, :, None, :]])
         target = out.setdefault(m, {})
         for s, c in zip(rows, minors @ np.array(list(terms.values()))):
-            target[s] = target.get(s, 0.0) + complex(c)
+            target[s] = target.get(s, 0.0) + unit * complex(c)
     return out
 
 

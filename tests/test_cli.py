@@ -672,10 +672,11 @@ def test_main_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
     for argv in (["model", "--config", str(cfg)], ["verify-car"]):
         assert main(argv + ["--out", str(missing)]) == 2
         assert f"fockmod: cannot write {missing}: " in capsys.readouterr().err
-    # a directory that cannot be made is seen before any check runs
-    assert calls == []
+    # a directory that cannot be made, or a path naming a directory, is
+    # seen before any check runs
     assert main(["model", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert f"fockmod: cannot write {tmp_path}: " in capsys.readouterr().err
+    assert f"fockmod: cannot write {tmp_path}: Is a directory" in capsys.readouterr().err
+    assert calls == []
     # no temporary file is left behind
     assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.json"]
     # a report replaces an existing file only whole, and leaves no other

@@ -96,8 +96,8 @@ def plain_dense(module, terms):
 def test_antisymmetrize_worked():
     module = tiny_module("trivial")
     one = unit_of(module)
-    # P_-(e0 x e1) is stored on its increasing representative alone
-    p = FockElement(module, {2: {(0, 1): 0.5 * one}})
+    # P_-(e0 x e1) = e_(0,1) / sqrt(2), stored on the unit wedge alone
+    p = FockElement(module, {2: {(0, 1): (1.0 / SQ2) * one}})
     # its signed expansion holds both orders
     full = dense_from_level(p, 2)
     assert full.entries[(0, 1)].close_to(0.5 * one)
@@ -137,7 +137,7 @@ def test_fock_inner_factorial():
     module = tiny_module("trivial")
     one = unit_of(module)
     v = basis_fock(module, (0, 1))
-    assert fock_inner(v, v).close_to(2.0 * one)  # level! on equal tuples
+    assert fock_inner(v, v).terms == one.terms  # a unit wedge has norm 1
     assert fock_inner(vacuum(module), v).is_zero()
 
 
@@ -247,8 +247,8 @@ def test_adjoint_check_random():
 
 @pytest.mark.parametrize("family", ["mixed", "poisson"])
 def test_create_into_level_four_is_the_minor(family):
-    # a*(f_n . W(n)) e_t with |t| = 3 holds, on each s, the minor
-    # det [f_n | u(n)[:, t]][s] times 1/sqrt(4)
+    # a*(f_n . W(n)) e_t with |t| = 3 holds, on each unit wedge e_s, the
+    # minor det [f_n | u(n)[:, t]][s]
     module = tiny_module(family)
     gens = module.gens
     d = module.basis.dim
@@ -264,8 +264,11 @@ def test_create_into_level_four_is_the_minor(family):
             level = right_normal(out, 4)
             assert set(level) <= {n}
             for s in itertools.combinations(range(d), 4):
-                want = np.linalg.det(np.column_stack([fn, u[:, t]])[list(s)]) / 2
-                assert abs(level.get(n, {}).get(s, 0.0) - want) <= 1e-12, (n, t, s)
+                want = np.linalg.det(np.column_stack([fn, u[:, t]])[list(s)])
+                # right_normal gives the oracle's coefficient, the unit
+                # wedge's divided by sqrt(4!)
+                got = level.get(n, {}).get(s, 0.0) * math.sqrt(24.0)
+                assert abs(got - want) <= 1e-12, (n, t, s)
 
 
 @pytest.mark.parametrize("family", ["mixed", "poisson"])
@@ -616,10 +619,10 @@ def test_gns_inner_levelwise():
     state = State("tracial")
     v = vacuum(module) + basis_fock(module, (0, 1))
     w = basis_fock(module, (0, 1))
-    # only the shared level contributes, with the 2! factor
-    assert gns_inner(v, w, state) == 2.0
+    # only the shared level contributes, and a unit wedge has norm 1
+    assert gns_inner(v, w, state) == 1.0
     assert gns_inner(vacuum(module), w, state) == 0.0
-    assert abs(gns_norm(w, state) - SQ2) <= 1e-15
+    assert gns_norm(w, state) == 1.0
 
 
 def test_gns_values_of_a_tiny_vector_are_not_pruned():
@@ -866,6 +869,21 @@ def test_wedge_is_the_unit_basis_wedge(monkeypatch):
     for t in ((1, 0), (0, 0), (0, 6), (-1, 2)):
         with pytest.raises(ValueError, match="tuple"):
             wedge(module, t)
+
+
+@pytest.mark.parametrize("family", ("trivial", "delta", "mixed", "poisson"))
+def test_wedge_is_the_creation_word(family):
+    # a level stores the coefficient of the unit wedge, so wedge(space, t)
+    # is a*(e_t1) ... a*(e_tl) Omega entry for entry, and of norm 1
+    module = tiny_module(family)
+    states = [State(kind) for kind in State.KINDS]
+    for t in level_basis(module, 3):
+        word = vacuum(module)
+        for b in reversed(t):
+            word = create(module.basis_element(b), word)
+        v = wedge(module, t)
+        assert v.parts == word.parts, t
+        assert [gns_norm(v, state) for state in states] == [1.0, 1.0], t
 
 
 def bucket_ops(module, rng):

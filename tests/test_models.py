@@ -423,7 +423,8 @@ def test_check_car_flags_wrong_expectation():
 
 
 def _designed_pair(ctx):
-    """Non-free pair whose worst witnesses hold the spectator slot 2."""
+    """Non-free pair on the touched slots 0 and 1, labelled (1, 0) and
+    (0, 1)."""
     gens = ctx.module.gens
     f = ctx.module.basis_element(0, WeylElement.monomial(gens, (1, 0)))
     g = ctx.module.basis_element(1, WeylElement.monomial(gens, (0, 1)))
@@ -527,13 +528,25 @@ def test_check_car_matches_full_sweep(case, monkeypatch):
     for key in ("free_max", "nonfree_min"):
         assert _within_ulps(got.residuals.get(key), want[key]), key
     if case == "claimed_free":
-        # the witness is the probe tuple that set the residual, one holding
-        # the spectator slot 2
-        f, g, _ = pairs[0]
-        touched = models._touched(anticommutator(annihilation(f), creation(g)))
+        # the witness is the probe tuple that set the residual
         at = got.witness["witness_slots"]
         assert isinstance(at, tuple) and any(at in slots for slots in built)
-        assert set(at) - touched == {2}
+    if case in ("claimed_free", "mixed_designed"):
+        # what the spectator sweep rests on: under the tracial state an
+        # operator leaves one norm on e_s and on e_s ^ e_B, B its spectators
+        assert ctx.state.kind == "tracial"
+        for f, g, free in pairs:
+            ops = [(anticommutator(annihilation(f), creation(g)), 2)]
+            if free:
+                ops += [(anticommutator(annihilation(f), annihilation(g)), 2)]
+                ops += [(anticommutator(creation(f), creation(g)), 1)]
+            for op, top in ops:
+                touched = tuple(sorted(models._touched(op)))
+                for t in models._probes(ctx.module, top, touched, True):
+                    s = tuple(b for b in t if b in touched)
+                    on_s = gns_norm(op.apply(wedge(ctx.module, s)), ctx.state)
+                    on_t = gns_norm(op.apply(wedge(ctx.module, t)), ctx.state)
+                    assert _within_ulps(on_s, on_t), (t, on_s, on_t)
 
 
 def _recorded_sweep(ctx, op, top, monkeypatch):
@@ -714,6 +727,13 @@ def test_check_failure_witness_names_case():
         assert worst > 0.0
         assert set(res.witness) == {"case", "residual"}
         assert res.witness["residual"] == worst
+    # weyl_exactness has two residuals; the witness names the one it broke
+    res = check_weyl_exactness(tiny_gens(), seed=3, cases=40, tol=1e-300)
+    assert not res.passed
+    assert res.residuals == {"phase": 0.0, "word_modulus": res.witness["residual"]}
+    assert res.witness["residual"] > 0.0
+    assert set(res.witness) == {"case", "problem", "residual"}
+    assert res.witness["problem"] == "word_modulus"
 
 
 def test_check_nonfock_gap_is_one():
