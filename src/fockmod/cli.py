@@ -249,13 +249,27 @@ def _check_seed(seed: int, name: str, ordinal: int) -> int:
 #
 # A parser takes (ctx, params, check name) and returns one positional
 # argument of models.check_<name>; "ctx", "gens" and "seed" stand for the
-# context, its generators and the check's seed.  An item parser takes
-# (ctx, item, field path) and returns one entry of a list parameter.
+# context, its generators and the check's seed.  Each parser declares the
+# keys of the check item it reads (``_reads``), and an item with any other
+# key but "check" is refused, so that a misspelt key cannot drop a case.
+# An item parser takes (ctx, item, field path) and returns one entry of a
+# list parameter.
+
+
+def _reads(*keys: str):
+    """Declare the check item keys a parser reads, as its ``keys``."""
+
+    def declare(parse):
+        parse.keys = keys
+        return parse
+
+    return declare
 
 
 def _count(key: str, default: int):
     """Parser of a count, which must be at least 1: no cases tests nothing."""
 
+    @_reads(key)
     def parse(ctx, params, name):
         n = _int(params.get(key, default), f"{name}.{key}")
         _require(n >= 1, f"{name}.{key}: expected a count of at least 1, got {n}")
@@ -267,6 +281,7 @@ def _count(key: str, default: int):
 def _each(key: str, parse_item):
     """Parser of the list params[key], item by item."""
 
+    @_reads(key)
     def parse(ctx, params, name):
         items = params.get(key, [])
         _require(isinstance(items, list), f"{name}.{key}: expected a list")
@@ -310,12 +325,14 @@ def _observable(ctx, item, where: str):
     return s, w1, _vector(ctx, item.get("w2"), f"{where}.w2", plus=True)
 
 
+@_reads("free", "nonfree")
 def _car_pairs(ctx, params, name):
     pairs = [(f, g, True) for f, g in _each("free", _pair)(ctx, params, name)]
     pairs += [(f, g, False) for f, g in _each("nonfree", _pair)(ctx, params, name)]
     return pairs
 
 
+@_reads("disjoint")
 def _disjoint(ctx, params, name):
     # runs after the observables parser, which has checked that list
     n = len(params.get("observables", []))
@@ -333,6 +350,7 @@ def _disjoint(ctx, params, name):
     return _each("disjoint", index_pair)(ctx, params, name)
 
 
+@_reads("angles")
 def _angles(ctx, params, name):
     angles = params.get("angles", [0.7, 2.4])
     _require(isinstance(angles, list), f"{name}.angles: expected a list")
@@ -370,6 +388,12 @@ _NO_TOLERANCE = frozenset({"nonfock", "gauge_invariance", "mutual_freeness"})
 _EVERY_LIST = frozenset({"observable_net", "gauge_invariance"})
 
 
+def _unknown_keys(obj: dict, read) -> str:
+    """The keys of obj outside read, named for an error message."""
+    unknown = [repr(k) for k in obj if k not in read]
+    return f"unknown key{'s' * (len(unknown) > 1)} {', '.join(unknown)} (known: {', '.join(sorted(read))})"
+
+
 def _bind_checks(ctx, items, base_seed: int, tolerance: float | None) -> list[tuple[str, list, dict]]:
     """(name, positional arguments, keyword arguments) of every check in
     items, each validated and parsed before the first one runs."""
@@ -382,6 +406,8 @@ def _bind_checks(ctx, items, base_seed: int, tolerance: float | None) -> list[tu
             isinstance(name, str) and name in CHECK_PARAMS,
             f"checks[{ordinal}]: unknown check {name!r}",
         )
+        read = {"check"}.union(*(p.keys for p in CHECK_PARAMS[name] if not isinstance(p, str)))
+        _require(set(item) <= read, f"checks[{ordinal}] ({name}): {_unknown_keys(item, read)}")
         fixed = {"ctx": ctx, "gens": ctx.gens, "seed": _check_seed(base_seed, name, ordinal)}
         args = [fixed[p] if isinstance(p, str) else p(ctx, item, name) for p in CHECK_PARAMS[name]]
         lists = [a for a in args if isinstance(a, list)]
@@ -426,6 +452,12 @@ def _config_digest(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+# the top-level keys of a config; any other is refused
+_CONFIG_KEYS = frozenset(
+    {"schema", "name", "grid", "sigma", "state", "truncation", "seed", "generators", "vectors", "checks"}
+)
+
+
 def run_config(
     config: dict,
     seed: int | None = None,
@@ -436,6 +468,9 @@ def run_config(
     if tolerance is not None:
         tolerance = _real(tolerance, "tolerance", positive=True)
     _require(isinstance(config, dict), "config: expected a JSON object")
+    _require(set(config) <= _CONFIG_KEYS, f"config: {_unknown_keys(config, _CONFIG_KEYS)}")
+    run_name = config.get("name", "scenario")
+    _require(isinstance(run_name, str), f"name: expected a string, got {run_name!r}")
     config = dict(config)
     if seed is not None:
         config["seed"] = _int(seed, "seed")
@@ -452,7 +487,7 @@ def run_config(
         records.append(_json_check(cr))
         failed += 0 if cr.passed else 1
     return {
-        "name": config.get("name", "scenario"),
+        "name": run_name,
         "config": {
             "digest": _config_digest(config),
             "grid": config.get("grid", {}),

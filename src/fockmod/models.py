@@ -455,58 +455,6 @@ def _touched(op: FieldOperator) -> set[int]:
     )
 
 
-def _probes(
-    module: FreeBimodule, top: int, touched: tuple | None = None, spectators: bool = False
-) -> list[tuple[int, ...]]:
-    """The probes of an operator whose touched set T (``_touched``) is the
-    sorted tuple ``touched``, each as its slot tuple (``fock.wedge`` builds
-    the unit wedge, of norm 1): the vacuum () and the tuples of level <=
-    top over T, in ``level_basis`` order; the whole ``level_basis`` when
-    touched is None.
-
-    With ``spectators``, the tuples of e_s ^ e_{B_k} instead, for every s
-    inside T and every k <= top - |s|, where B_k is one fixed set of k
-    spectators, untouched indices taken from the front and back of those
-    outside T (B_1 the first, B_2 the first and the last); a size above the
-    number of untouched indices is skipped.  This is exact on any twist
-    under the tracial state.
-
-    Why: a probe e_s ^ e_B is a bucket at label 0 in frame 0, and no
-    operator changes a frame.  A creation or annihilation inserts or
-    contracts only the pulled vectors u(-k) f_n, which lie in the span of
-    T, since T is closed under the twist's coupling blocks.  So a spectator
-    b outside T is never filled or contracted, and Op(e_s ^ e_B) =
-    Op(e_s) ^ e_B in every bucket, up to the sign of sorting B into each
-    output tuple, which squares away; a unit wedge carries no level scale.
-    Under the tracial state only buckets of one label pair, all in frame
-    0, by a plain tuple dot product that never reads u.  So the norm on
-    e_s ^ e_B is the norm on e_s, up to the order in which terms are
-    summed (an ulp); a charge-conjugate partner outside T is a spectator
-    too.  The quasifree state pairs buckets of different labels through
-    the minors of u of one block signature (``Twist.pair``), which do
-    depend on B.
-    """
-    if touched is None:
-        return level_basis(module, top)
-    if not spectators:
-        return level_basis(module, top, touched)
-    rest = sorted(set(range(module.basis.dim)).difference(touched))
-    # k <= len(rest) keeps the front and back picks of B_k disjoint
-    picks = [
-        tuple(rest[: (k + 1) // 2] + rest[len(rest) - k // 2 :])
-        for k in range(min(top, len(rest)) + 1)
-    ]
-    return sorted(
-        (
-            tuple(sorted(s + picks[k]))
-            for j in range(min(top, len(touched)) + 1)
-            for s in itertools.combinations(touched, j)
-            for k in range(min(top - j, len(rest)) + 1)
-        ),
-        key=lambda t: (len(t), t),
-    )
-
-
 @dataclass
 class CheckResult:
     """One verified claim: status, measured residuals, witness data."""
@@ -559,24 +507,31 @@ def _swept(ctx: ModelContext, cases, exact: bool = False) -> list[Claim]:
     on its probes, unit wedges of norm 1, and ``at`` the slot tuple of the
     first probe that reached it.
 
-    Probes come from the operator (``_probes``): the vacuum and the wedges
-    of level <= top over its touched set T; the truncation never enters a
-    sweep.  With ``exact`` they gain spectators under the tracial state, on
-    any twist, since there a spectator stays in frame 0 and drops out of
-    the norm; under the quasifree state they are the whole basis.  Each
-    probe set is built once per check, when it is first swept: per (T,
-    top), or per top for the whole basis, as (slots, unit wedge) pairs.
+    The probes of an operator are the vacuum and the wedges of level <= top
+    over its touched set T (``_touched``), in ``level_basis`` order; the
+    truncation never enters a sweep.  Under the tracial state this is exact
+    on any twist.  A probe stays in frame 0, since no operator changes a
+    frame, and T is closed under the coupling blocks, so the pulled vectors
+    u(-k) f_n an operator inserts and contracts never reach a slot b outside
+    T: Op(e_s ^ e_b) = +-Op(e_s) ^ e_b, bucket by bucket.  Buckets of one
+    label pair by a plain tuple dot product, which never reads u, so the
+    norm on e_s ^ e_b is the norm on e_s up to the order of summation (an
+    ulp).  The quasifree state pairs buckets of different labels through
+    minors of u (``Twist.pair``), which do see b, so with ``exact`` it sweeps
+    the whole basis instead; without, the sweep over T only bounds the
+    whole one from below there.  Each probe set is built once per check,
+    when it is first swept: per (T, top), or per top for the whole basis,
+    as (slots, unit wedge) pairs.
     """
     module = ctx.module
-    spectators = exact and ctx.state.kind == "tracial"
-    whole = exact and not spectators
+    whole = exact and ctx.state.kind != "tracial"
     memo: dict[tuple, list[tuple]] = {}
 
     def probes(op, top):
         # a sorted tuple, so the probe order does not follow the hash seed
         key = (None if whole else tuple(sorted(_touched(op))), top)
         if key not in memo:
-            memo[key] = [(t, wedge(module, t)) for t in _probes(module, top, key[0], spectators)]
+            memo[key] = [(t, wedge(module, t)) for t in level_basis(module, top, key[0])]
         return memo[key]
 
     claims = []
@@ -715,9 +670,10 @@ def check_car(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
     decisions must match expectations.
 
     Each relation is swept on the vacuum and the wedges of level up to 2,
-    and up to 1 for {a*(f), a*(g)}, with spectators where that is exact
-    (``_swept``).  {a(f), a(g)} touches the slots of {a(f), a*(g)} - <f, g>,
-    so the two share their probes.
+    and up to 1 for {a*(f), a*(g)}, over its touched set under the tracial
+    state and over the whole basis under the quasifree one (``_swept``).
+    {a(f), a(g)} touches the slots of {a(f), a*(g)} - <f, g>, so the two
+    share their probes.
     """
     pairs = list(pairs)
     cases = []

@@ -706,6 +706,36 @@ def test_main_parses_every_check_before_any_runs(tmp_path, capsys, monkeypatch, 
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "patch, message",
+    (
+        # read as written, the misspelt key would drop the failing local
+        # pair, and the check would pass on its witness alone
+        (
+            {"checks": [{"check": "relative_locality", "locals": [["wIn", 0]], "witness": [["wIn", 0]]}]},
+            "checks[0] (relative_locality): unknown key 'locals' (known: check, local, witness)",
+        ),
+        ({"checks": [{"check": "adjointness", "case": 5}]}, "checks[0] (adjointness): unknown key 'case'"),
+        (
+            {
+                "checks": [
+                    {"check": "bilinear_locality", "commutng": [[0, "wIn", "wIn"]], "witness": [[0, "wIn", "wFar"]]}
+                ]
+            },
+            "checks[0] (bilinear_locality): unknown key 'commutng'",
+        ),
+        ({"stat": "quasifree"}, "config: unknown key 'stat'"),
+        ({"name": 3}, "name: expected a string, got 3"),
+    ),
+    ids=("locals", "case", "commutng", "stat", "name"),
+)
+def test_main_unknown_key_exits_2(tmp_path, capsys, patch, message):
+    cfg = load_config("delta_locality")
+    cfg.update(patch)
+    assert _main_exit(tmp_path, cfg) == 2
+    assert f"fockmod: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("truncation", ["3", "4"])
 def test_main_one_point_grid_random_checks(tmp_path, capsys, truncation):
     # dim 2 holds no wedge above level 2 and no three distinct sites

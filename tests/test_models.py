@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from fockmod.weyl import GeneratorSet, GridSpec, TestFunctionPair, WeylElement
+from fockmod.weyl import GeneratorSet, GridSpec, State, TestFunctionPair, WeylElement
 from fockmod.bimodule import SECTOR_MINUS, SECTOR_PLUS, FreeBimodule, ModuleVector, OneParticleBasis, Twist
 from fockmod.cli import _car_pairs, build_scenario, builtin_car_config
 from fockmod.fock import (
@@ -432,8 +432,8 @@ def _designed_pair(ctx):
 
 
 def _one_point_case():
-    """1D x 1, one component (d = 2): at most one index is untouched, so
-    no spectator set of size 2 exists."""
+    """1D x 1, one component (d = 2): at most one index lies outside a
+    pair's touched set."""
     grid = GridSpec(1, 1)
     ctx = build_context("delta", grid, [TestFunctionPair(grid, [1.0], [0.0])])
     plus, minus = ctx.module.basis_element(0), ctx.module.basis_element(1)
@@ -493,35 +493,56 @@ def _within_ulps(a, b, ulps=4):
     return abs(a - b) <= ulps * math.ulp(max(abs(a), abs(b)))
 
 
+def _recorded_level_bases(monkeypatch) -> list[tuple]:
+    """(top, indices, tuples) of every ``level_basis`` that models builds
+    from now on; indices is a sweep's sorted touched set, None for the
+    whole basis."""
+    build = models.level_basis
+    built = []
+
+    def recorded(module, top, indices=None):
+        built.append((top, indices, build(module, top, indices)))
+        return built[-1][2]
+
+    monkeypatch.setattr(models, "level_basis", recorded)
+    return built
+
+
+# the quasifree copies pin the one sweep that takes the whole basis
+_QUASIFREE_CAR_CASES = ("designed", "one_point", "both_sectors", "mixed_designed", "mixed_rotated")
+
+
 @pytest.mark.parametrize(
-    "case",
+    "case, state_kind",
     (
-        *SIGMA_KINDS,
-        "poisson_2d",
-        "designed",
-        "claimed_free",
-        "one_point",
-        "both_sectors",
-        "mixed_designed",
-        "mixed_rotated",
+        *(
+            pytest.param(case, "tracial", id=case)
+            for case in (
+                *SIGMA_KINDS,
+                "poisson_2d",
+                "designed",
+                "claimed_free",
+                "one_point",
+                "both_sectors",
+                "mixed_designed",
+                "mixed_rotated",
+            )
+        ),
+        *(pytest.param(case, "quasifree", id=f"{case}-quasifree") for case in _QUASIFREE_CAR_CASES),
     ),
 )
-def test_check_car_matches_full_sweep(case, monkeypatch):
+def test_check_car_matches_full_sweep(case, state_kind, monkeypatch):
     ctx, pairs = _car_case(case)
-    built = []
-    probes = models._probes
-
-    def recorded(*args):
-        built.append(probes(*args))
-        return built[-1]
-
-    monkeypatch.setattr(models, "_probes", recorded)
+    ctx = dataclasses.replace(ctx, state=State(state_kind))
+    built = _recorded_level_bases(monkeypatch)
     got = check_car(ctx, pairs)
     assert built
-    # no witness repeats a slot, and no two witnesses of a sweep coincide
-    for slots in built:
+    # no witness repeats a slot, and no two witnesses of a sweep coincide;
+    # only the quasifree state sweeps the whole basis
+    for _, indices, slots in built:
         assert all(a < b for t in slots for a, b in zip(t, t[1:]))
         assert len(set(slots)) == len(slots)
+        assert (indices is None) == (state_kind == "quasifree")
     want = ref_car_sweep(ctx, pairs)
     assert got.status == want["status"]
     assert (got.witness or {}).get("problem") == want["problem"]
@@ -530,19 +551,18 @@ def test_check_car_matches_full_sweep(case, monkeypatch):
     if case == "claimed_free":
         # the witness is the probe tuple that set the residual
         at = got.witness["witness_slots"]
-        assert isinstance(at, tuple) and any(at in slots for slots in built)
-    if case in ("claimed_free", "mixed_designed"):
-        # what the spectator sweep rests on: under the tracial state an
-        # operator leaves one norm on e_s and on e_s ^ e_B, B its spectators
-        assert ctx.state.kind == "tracial"
+        assert isinstance(at, tuple) and any(at in slots for *_, slots in built)
+    if case in ("claimed_free", "mixed_designed") and state_kind == "tracial":
+        # what the touched-set sweep rests on: under the tracial state an
+        # operator leaves one norm on every wedge t and on its part inside T
         for f, g, free in pairs:
             ops = [(anticommutator(annihilation(f), creation(g)), 2)]
             if free:
                 ops += [(anticommutator(annihilation(f), annihilation(g)), 2)]
                 ops += [(anticommutator(creation(f), creation(g)), 1)]
             for op, top in ops:
-                touched = tuple(sorted(models._touched(op)))
-                for t in models._probes(ctx.module, top, touched, True):
+                touched = models._touched(op)
+                for t in level_basis(ctx.module, top):
                     s = tuple(b for b in t if b in touched)
                     on_s = gns_norm(op.apply(wedge(ctx.module, s)), ctx.state)
                     on_t = gns_norm(op.apply(wedge(ctx.module, t)), ctx.state)
@@ -550,22 +570,15 @@ def test_check_car_matches_full_sweep(case, monkeypatch):
 
 
 def _recorded_sweep(ctx, op, top, monkeypatch):
-    """(touched, probes) of the one probe set ``_swept`` builds for op."""
-    probes = models._probes
-    built = []
-
-    def recorded(module, top_, touched=None, spectators=False):
-        built.append((touched, probes(module, top_, touched, spectators)))
-        return built[-1][1]
-
-    monkeypatch.setattr(models, "_probes", recorded)
-    models._swept(ctx, [(models.Claim({}), [(op, top)])], exact=True)
-    monkeypatch.setattr(models, "_probes", probes)
-    ((touched, got),) = built
-    return touched, got
+    """(indices, probes) of the one probe set ``_swept`` builds for op."""
+    with monkeypatch.context() as patch:
+        built = _recorded_level_bases(patch)
+        models._swept(ctx, [(models.Claim({}), [(op, top)])], exact=True)
+    ((_, indices, got),) = built
+    return indices, got
 
 
-def test_spectator_witnesses_fall_back_to_the_whole_basis(monkeypatch):
+def test_quasifree_witnesses_fall_back_to_the_whole_basis(monkeypatch):
     # only the quasifree state sweeps the whole basis
     quasifree = delta_ctx(state_kind="quasifree")
     a, b = _designed_pair(quasifree)
@@ -574,26 +587,23 @@ def test_spectator_witnesses_fall_back_to_the_whole_basis(monkeypatch):
         touched, got = _recorded_sweep(quasifree, op, top, monkeypatch)
         assert touched is None
         assert got == level_basis(quasifree.module, top)
-    # diagonal and tracial: every subset of the touched slots {0, 1} with
-    # the spectator sets {}, {2} (the first untouched index) and {2, 5}
-    # (the first and the last); the partners 3 and 4 are untouched
+    # diagonal and tracial: every subset of the touched slots {0, 1}; the
+    # partners 3 and 4 are untouched
     diagonal = delta_ctx()
     f, g = _designed_pair(diagonal)
     op = anticommutator(annihilation(f), creation(g))
-    level_1 = [(), (0,), (1,), (2,)]
-    for top, slots in ((1, level_1), (2, level_1 + [(0, 1), (0, 2), (1, 2), (2, 5)])):
+    level_1 = [(), (0,), (1,)]
+    for top, slots in ((1, level_1), (2, level_1 + [(0, 1)])):
         touched, got = _recorded_sweep(diagonal, op, top, monkeypatch)
         assert touched == (0, 1)
         assert got == slots
     # the mixed twist under the tracial state: T is the + block {0, 1, 2},
-    # the coupling block of the touched slots 0 and 1, and the spectators
-    # come from the - block, {3} and {3, 5}
+    # the coupling block of the touched slots 0 and 1
     mixed = dataclasses.replace(diagonal, module=tiny_module("mixed"))
     f, g = _designed_pair(mixed)
     op = anticommutator(annihilation(f), creation(g))
-    level_1 = [(), (0,), (1,), (2,), (3,)]
-    level_2 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 5)]
-    for top, slots in ((1, level_1), (2, level_1 + level_2)):
+    level_1 = [(), (0,), (1,), (2,)]
+    for top, slots in ((1, level_1), (2, level_1 + [(0, 1), (0, 2), (1, 2)])):
         touched, got = _recorded_sweep(mixed, op, top, monkeypatch)
         assert touched == (0, 1, 2)
         assert got == slots
@@ -601,8 +611,8 @@ def test_spectator_witnesses_fall_back_to_the_whole_basis(monkeypatch):
 
 def test_merged_coupling_blocks_sweep_the_whole_basis(monkeypatch):
     # one exact entry between slot 0 and its partner 3 joins the two
-    # sectors of the mixed twist into one block: T is every slot, no
-    # spectator is left, and the tracial sweep is the whole basis
+    # sectors of the mixed twist into one block: T is every slot, and the
+    # tracial sweep is the whole basis
     module = tiny_module("mixed")
     mats = [u.copy() for u in module.twist.unitaries]
     mats[0][0, 3] = mats[0][3, 0] = 1e-13
@@ -618,8 +628,8 @@ def test_merged_coupling_blocks_sweep_the_whole_basis(monkeypatch):
 @pytest.mark.parametrize("seed", (1, 2, 3))
 def test_mixed_twist_norm_depends_on_spectators_by_size(seed):
     # on the mixed twist under the tracial state, the norm an operator
-    # leaves on e_s ^ e_B, s inside T, is one value per (s, |B|) across
-    # the whole basis: the class a spectator sweep takes one member of
+    # leaves on e_s ^ e_B, s inside T and B outside it, is one value per
+    # (s, |B|) across the whole basis
     ctx = dataclasses.replace(delta_ctx(), module=tiny_module("mixed"))
     module, gens = ctx.module, ctx.module.gens
     rng = random.Random(seed)
@@ -648,17 +658,11 @@ def test_mixed_twist_norm_depends_on_spectators_by_size(seed):
 
 def test_check_car_builds_the_full_sweep_once(monkeypatch):
     ctx = dataclasses.replace(delta_ctx(state_kind="quasifree"), module=tiny_module("mixed"))
-    calls = []
-
-    def counted(*args):
-        calls.append(args[1:])
-        return level_basis(*args)
-
-    monkeypatch.setattr(models, "level_basis", counted)
+    built = _recorded_level_bases(monkeypatch)
     f, g = _designed_pair(ctx)
     check_car(ctx, [(f, g, False)] * 3)
     # non-free pairs sweep top 2 alone; that basis is built on first use
-    assert calls == [(2,)]
+    assert [(top, indices) for top, indices, _ in built] == [(2, None)]
 
 
 def test_check_car_builds_a_pair_witness_set_once(monkeypatch):
@@ -667,15 +671,9 @@ def test_check_car_builds_a_pair_witness_set_once(monkeypatch):
     # pair needs two probe sets and a non-free pair one; within the check
     # each distinct (touched set, top) is built once
     ctx, pairs = _car_case("delta")
-    calls = []
-    build = models._probes
-
-    def counted(module, top, touched=None, spectators=False):
-        calls.append((touched, top))
-        return build(module, top, touched, spectators)
-
-    monkeypatch.setattr(models, "_probes", counted)
+    built = _recorded_level_bases(monkeypatch)
     assert check_car(ctx, pairs).passed
+    calls = [(indices, top) for top, indices, _ in built]
     free = sum(1 for *_, expect_free in pairs if expect_free)
     assert 0 < free < len(pairs)
     want = set()
@@ -685,21 +683,23 @@ def test_check_car_builds_a_pair_witness_set_once(monkeypatch):
     assert len(calls) == len(set(calls)) and set(calls) == want
 
 
-def test_check_car_scales_to_2d_two_components():
+def test_check_car_scales_to_2d_two_components(monkeypatch):
     cfg = poisson_2d_config(16)
     ctx = build_scenario(cfg)
     assert ctx.module.basis.dim == 1024
     pairs = _car_pairs(ctx, cfg["checks"][0], "car")
     assert len(pairs) == 15
+    built = _recorded_level_bases(monkeypatch)
     res = check_car(ctx, pairs)
     assert res.passed and res.residuals["nonfree_min"] > 1.0
-    # every subset s of the touched set T joined with each of the 3 - |s|
-    # spectator sets that fit in level 2
+    # every subset of the touched set T of at most 2 slots, whatever the
+    # dimension of the basis
+    swept = {(indices, top): slots for top, indices, slots in built}
     for f, g, _ in pairs:
         op = anticommutator(annihilation(f), creation(g))
         touched = tuple(sorted(models._touched(op)))
-        count = sum(math.comb(len(touched), j) * (3 - j) for j in range(3))
-        assert len(models._probes(ctx.module, 2, touched, spectators=True)) == count
+        count = sum(math.comb(len(touched), j) for j in range(3))
+        assert len(swept[touched, 2]) == count
 
 
 def test_check_adjointness_and_covariance():
