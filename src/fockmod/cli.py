@@ -21,6 +21,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import random
 import sys
@@ -28,6 +29,8 @@ import tempfile
 import time
 import zlib
 from importlib import resources
+
+import numpy as np
 
 from . import __version__
 from .weyl import GridSpec, State, TestFunctionPair, WeylElement
@@ -38,17 +41,18 @@ from .models import (
     ModelContext,
     SIGMA_KINDS,
     build_context,
-    profile_array,
 )
 
 SCHEMA = "fockmod/1"
-BUNDLED = (
-    "delta_locality",
-    "bump_freeness",
-    "poisson_nonlocal",
-    "lebesgue_gauge",
-    "car_suite",
-)
+# sigma kind -> its bundled scenario, whose grid, sigma and generators the
+# built-in CAR battery of that kind runs on
+MODEL_SCENARIOS = {
+    "delta": "delta_locality",
+    "bump": "bump_freeness",
+    "poisson": "poisson_nonlocal",
+    "lebesgue": "lebesgue_gauge",
+}
+BUNDLED = (*MODEL_SCENARIOS.values(), "car_suite")
 
 
 class ConfigError(Exception):
@@ -87,6 +91,19 @@ def _real(value, where: str, positive: bool = False) -> float:
     return float(value)
 
 
+def _object(value, where: str, keys) -> dict:
+    """value, which must be a JSON object with no key outside keys: a key
+    that nothing reads is refused, so that a misspelt one cannot pass."""
+    _require(isinstance(value, dict), f"{where}: expected a JSON object")
+    unknown = [repr(k) for k in value if k not in keys]
+    if unknown:
+        raise ConfigError(
+            f"{where}: unknown key{'s' * (len(unknown) > 1)} {', '.join(unknown)} "
+            f"(known: {', '.join(sorted(keys))})"
+        )
+    return value
+
+
 # ---------------------------------------------------------------------------
 # config loading and scenario assembly
 
@@ -112,7 +129,7 @@ def load_config(spec: str) -> dict:
 
 
 def _parse_grid(d: dict) -> GridSpec:
-    _require(isinstance(d, dict), "grid: expected an object")
+    _object(d, "grid", ("dimension", "points", "spacing", "components"))
     dimension = _int(d.get("dimension", 1), "grid.dimension")
     points = _int(d.get("points", 16), "grid.points")
     components = _int(d.get("components", 1), "grid.components")
@@ -128,29 +145,67 @@ def _parse_grid(d: dict) -> GridSpec:
         raise ConfigError(f"grid: {e}") from e
 
 
-def _parse_profile(grid: GridSpec, spec, what: str):
-    _require(isinstance(spec, dict), f"{what}: profile must be an object")
-    center = spec.get("center", 0)
-    for c in center if isinstance(center, list) else [center]:
-        _int(c, f"{what}.center")
-    _real(spec.get("width", 1.0), f"{what}.width", positive=True)
-    _real(spec.get("amplitude", 1.0), f"{what}.amplitude")
-    if spec.get("shape", "values") == "values":
+# profile shape -> the keys of a profile of that shape
+_PROFILE_KEYS = {
+    "zero": ("shape",),
+    "values": ("shape", "values"),
+    "point": ("shape", "center", "amplitude"),
+    "box": ("shape", "center", "amplitude", "width"),
+    "bump": ("shape", "center", "amplitude", "width"),
+}
+
+
+def _parse_profile(grid: GridSpec, spec, what: str) -> np.ndarray:
+    """Real grid profile from a named shape or raw values.  A point, box
+    or bump sits at center, a point index or one coordinate per axis
+    (default: the middle index on every axis)."""
+    _require(isinstance(spec, dict), f"{what}: expected a JSON object")
+    shape = spec.get("shape", "values")
+    _require(
+        isinstance(shape, str) and shape in _PROFILE_KEYS,
+        f"{what}.shape: unknown shape {shape!r} (known: {', '.join(_PROFILE_KEYS)})",
+    )
+    _object(spec, what, _PROFILE_KEYS[shape])
+    out = np.zeros(grid.n_points)
+    if shape == "zero":
+        return out
+    if shape == "values":
         values = spec.get("values")
-        _require(isinstance(values, list), f"{what}.values: expected a list of numbers")
-        for i, x in enumerate(values):
-            _real(x, f"{what}.values[{i}]")
-    try:
-        return profile_array(grid, spec)
-    except (KeyError, ValueError, IndexError, TypeError) as e:
-        raise ConfigError(f"{what}: {e}") from e
+        _require(
+            isinstance(values, list) and len(values) == grid.n_points,
+            f"{what}.values: expected a list of numbers, {grid.n_points} of them",
+        )
+        return np.array([_real(x, f"{what}.values[{i}]") for i, x in enumerate(values)])
+    amp = _real(spec.get("amplitude", 1.0), f"{what}.amplitude")
+    center = spec.get("center", grid.points_per_axis // 2)
+    axes = center if isinstance(center, list) else [center] * grid.dimension
+    coords = tuple(_int(c, f"{what}.center") for c in axes)
+    _require(
+        len(coords) == grid.dimension and all(0 <= c < grid.points_per_axis for c in coords),
+        f"{what}.center: {center!r} is no point of the grid",
+    )
+    if shape == "point":
+        out[grid.index(coords)] = amp
+        return out
+    width = _real(spec.get("width", 1.0), f"{what}.width", positive=True)
+    for i in range(grid.n_points):
+        dist = grid.spacing * math.sqrt(sum((a - b) ** 2 for a, b in zip(grid.coords(i), coords)))
+        if shape == "box":
+            if dist <= width / 2.0 + 1e-12:
+                out[i] = amp
+        else:
+            x = dist / (width / 2.0)
+            if x < 1.0:
+                out[i] = amp * math.exp(1.0 - 1.0 / (1.0 - x * x))
+    return out
 
 
 def _parse_generators(grid: GridSpec, lst) -> list[TestFunctionPair]:
     _require(isinstance(lst, list) and lst, "generators: need a nonempty list")
     out = []
     for i, g in enumerate(lst):
-        _require(isinstance(g, dict) and "s0" in g, f"generators[{i}]: need s0")
+        _object(g, f"generators[{i}]", ("s0", "s1"))
+        _require("s0" in g, f"generators[{i}]: need s0")
         s0 = _parse_profile(grid, g["s0"], f"generators[{i}].s0")
         s1 = _parse_profile(grid, g.get("s1", {"shape": "zero"}), f"generators[{i}].s1")
         out.append(TestFunctionPair(grid, s0, s1))
@@ -169,12 +224,11 @@ def build_scenario(config: dict):
     )
     grid = _parse_grid(config.get("grid", {}))
     sigma = config.get("sigma")
-    _require(isinstance(sigma, dict) and "kind" in sigma, "sigma: need an object with kind")
-    kind = sigma["kind"]
+    # the bump kernel alone reads a radius
+    bump = isinstance(sigma, dict) and sigma.get("kind") == "bump"
+    kind = _object(sigma, "sigma", ("kind", "radius") if bump else ("kind",)).get("kind")
     _require(kind in SIGMA_KINDS, f"sigma.kind: {kind!r} not in {SIGMA_KINDS}")
-    radius = sigma.get("radius")
-    if kind == "bump":
-        radius = _real(radius, "sigma.radius", positive=True)
+    radius = _real(sigma.get("radius"), "sigma.radius", positive=True) if bump else None
     state = config.get("state", "tracial")
     _require(state in State.KINDS, f"state: {state!r} not in {State.KINDS}")
     truncation = _int(config.get("truncation", 3), "truncation")
@@ -188,7 +242,7 @@ def build_scenario(config: dict):
     _require(isinstance(specs, dict), "vectors: expected an object")
     vectors: dict[str, ModuleVector] = {}
     for name, vs in specs.items():
-        _require(isinstance(vs, dict), f"vectors.{name}: expected an object")
+        _object(vs, f"vectors.{name}", ("sector", "component", "profile"))
         sign = vs.get("sector", "+")
         _require(
             isinstance(sign, str) and sign in _SECTORS, f"vectors.{name}.sector: use '+' or '-'"
@@ -315,7 +369,7 @@ def _triple(ctx, item, where: str):
 
 
 def _observable(ctx, item, where: str):
-    _require(isinstance(item, dict), f"{where}: expected an object")
+    _object(item, where, ("generator", "w1", "w2"))
     k = item.get("generator")
     if k is None:
         s = WeylElement.unit(ctx.gens)
@@ -388,12 +442,6 @@ _NO_TOLERANCE = frozenset({"nonfock", "gauge_invariance", "mutual_freeness"})
 _EVERY_LIST = frozenset({"observable_net", "gauge_invariance"})
 
 
-def _unknown_keys(obj: dict, read) -> str:
-    """The keys of obj outside read, named for an error message."""
-    unknown = [repr(k) for k in obj if k not in read]
-    return f"unknown key{'s' * (len(unknown) > 1)} {', '.join(unknown)} (known: {', '.join(sorted(read))})"
-
-
 def _bind_checks(ctx, items, base_seed: int, tolerance: float | None) -> list[tuple[str, list, dict]]:
     """(name, positional arguments, keyword arguments) of every check in
     items, each validated and parsed before the first one runs."""
@@ -407,7 +455,7 @@ def _bind_checks(ctx, items, base_seed: int, tolerance: float | None) -> list[tu
             f"checks[{ordinal}]: unknown check {name!r}",
         )
         read = {"check"}.union(*(p.keys for p in CHECK_PARAMS[name] if not isinstance(p, str)))
-        _require(set(item) <= read, f"checks[{ordinal}] ({name}): {_unknown_keys(item, read)}")
+        _object(item, f"checks[{ordinal}] ({name})", read)
         fixed = {"ctx": ctx, "gens": ctx.gens, "seed": _check_seed(base_seed, name, ordinal)}
         args = [fixed[p] if isinstance(p, str) else p(ctx, item, name) for p in CHECK_PARAMS[name]]
         lists = [a for a in args if isinstance(a, list)]
@@ -467,8 +515,7 @@ def run_config(
     """Run one scenario and return its serialized record."""
     if tolerance is not None:
         tolerance = _real(tolerance, "tolerance", positive=True)
-    _require(isinstance(config, dict), "config: expected a JSON object")
-    _require(set(config) <= _CONFIG_KEYS, f"config: {_unknown_keys(config, _CONFIG_KEYS)}")
+    _object(config, "config", _CONFIG_KEYS)
     run_name = config.get("name", "scenario")
     _require(isinstance(run_name, str), f"name: expected a string, got {run_name!r}")
     config = dict(config)
@@ -493,8 +540,8 @@ def run_config(
             "grid": config.get("grid", {}),
             "seed": base_seed,
             "sigma": config.get("sigma"),
-            "state": config.get("state", "tracial"),
-            "truncation": config.get("truncation", 3),
+            "state": ctx.state.kind,
+            "truncation": ctx.truncation,
         },
         "checks": records,
         "summary": {
@@ -567,10 +614,6 @@ def _point(center: int) -> dict:
     return {"shape": "point", "center": center, "amplitude": 1.0}
 
 
-def _box(center: int, width: float, amp: float) -> dict:
-    return {"shape": "box", "center": center, "width": width, "amplitude": amp}
-
-
 def _values(points: int, entries: dict[int, float]) -> dict:
     vals = [0.0] * points
     for i, v in entries.items():
@@ -578,13 +621,9 @@ def _values(points: int, entries: dict[int, float]) -> dict:
     return {"shape": "values", "values": vals}
 
 
+# sigma kind -> its battery, run on the model of MODEL_SCENARIOS[kind]
 _CAR_TABLE = {
     "delta": {
-        "radius": None,
-        "generators": [
-            {"s0": _box(2, 2.0, 1.1), "s1": _point(2) | {"amplitude": 0.7}},
-            {"s0": _box(12, 2.0, 0.9), "s1": _point(12) | {"amplitude": -0.5}},
-        ],
         "safe": (5, 6, 7, 8, 15),
         "groups": ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (-1, 1)),
         "count": 13,
@@ -597,11 +636,6 @@ _CAR_TABLE = {
         "pauli": True,
     },
     "bump": {
-        "radius": 2.0,
-        "generators": [
-            {"s0": _box(2, 2.0, 1.2)},
-            {"s0": _box(12, 2.0, 0.8)},
-        ],
         "safe": (6, 7, 8),
         "groups": ((0, 0), (1, 0), (0, 1), (1, 1), (2, 0), (0, 2), (-1, 1)),
         "count": 13,
@@ -614,12 +648,6 @@ _CAR_TABLE = {
         "pauli": True,
     },
     "poisson": {
-        "radius": None,
-        "generators": [
-            {"s0": _values(16, {2: 1.0, 3: -2.0, 4: 1.0})},
-            {"s0": _values(16, {10: 1.0, 11: -2.0, 12: 1.0})},
-            {"s0": _point(7)},
-        ],
         "safe": (0, 6, 7, 8, 15),
         "groups": (
             (0, 0, 0),
@@ -639,11 +667,6 @@ _CAR_TABLE = {
         "pauli": True,
     },
     "lebesgue": {
-        "radius": None,
-        "generators": [
-            {"s0": _values(16, {2: 1.0, 3: -1.0}), "s1": _point(2) | {"amplitude": 0.3}},
-            {"s0": _box(12, 2.0, 1.0)},
-        ],
         "safe": (4, 5, 6, 9),
         "groups": ((0, 0), (1, 0), (2, 0), (-1, 0), (3, 0)),
         "count": 12,
@@ -657,13 +680,13 @@ _CAR_TABLE = {
 }
 
 
-def _rand_fspec(rng: random.Random, table: dict, vectors: dict) -> list:
+def _rand_fspec(rng: random.Random, table: dict, vectors: dict, n_points: int) -> list:
     terms = []
     n_terms = 2 if rng.random() < 0.2 else 1
     for _ in range(n_terms):
         if rng.random() < 0.25 and len(table["safe"]) >= 2:
             sites = rng.sample(table["safe"], 2)
-            prof = _values(16, {sites[0]: 0.6, sites[1]: 0.8})
+            prof = _values(n_points, {sites[0]: 0.6, sites[1]: 0.8})
         else:
             prof = _point(rng.choice(table["safe"]))
         name = f"v{len(vectors)}"
@@ -677,17 +700,15 @@ def builtin_car_config(kind: str, seed: int = 7) -> dict:
     if kind not in _CAR_TABLE:
         raise ConfigError(f"no built-in CAR battery for sigma kind {kind!r}")
     table = _CAR_TABLE[kind]
+    model = load_config(MODEL_SCENARIOS[kind])
+    n_points = _parse_grid(model["grid"]).n_points
     rng = random.Random(zlib.crc32(f"{seed}:carpairs:{kind}".encode()))
     vectors = {
         name: {"sector": "+", "component": 0, "profile": prof}
         for name, prof in table["nonfree_vectors"].items()
     }
-    free = []
-    for _ in range(table["count"]):
-        free.append([_rand_fspec(rng, table, vectors), _rand_fspec(rng, table, vectors)])
-    sigma = {"kind": kind}
-    if table["radius"] is not None:
-        sigma["radius"] = table["radius"]
+    # a pair's f is drawn before its g
+    free = [[_rand_fspec(rng, table, vectors, n_points) for _ in range(2)] for _ in range(table["count"])]
     checks = [
         {"check": "car", "free": free, "nonfree": table["nonfree"]},
         {"check": "nonfock"},
@@ -706,14 +727,14 @@ def builtin_car_config(kind: str, seed: int = 7) -> dict:
             ]
         )
     return {
-        "schema": SCHEMA,
+        "schema": model["schema"],
         "name": f"{kind}_car",
-        "grid": {"dimension": 1, "points": 16, "spacing": 1.0, "components": 1},
-        "sigma": sigma,
+        "grid": model["grid"],
+        "sigma": model["sigma"],
         "state": "tracial",
         "truncation": 3,
         "seed": seed,
-        "generators": table["generators"],
+        "generators": model["generators"],
         "vectors": vectors,
         "checks": checks,
     }
@@ -775,10 +796,7 @@ def _configs_for(args) -> list[dict]:
         return [load_config(args.config)]
     out = [builtin_car_config(kind, 7 if args.seed is None else args.seed) for kind in SIGMA_KINDS]
     if args.command == "all":
-        out.extend(
-            load_config(name)
-            for name in ("delta_locality", "bump_freeness", "poisson_nonlocal", "lebesgue_gauge")
-        )
+        out.extend(load_config(MODEL_SCENARIOS[kind]) for kind in SIGMA_KINDS)
     return out
 
 

@@ -82,7 +82,6 @@ __all__ = [
     "make_twist",
     "ModelContext",
     "build_context",
-    "profile_array",
     "plus_vector",
     "electron",
     "electron_star",
@@ -272,50 +271,6 @@ def build_context(
         truncation=truncation,
         phis=phis,
     )
-
-
-def profile_array(grid: GridSpec, spec: dict) -> np.ndarray:
-    """Real grid profile from a named shape or raw values."""
-    out = np.zeros(grid.n_points)
-    shape = spec.get("shape", "values")
-    if shape == "zero":
-        return out
-    if shape == "values":
-        vals = np.asarray(spec["values"], dtype=float).reshape(-1)
-        if vals.shape != (grid.n_points,):
-            raise ValueError("values length does not match grid")
-        if not np.isfinite(vals).all():
-            raise ValueError("values must be finite")
-        return vals
-    amp = float(spec.get("amplitude", 1.0))
-    if not math.isfinite(amp):
-        raise ValueError("amplitude must be finite")
-    center = spec.get("center", grid.points_per_axis // 2)
-    if isinstance(center, (list, tuple)):
-        cidx = grid.index(tuple(int(c) for c in center))
-    else:
-        cidx = grid.index((int(center),) * grid.dimension) if grid.dimension > 1 else int(center)
-    ccoords = grid.coords(cidx)
-    if shape == "point":
-        out[cidx] = amp
-        return out
-    width = float(spec.get("width", 1.0))
-    if not width > 0:
-        raise ValueError("width must be positive")
-    for i in range(grid.n_points):
-        dist = grid.spacing * math.sqrt(
-            sum((a - b) ** 2 for a, b in zip(grid.coords(i), ccoords))
-        )
-        if shape == "box":
-            if dist <= width / 2.0 + 1e-12:
-                out[i] = amp
-        elif shape == "bump":
-            x = dist / (width / 2.0)
-            if x < 1.0:
-                out[i] = amp * math.exp(1.0 - 1.0 / (1.0 - x * x))
-        else:
-            raise ValueError(f"unknown shape {shape!r}")
-    return out
 
 
 def plus_vector(

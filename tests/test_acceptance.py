@@ -9,6 +9,7 @@ from functools import lru_cache
 
 from fockmod.weyl import GridSpec
 from fockmod.cli import (
+    MODEL_SCENARIOS,
     assemble_report,
     build_scenario,
     builtin_car_config,
@@ -92,7 +93,7 @@ def test_acceptance_6_nonfock_witness():
 
 def test_acceptance_7_model_matrix():
     ok = True
-    for name in ("delta_locality", "bump_freeness", "poisson_nonlocal", "lebesgue_gauge"):
+    for name in MODEL_SCENARIOS.values():
         rec = run_config(load_config(name))
         ok = ok and rec["summary"]["status"] == "pass"
     _record(7, "model matrix", ok)

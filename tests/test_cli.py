@@ -4,14 +4,17 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 
 from fockmod import models
 from fockmod.cli import (
     BUNDLED,
     CHECK_PARAMS,
+    MODEL_SCENARIOS,
     SCHEMA,
     ConfigError,
+    _parse_profile,
     assemble_report,
     build_scenario,
     builtin_car_config,
@@ -148,6 +151,63 @@ def test_scenario_rejects_bad_vectors():
     cfg["vectors"]["wA"]["component"] = 3
     with pytest.raises(ConfigError, match="component"):
         build_scenario(cfg)
+
+
+# ---------------------------------------------------------------------------
+# profiles
+
+G3 = GridSpec(dimension=1, points_per_axis=3)
+
+
+def test_profile_values_and_zero():
+    vals = _parse_profile(G3, {"shape": "values", "values": [1.0, 0.0, -2.0]}, "p")
+    assert np.array_equal(vals, [1.0, 0.0, -2.0])
+    assert np.array_equal(_parse_profile(G3, {"shape": "zero"}, "p"), np.zeros(3))
+    with pytest.raises(ConfigError, match=re.escape("p.values: expected a list of numbers, 3 of them")):
+        _parse_profile(G3, {"shape": "values", "values": [1.0]}, "p")
+
+
+def test_profile_point_box_bump():
+    g5 = GridSpec(dimension=1, points_per_axis=5)
+    pt = _parse_profile(g5, {"shape": "point", "amplitude": 2.0}, "p")
+    assert np.array_equal(pt, [0, 0, 2.0, 0, 0])
+    box = _parse_profile(g5, {"shape": "box", "center": 2, "width": 2.0}, "p")
+    assert np.array_equal(box, [0, 1.0, 1.0, 1.0, 0])
+    bump = _parse_profile(g5, {"shape": "bump", "center": 2, "width": 2.0, "amplitude": 3.0}, "p")
+    assert bump[2] == 3.0
+    assert bump[1] == 0.0 and bump[3] == 0.0
+
+
+@pytest.mark.parametrize("dimension, points", ((1, 4), (1, 5), (2, 4), (3, 3)))
+def test_profile_center_defaults_to_the_middle_index(dimension, points):
+    # points_per_axis // 2 on every axis, for every shape with a center
+    grid = GridSpec(dimension=dimension, points_per_axis=points)
+    middle = grid.index((points // 2,) * dimension)
+    for shape in ("point", "box", "bump"):
+        prof = _parse_profile(grid, {"shape": shape}, "p")
+        assert np.flatnonzero(prof).tolist() == [middle], shape
+
+
+def test_profile_center_list_and_errors():
+    g2 = GridSpec(dimension=2, points_per_axis=3)
+    pt = _parse_profile(g2, {"shape": "point", "center": [1, 2]}, "p")
+    assert pt[g2.index((1, 2))] == 1.0
+    assert np.count_nonzero(pt) == 1
+    for grid, spec, message in (
+        (G3, {"shape": "spiral"}, "p.shape: unknown shape 'spiral'"),
+        (G3, {"shape": 3}, "p.shape: unknown shape 3"),
+        (G3, {"shape": "box", "width": 0.0}, "p.width: expected a positive number"),
+        # non-finite input is refused, not turned into an empty or NaN profile
+        (G3, {"shape": "box", "width": math.nan}, "p.width: expected a finite number"),
+        (G3, {"shape": "point", "amplitude": math.nan}, "p.amplitude: expected a finite number"),
+        (G3, {"shape": "values", "values": [1.0, math.inf, 0.0]}, "p.values[1]: expected a finite number"),
+        (G3, {"shape": "point", "center": 3}, "p.center: 3 is no point of the grid"),
+        (G3, {"shape": "point", "center": -1}, "p.center: -1 is no point of the grid"),
+        (g2, {"shape": "point", "center": [1]}, "p.center: [1] is no point of the grid"),
+        (G3, ["point"], "p: expected a JSON object"),
+    ):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            _parse_profile(grid, spec, "p")
 
 
 def test_run_config_rejects_bad_checks():
@@ -288,6 +348,16 @@ def test_report_text_shape():
 
 # ---------------------------------------------------------------------------
 # built-in batteries
+
+
+@pytest.mark.parametrize("kind", SIGMA_KINDS)
+def test_builtin_car_config_runs_on_its_bundled_model(kind):
+    # the battery states no model of its own: it reads the scenario's
+    model = load_config(MODEL_SCENARIOS[kind])
+    cfg = builtin_car_config(kind)
+    for key in ("schema", "grid", "sigma", "generators"):
+        assert json.dumps(cfg[key], sort_keys=True) == json.dumps(model[key], sort_keys=True), key
+    assert list(MODEL_SCENARIOS) == list(SIGMA_KINDS)
 
 
 def test_builtin_car_configs():
@@ -734,6 +804,66 @@ def test_main_unknown_key_exits_2(tmp_path, capsys, patch, message):
     cfg.update(patch)
     assert _main_exit(tmp_path, cfg) == 2
     assert f"fockmod: {message}" in capsys.readouterr().err
+
+
+def _misspell(path: tuple, key: str, value, drop: str | None = None):
+    """Patch of a config: the object at path, a tuple of keys, gains key
+    with value, and loses drop (the key it misspells) if given."""
+
+    def patch(cfg):
+        node = cfg
+        for step in path:
+            node = node[step]
+        node.pop(drop, None)
+        node[key] = value
+
+    return patch
+
+
+_VALUES_7 = {"shape": "values", "values": [0.0] * 7 + [1.0] + [0.0] * 8}
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    (
+        # each would run as if the key were absent, and the run would pass
+        (_misspell(("grid",), "pionts", 8), "grid: unknown key 'pionts'"),
+        (
+            _misspell(("checks", 4, "observables", 0), "generatr", 0, drop="generator"),
+            "observable_net.observables[0]: unknown key 'generatr'",
+        ),
+        (_misspell(("vectors", "wIn12"), "sectr", "-", drop="sector"), "vectors.wIn12: unknown key 'sectr'"),
+        (_misspell(("sigma",), "radius", 2.0), "sigma: unknown key 'radius' (known: kind)"),
+        (
+            _misspell(("generators", 1), "s2", {"shape": "point", "center": 12}),
+            "generators[1]: unknown key 's2' (known: s0, s1)",
+        ),
+        (_misspell(("vectors", "wFar", "profile"), "width", 3.0), "vectors.wFar.profile: unknown key 'width'"),
+        (
+            _misspell(("vectors", "wFar"), "profile", dict(_VALUES_7, amplitude=2.0)),
+            "vectors.wFar.profile: unknown key 'amplitude' (known: shape, values)",
+        ),
+    ),
+    ids=("grid", "observable", "vector", "sigma", "generator", "point_profile", "values_profile"),
+)
+def test_main_unknown_nested_key_exits_2(tmp_path, capsys, patch, message):
+    cfg = load_config("delta_locality")
+    patch(cfg)
+    assert _main_exit(tmp_path, cfg) == 2
+    assert f"fockmod: {message}" in capsys.readouterr().err
+
+
+def test_main_reports_state_and_truncation_as_read(tmp_path):
+    # the report echoes the values the run used, defaults included
+    cfg = tiny_config()
+    del cfg["state"], cfg["truncation"]
+    assert _main_exit(tmp_path, cfg) == 0
+    echoed = json.loads((tmp_path / "r.json").read_text())["runs"][0]["config"]
+    assert (echoed["state"], echoed["truncation"]) == ("tracial", 3)
+    # an integral float is read as the integer it is
+    cfg["truncation"] = 2.0
+    assert _main_exit(tmp_path, cfg) == 0
+    assert '"truncation": 2\n' in (tmp_path / "r.json").read_text()
 
 
 @pytest.mark.parametrize("truncation", ["3", "4"])

@@ -57,7 +57,6 @@ from fockmod.models import (
     make_twist,
     observable,
     plus_vector,
-    profile_array,
     sigma_convolve,
     term_charge,
 )
@@ -231,44 +230,7 @@ def test_conventions_stamp():
 
 
 # ---------------------------------------------------------------------------
-# profiles and supports
-
-
-def test_profile_values_and_zero():
-    vals = profile_array(GRID, {"shape": "values", "values": [1.0, 0.0, -2.0]})
-    assert np.array_equal(vals, [1.0, 0.0, -2.0])
-    assert np.array_equal(profile_array(GRID, {"shape": "zero"}), np.zeros(3))
-    with pytest.raises(ValueError, match="length"):
-        profile_array(GRID, {"shape": "values", "values": [1.0]})
-
-
-def test_profile_point_box_bump():
-    g5 = GridSpec(dimension=1, points_per_axis=5)
-    pt = profile_array(g5, {"shape": "point", "amplitude": 2.0})
-    assert np.array_equal(pt, [0, 0, 2.0, 0, 0])
-    box = profile_array(g5, {"shape": "box", "center": 2, "width": 2.0})
-    assert np.array_equal(box, [0, 1.0, 1.0, 1.0, 0])
-    bump = profile_array(g5, {"shape": "bump", "center": 2, "width": 2.0, "amplitude": 3.0})
-    assert bump[2] == 3.0
-    assert bump[1] == 0.0 and bump[3] == 0.0
-
-
-def test_profile_center_list_and_errors():
-    g2 = GridSpec(dimension=2, points_per_axis=3)
-    pt = profile_array(g2, {"shape": "point", "center": [1, 2]})
-    assert pt[g2.index((1, 2))] == 1.0
-    assert np.count_nonzero(pt) == 1
-    with pytest.raises(ValueError, match="unknown shape"):
-        profile_array(GRID, {"shape": "spiral"})
-    with pytest.raises(ValueError, match="width"):
-        profile_array(GRID, {"shape": "box", "width": 0.0})
-    # non-finite input is rejected, not turned into an empty or NaN profile
-    with pytest.raises(ValueError, match="width"):
-        profile_array(GRID, {"shape": "box", "width": math.nan})
-    with pytest.raises(ValueError, match="amplitude must be finite"):
-        profile_array(GRID, {"shape": "point", "amplitude": math.nan})
-    with pytest.raises(ValueError, match="values must be finite"):
-        profile_array(GRID, {"shape": "values", "values": [1.0, math.inf, 0.0]})
+# plus vectors and supports
 
 
 def test_plus_vector_and_supports():
