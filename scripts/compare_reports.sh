@@ -35,12 +35,19 @@
 # measures a zero (itself about 1e-16) by any fraction.  Before that line
 # it lists every residual that moved, one line each in report order:
 # `run/check key: before -> after` (a digest's lines name the check
-# alone).  The script reads bench/ and writes nothing there.  It exits 1
-# if any report or digest differs.  Set PYTHON to pick the interpreter.
+# alone).  Every run of BASE_DIR has PYTHONHASHSEED=0 and every run of
+# this checkout PYTHONHASHSEED=1, so the script also checks that no
+# report or digest depends on the hash seed; `sh scripts/compare_reports.sh .`
+# checks that alone.  The script reads bench/ and writes nothing there.
+# It exits 1 if any report or digest differs.  Set PYTHON to pick the
+# interpreter.
 set -eu
 [ $# -eq 1 ] || { echo "usage: $0 BASE_DIR" >&2; exit 2; }
 base=$(cd "$1" && pwd)
 head=$(cd "$(dirname "$0")/.." && pwd)
+# the hash seed of each side's runs
+hash_base=0
+hash_head=1
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
@@ -106,16 +113,16 @@ for args in \
     "model --config delta_locality" "model --config lebesgue_gauge" \
     "model --config poisson_nonlocal"; do
     for side in base head; do
-        eval tree=\$$side
+        eval tree=\$$side hs=\$hash_$side
         # exit 1 only means a check failed; the report is still written
-        PYTHONPATH="$tree/src" "${PYTHON:-python}" -m fockmod.cli $args --format json \
+        PYTHONHASHSEED=$hs PYTHONPATH="$tree/src" "${PYTHON:-python}" -m fockmod.cli $args --format json \
             > "$out/$side.json" || [ $? -eq 1 ]
     done
     compare "$args"
 done
 for name in bump_freeness car_suite delta_locality lebesgue_gauge poisson_nonlocal; do
     for side in base head; do
-        eval tree=\$$side
+        eval tree=\$$side hs=\$hash_$side
         "${PYTHON:-python}" - "$tree/src/fockmod/configs/$name.json" "$out/$side-$name.json" <<'PY'
 import json
 import sys
@@ -126,15 +133,16 @@ config["state"] = "quasifree"
 with open(sys.argv[2], "w") as fh:
     json.dump(config, fh)
 PY
-        PYTHONPATH="$tree/src" "${PYTHON:-python}" -m fockmod.cli model --config "$out/$side-$name.json" \
+        PYTHONHASHSEED=$hs PYTHONPATH="$tree/src" "${PYTHON:-python}" -m fockmod.cli model --config "$out/$side-$name.json" \
             --format json > "$out/$side.json" || [ $? -eq 1 ]
     done
     compare "model --config $name, quasifree"
 done
-# one run of workload $2 in tree $1 for seed $3: the digest on the first
-# line, then one line per check; no byte-code lands in bench/
+# one run of workload $3 in tree $1 under hash seed $2 for seed $4: the
+# digest on the first line, then one line per check; no byte-code lands
+# in bench/
 sample() {
-    PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$1/src:$1/bench" "${PYTHON:-python}" - "$2" "$3" <<'PY'
+    PYTHONHASHSEED=$2 PYTHONDONTWRITEBYTECODE=1 PYTHONPATH="$1/src:$1/bench" "${PYTHON:-python}" - "$3" "$4" <<'PY'
 import json
 import sys
 
@@ -169,8 +177,8 @@ for run in "dense_twist 1 2 3 4 5" "grid_scale 1 2 3"; do
     workload=$1
     shift
     for seed in "$@"; do
-        sample "$base" $workload $seed > "$out/base.txt"
-        sample "$head" $workload $seed > "$out/head.txt"
+        sample "$base" $hash_base $workload $seed > "$out/base.txt"
+        sample "$head" $hash_head $workload $seed > "$out/head.txt"
         if [ "$(head -n 1 "$out/base.txt")" = "$(head -n 1 "$out/head.txt")" ]; then
             echo "identical  $workload digest, seed $seed"
         else

@@ -166,7 +166,10 @@ def _parse_profile(grid: GridSpec, spec, what: str) -> np.ndarray:
         f"{what}.shape: unknown shape {shape!r} (known: {', '.join(_PROFILE_KEYS)})",
     )
     _object(spec, what, _PROFILE_KEYS[shape])
-    out = np.zeros(grid.n_points)
+    try:  # the grid's first array: numpy refuses a size it cannot index or allocate
+        out = np.zeros(grid.n_points)
+    except (MemoryError, ValueError) as e:
+        raise ConfigError(f"grid: {grid.points_per_axis}^{grid.dimension} points are too many: {e}") from e
     if shape == "zero":
         return out
     if shape == "values":
@@ -214,10 +217,15 @@ def _parse_generators(grid: GridSpec, lst) -> list[TestFunctionPair]:
 
 _SECTORS = {"+": SECTOR_PLUS, "-": SECTOR_MINUS}
 
+# the top-level keys of a config; any other is refused
+_CONFIG_KEYS = frozenset(
+    {"schema", "name", "grid", "sigma", "state", "truncation", "seed", "generators", "vectors", "checks"}
+)
+
 
 def build_scenario(config: dict):
     """Context plus named plain module vectors from a validated config."""
-    _require(isinstance(config, dict), "config: expected a JSON object")
+    _object(config, "config", _CONFIG_KEYS)
     _require(
         config.get("schema") == SCHEMA,
         f"config: schema must be {SCHEMA!r}, got {config.get('schema')!r}",
@@ -500,12 +508,6 @@ def _config_digest(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-# the top-level keys of a config; any other is refused
-_CONFIG_KEYS = frozenset(
-    {"schema", "name", "grid", "sigma", "state", "truncation", "seed", "generators", "vectors", "checks"}
-)
-
-
 def run_config(
     config: dict,
     seed: int | None = None,
@@ -515,7 +517,7 @@ def run_config(
     """Run one scenario and return its serialized record."""
     if tolerance is not None:
         tolerance = _real(tolerance, "tolerance", positive=True)
-    _object(config, "config", _CONFIG_KEYS)
+    _require(isinstance(config, dict), "config: expected a JSON object")
     run_name = config.get("name", "scenario")
     _require(isinstance(run_name, str), f"name: expected a string, got {run_name!r}")
     config = dict(config)

@@ -13,13 +13,13 @@ W(n) . (e_b A) = (u(n) e_b) . (W(n) A), no operator rotates a wedge:
 
 * the left action by W(n) moves (m, o) to (n + m, o), times the phase;
 * a*(f_n W(n)) inserts u(-(n + m + o)) f_n into x, to (n + m, o);
-* a(f_n W(n)) contracts x with u(-(m + o)) f_n, to (m - n, o);
-* the right action by W(k) moves (m, o) to (m + k, o - k).
+* a(f_n W(n)) contracts x with u(-(m + o)) f_n, to (m - n, o).
 
-``ModuleVector.pulled`` caches the rotated vectors per frame.  The
-constructor puts e_t . W(m) in the frame -m, so a probe (label 0) is in
-frame 0.  No operator changes a frame, so the images of two words that
-cancel on an input cancel entry by entry.
+``ModuleVector.pulled`` caches the rotated vectors per frame.  A
+bucket's frame is set where its element is built, and no operation
+changes it afterwards: the constructor puts e_t . W(m) in the frame -m,
+and ``wedge`` puts e_t . W(0), a probe, in the frame 0.  So the images
+of two words that cancel on an input cancel entry by entry.
 
 u(n) is read in one place, the GNS pairing of two buckets whose frames
 m + o differ by k: ``Twist.pair``, a sum of the minors det u(k)[s, t]
@@ -51,7 +51,6 @@ __all__ = [
     "create",
     "annihilate",
     "fock_left_action",
-    "fock_right_mul",
     "fock_inner",
     "gns_inner",
     "gns_norm",
@@ -81,11 +80,12 @@ class FockElement:
 
     ``parts[level][(m, o)][t]`` is the scalar x_t of the bucket at label
     m in the frame o (see the module docstring); level 0 uses the single
-    tuple ().  {l: {t: A}} is A . e_t, of the norm of A.  Entries at or
-    below PRUNE_TOL, then empty buckets and empty levels, are dropped
-    when an element is built.  The constructor
-    takes {level: {tuple: WeylElement}} and ``scalar`` returns a
-    WeylElement; no dict inside an element changes after it is built.
+    tuple ().  {l: {t: A}} is e_t . A, the unit wedge with A on its
+    right, of the norm of A: {1: {(b,): A}} is a*(e_b . A) Omega.  Entries
+    at or below PRUNE_TOL, then empty buckets and empty levels, are
+    dropped when an element is built.  The constructor takes
+    {level: {tuple: WeylElement}} and ``scalar`` returns a WeylElement;
+    no dict inside an element changes after it is built.
     The constructor raises ValueError for a tuple that is not canonical:
     not strictly increasing, not of its level's length, or holding an
     index outside [0, dim).
@@ -305,24 +305,6 @@ def fock_left_action(a: WeylElement, v: FockElement) -> FockElement:
                 for t, b in terms.items():
                     target[t] = target.get(t, 0.0) + b * w
     return FockElement._of(space, out)
-
-
-def fock_right_mul(v: FockElement, a: WeylElement) -> FockElement:
-    """Right module action, bucketwise on every level: W(k) moves the
-    label by k and the frame by -k."""
-    gens = v.space.gens
-    if a.gens is not gens:
-        raise ValueError("operator over wrong generator set")
-    out: dict[int, dict] = {}
-    for l, buckets in v.parts.items():
-        level = out[l] = {}
-        for (n, o), terms in buckets.items():
-            for m, b in a.terms.items():
-                key, phase = gens.product(n, m)
-                target = level.setdefault((key, tuple(map(operator.sub, o, m))), {})
-                for t, c in terms.items():
-                    target[t] = target.get(t, 0.0) + c * b * phase
-    return FockElement._of(v.space, out)
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,6 @@ def conventions(grid: GridSpec) -> dict:
 class ModelContext:
     """Everything a check needs: the bimodule plus scenario metadata."""
 
-    kind: str
     gens: GeneratorSet
     module: FreeBimodule
     state: State
@@ -264,7 +263,6 @@ def build_context(
     phis = tuple(sigma_convolve(kind, grid, pair.s0, radius) for pair in gens.pairs)
     module = FreeBimodule(basis, gens, _phase_twist(basis, gens, phis))
     return ModelContext(
-        kind=kind,
         gens=gens,
         module=module,
         state=State(state_kind),
@@ -278,7 +276,6 @@ def plus_vector(
     profile,
     component: int = 0,
     sector: int = SECTOR_PLUS,
-    coeff: WeylElement | None = None,
 ) -> ModuleVector:
     """Module vector with the given spatial profile in one sector."""
     basis = module.basis
@@ -289,7 +286,7 @@ def plus_vector(
         basis,
         {basis.index(p, component, sector): profile[p] for p in np.flatnonzero(profile).tolist()},
     )
-    return module.embed(vec, coeff)
+    return module.embed(vec)
 
 
 # ---------------------------------------------------------------------------

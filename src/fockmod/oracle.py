@@ -18,7 +18,6 @@ __all__ = [
     "DenseTensor",
     "oracle_antisymmetrize",
     "oracle_left_mult",
-    "oracle_right_mul",
     "oracle_nested_inner",
     "oracle_create",
     "oracle_annihilate",
@@ -157,13 +156,6 @@ def oracle_left_mult(a: WeylElement, t: DenseTensor, u_of) -> DenseTensor:
             shifted = mono * coeff
             for full, w in _rotations(mat, idx, t.dim):
                 out.add_into(full, w * shifted)
-    return out
-
-
-def oracle_right_mul(t: DenseTensor, a: WeylElement) -> DenseTensor:
-    out = t.copy_like()
-    for idx, coeff in t.nonzero():
-        out.add_into(idx, coeff * a)
     return out
 
 

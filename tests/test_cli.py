@@ -108,7 +108,9 @@ def test_build_scenario_vectors():
     assert set(ctx.vectors) == {"wA", "wB", "wC"}
     assert set(ctx.vectors["wA"].entries) == {2}
     assert ctx.truncation == 3
-    assert ctx.kind == "delta"
+    assert ctx.state.kind == "tracial"
+    # the delta kernel gives each generator's s0 as its phase profile
+    assert [phi.tolist() for phi in ctx.phis] == [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
 
 
 def test_scenario_rejects_bad_schema():
@@ -140,6 +142,12 @@ def test_scenario_rejects_bad_generators():
         build_scenario(broken(generators=[]))
     with pytest.raises(ConfigError, match=r"generators\[0\]"):
         build_scenario(broken(generators=[{"s1": {"shape": "zero"}}]))
+
+
+def test_scenario_rejects_an_unknown_top_level_key():
+    # a library caller gets the key rule of run_config
+    with pytest.raises(ConfigError, match="config: unknown key 'stat'"):
+        build_scenario(load_config("delta_locality") | {"stat": "quasifree"})
 
 
 def test_scenario_rejects_bad_vectors():
@@ -851,6 +859,24 @@ def test_main_unknown_nested_key_exits_2(tmp_path, capsys, patch, message):
     patch(cfg)
     assert _main_exit(tmp_path, cfg) == 2
     assert f"fockmod: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "grid",
+    (
+        # 2^63 points: numpy cannot index the array
+        {"dimension": 3, "points": 2**21},
+        # 2^62 points: the byte count overflows
+        {"dimension": 2, "points": 2**31},
+        {"dimension": 100000, "points": 2},
+    ),
+    ids=("index", "bytes", "dimension"),
+)
+def test_main_grid_too_large_exits_2(tmp_path, capsys, grid):
+    # sizes numpy refuses before it allocates anything
+    cfg = load_config("delta_locality") | {"grid": grid}
+    assert _main_exit(tmp_path, cfg) == 2
+    assert "fockmod: grid: " in capsys.readouterr().err
 
 
 def test_main_reports_state_and_truncation_as_read(tmp_path):

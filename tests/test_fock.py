@@ -39,7 +39,6 @@ from fockmod.fock import (
     dirac,
     fock_inner,
     fock_left_action,
-    fock_right_mul,
     gns_inner,
     gns_norm,
     vacuum,
@@ -195,6 +194,19 @@ def test_create_carries_group_coefficient():
     phase = module.twist.matrix(n)[1, 1]
     expect = (phase / SQ2) * WeylElement.monomial(gens, n)
     assert maps_close(weyl_at(out2, 2, key).terms, expect.terms, 1e-14)
+
+
+def test_constructor_puts_the_coefficient_right_of_the_wedge():
+    # {1: {(b,): A}} is e_b . A = a*(e_b . A) Omega on every slot b
+    module = tiny_module("mixed")
+    a = WeylElement.monomial(module.gens, (1, 0))
+    for b in range(module.basis.dim):
+        built = FockElement(module, {1: {(b,): a}})
+        assert fock_close(built, create(module.basis_element(b, a), vacuum(module)), 1e-12)
+    # not A . e_b: u(1, 0) mixes slot 1, so W(1, 0) . e_1 spreads over slots 0, 1, 2
+    left = fock_left_action(a, wedge(module, (1,)))
+    assert level_tuples(left, 1) == {(0,), (1,), (2,)}
+    assert not fock_close(left, FockElement(module, {1: {(1,): a}}), 1e-3)
 
 
 def test_annihilate_inverts_on_wedge():
@@ -465,7 +477,7 @@ def test_operators_read_no_exterior_power(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# left/right actions on Fock elements
+# the left action on Fock elements
 
 
 def test_fock_left_action_morphism():
@@ -486,19 +498,6 @@ def test_left_action_level_zero_is_product():
     c = rand_weyl(random.Random(4), module.gens)
     out = fock_left_action(a, vacuum(module, c))
     assert out.scalar.close_to(a * c, 1e-13)
-
-
-def test_actions_commute():
-    # left and right multiplications act on opposite sides
-    module = tiny_module("delta")
-    rng = random.Random(71)
-    for _ in range(10):
-        a = rand_weyl(rng, module.gens)
-        b = rand_weyl(rng, module.gens)
-        v = rand_wedge(rng, module, 2)
-        lhs = fock_right_mul(fock_left_action(a, v), b)
-        rhs = fock_left_action(a, fock_right_mul(v, b))
-        assert fock_close(lhs, rhs, 1e-12)
 
 
 def test_creation_intertwines_with_left_action():

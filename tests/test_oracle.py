@@ -20,7 +20,6 @@ from fockmod.oracle import (
     oracle_fermi_create,
     oracle_left_mult,
     oracle_nested_inner,
-    oracle_right_mul,
 )
 
 from _support import rand_weyl, raw_u_of, tiny_gens, tiny_module
@@ -156,15 +155,6 @@ def test_left_mult_is_morphism():
         lhs = oracle_left_mult(a, oracle_left_mult(b, t, u_of), u_of)
         rhs = oracle_left_mult(a * b, t, u_of)
         assert lhs.max_deviation(rhs) <= 1e-12
-
-
-def test_right_mul_is_coefficientwise():
-    rng = random.Random(19)
-    a = rand_weyl(rng, GENS)
-    t = dense(2, {(0, 1): unit(), (3, 4): 2.0 * unit()})
-    out = oracle_right_mul(t, a).to_terms()
-    assert out[(0, 1)].close_to(a)
-    assert out[(3, 4)].close_to(2.0 * a)
 
 
 def test_nested_inner_plain_slots_collapse():
