@@ -12,12 +12,12 @@
 # verify-car` (the only run of the built-in
 # CAR batteries at their default seed 7) and `fockmod model --config NAME`
 # for each bundled scenario, all with `--format json`.  No bundled config
-# uses the quasifree state, the only one under which a sweep takes the
-# whole basis, so each tree also runs a copy of each of its bundled
-# configs with `"state": "quasifree"`, written under the script's
-# temporary directory.  The script prints
-# one line per report, followed by the first 40 lines of `diff -u` for a
-# report that differs byte for byte.  No CLI run reaches a twist that is
+# uses the quasifree state, the only one under which a vanishing sweep
+# claim reads the spectator bound (`fock.spectator_bound`), so each tree
+# also runs a copy of each of its bundled configs with
+# `"state": "quasifree"`, written under the script's temporary directory.
+# The script prints one line per report, followed by the first 40 lines
+# of `diff -u` for a report that differs byte for byte.  No CLI run reaches a twist that is
 # not diagonal, a grid beyond 1D or a second spinor component, so both
 # trees also run two of the benchmark's workloads: `dense_twist` (a
 # rotated, non-diagonal twist) for seeds 1 to 5 and `grid_scale` (2D x

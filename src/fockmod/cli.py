@@ -246,7 +246,7 @@ def build_scenario(config: dict):
         ctx = build_context(kind, grid, gen_pairs, state, truncation, radius)
     except ValueError as e:
         raise ConfigError(f"model construction failed: {e}") from e
-    specs = config.get("vectors") or {}
+    specs = config.get("vectors", {})
     _require(isinstance(specs, dict), "vectors: expected an object")
     vectors: dict[str, ModuleVector] = {}
     for name, vs in specs.items():

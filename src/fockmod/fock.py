@@ -42,7 +42,7 @@ from .bimodule import (
     conjugate_vector,
     wedge_insert,
 )
-from .weyl import PRUNE_TOL, State, WeylElement
+from .weyl import PRUNE_TOL, State, WeylElement, gram_matrix
 
 __all__ = [
     "FockElement",
@@ -54,6 +54,7 @@ __all__ = [
     "fock_inner",
     "gns_inner",
     "gns_norm",
+    "spectator_bound",
     "FieldOperator",
     "CreateOp",
     "AnnihilateOp",
@@ -384,6 +385,18 @@ def gns_inner(v: FockElement, w: FockElement, state: State) -> complex:
 def gns_norm(v: FockElement, state: State) -> float:
     val = gns_inner(v, v, state)
     return math.sqrt(max(val.real, 0.0))
+
+
+def spectator_bound(v: FockElement, state: State) -> float:
+    """K with ||Op(e_s ^ e_B)|| <= K ||v|| for v = Op(e_s) and every B
+    outside Op's touched set: 1 under the tracial state, else sqrt(n / mu),
+    mu the least eigenvalue of the Gram matrix of the n right labels W(L)
+    of v, or inf when it is not positive definite (README, Conventions)."""
+    if state.kind == "tracial":
+        return 1.0
+    labels = dict.fromkeys(m for buckets in v.parts.values() for m, _ in buckets)
+    mu = np.linalg.eigvalsh(gram_matrix(state, (WeylElement.monomial(v.space.gens, m) for m in labels)))[0]
+    return math.sqrt(len(labels) / mu) if mu > 0 else math.inf
 
 
 # ---------------------------------------------------------------------------

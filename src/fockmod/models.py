@@ -70,6 +70,7 @@ from .fock import (
     dirac,
     gns_inner,
     gns_norm,
+    spectator_bound,
     vacuum,
     wedge,
     weyl_mult,
@@ -453,35 +454,34 @@ class Claim:
     at: tuple[int, ...] | None = None
 
 
-def _swept(ctx: ModelContext, cases, exact: bool = False) -> list[Claim]:
+def _swept(ctx: ModelContext, cases) -> list[Claim]:
     """Measure one check's cases, each a (Claim, ops) pair: the claim's
     residual becomes the largest GNS norm any (operator, top) of ops leaves
     on its probes, unit wedges of norm 1, and ``at`` the slot tuple of the
     first probe that reached it.
 
     The probes of an operator are the vacuum and the wedges of level <= top
-    over its touched set T (``_touched``), in ``level_basis`` order; the
-    truncation never enters a sweep.  Under the tracial state this is exact
-    on any twist.  A probe stays in frame 0, since no operator changes a
-    frame, and T is closed under the coupling blocks, so the pulled vectors
-    u(-k) f_n an operator inserts and contracts never reach a slot b outside
-    T: Op(e_s ^ e_b) = +-Op(e_s) ^ e_b, bucket by bucket.  Buckets of one
-    label pair by a plain tuple dot product, which never reads u, so the
-    norm on e_s ^ e_b is the norm on e_s up to the order of summation (an
-    ulp).  The quasifree state pairs buckets of different labels through
-    minors of u (``Twist.pair``), which do see b, so with ``exact`` it sweeps
-    the whole basis instead; without, the sweep over T only bounds the
-    whole one from below there.  Each probe set is built once per check,
-    when it is first swept: per (T, top), or per top for the whole basis,
-    as (slots, unit wedge) pairs.
+    over its touched set T (``_touched``), in ``level_basis`` order, under
+    either state; the truncation never enters a sweep.  A probe stays in
+    frame 0, since no operator changes a frame, and T is closed under the
+    coupling blocks, so the pulled vectors u(-k) f_n an operator inserts
+    and contracts never reach a slot b outside T: Op(e_s ^ e_B) =
+    +-Op(e_s) ^ e_B, bucket by bucket.  Under the tracial state buckets of
+    different labels never pair, so the norm on e_s ^ e_B is the norm on
+    e_s up to an ulp.  The quasifree state pairs them through minors of u,
+    which do see B, and the norm on e_s ^ e_B is at most K times the norm
+    on e_s, K = ``spectator_bound`` of the image (README, Conventions).  So
+    a vanishing claim takes K times each probe's nonzero norm, a bound on
+    the whole basis, and an acting claim the norm itself, a lower bound.
+    Each probe set is built once per check, when it is first swept, per
+    (T, top), as (slots, unit wedge) pairs.
     """
     module = ctx.module
-    whole = exact and ctx.state.kind != "tracial"
     memo: dict[tuple, list[tuple]] = {}
 
     def probes(op, top):
         # a sorted tuple, so the probe order does not follow the hash seed
-        key = (None if whole else tuple(sorted(_touched(op))), top)
+        key = (tuple(sorted(_touched(op))), top)
         if key not in memo:
             memo[key] = [(t, wedge(module, t)) for t in level_basis(module, top, key[0])]
         return memo[key]
@@ -491,7 +491,10 @@ def _swept(ctx: ModelContext, cases, exact: bool = False) -> list[Claim]:
         worst, at = 0.0, None
         for op, top in ops:
             for slots, v in probes(op, top):
-                r = gns_norm(op.apply(v), ctx.state)
+                image = op.apply(v)
+                r = gns_norm(image, ctx.state)
+                if r and claim.vanish:
+                    r *= spectator_bound(image, ctx.state)
                 if at is None or r > worst:
                     worst, at = r, slots
         if at is not None:
@@ -622,8 +625,7 @@ def check_car(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
     decisions must match expectations.
 
     Each relation is swept on the vacuum and the wedges of level up to 2,
-    and up to 1 for {a*(f), a*(g)}, over its touched set under the tracial
-    state and over the whole basis under the quasifree one (``_swept``).
+    and up to 1 for {a*(f), a*(g)}, over its touched set (``_swept``).
     {a(f), a(g)} touches the slots of {a(f), a*(g)} - <f, g>, so the two
     share their probes.
     """
@@ -643,7 +645,7 @@ def check_car(ctx: ModelContext, pairs, tol: float = 1e-10) -> CheckResult:
             ]
         label = "free_residual" if expect_free else "nonfree_too_small"
         cases.append((Claim({"pair": idx, "problem": label}, vanish=expect_free, fault=fault), ops))
-    claims = _swept(ctx, cases, exact=True)
+    claims = _swept(ctx, cases)
     return _evaluate("car", claims, tol, ("free_max", "nonfree_min"), {"pairs": len(pairs)})
 
 

@@ -531,6 +531,8 @@ G1_VALUES = ("generators", 1, "s1", "values")
         ([tiny_config()], "config: expected a JSON object"),
         ("tiny", "config: expected a JSON object"),
         (_set(("vectors",), [1]), "vectors: expected an object"),
+        # a falsy value that is not an object is no empty object either
+        *((_set(("vectors",), v), "vectors: expected an object") for v in ([], False, 0, None)),
         (_set(("vectors", "wA", "sector"), ["+"]), "vectors.wA.sector: use '+' or '-'"),
         # profile fields obey the integer and number rules of the other fields
         (_set(WA_CENTER, 2.7), "vectors.wA.profile.center: expected an integer"),
@@ -556,6 +558,10 @@ G1_VALUES = ("generators", 1, "s1", "values")
         "list_config",
         "string_config",
         "vectors_list",
+        "vectors_empty_list",
+        "vectors_false",
+        "vectors_zero",
+        "vectors_null",
         "sector_list",
         "fractional_center",
         "string_center",

@@ -14,7 +14,15 @@ import numpy as np
 import pytest
 
 from fockmod.weyl import GeneratorSet, GridSpec, State, TestFunctionPair, WeylElement
-from fockmod.bimodule import SECTOR_MINUS, SECTOR_PLUS, FreeBimodule, ModuleVector, OneParticleBasis, Twist
+from fockmod.bimodule import (
+    SECTOR_MINUS,
+    SECTOR_PLUS,
+    FreeBimodule,
+    ModuleVector,
+    OneParticleBasis,
+    Twist,
+    module_inner,
+)
 from fockmod.cli import _car_pairs, build_scenario, builtin_car_config
 from fockmod.fock import (
     AnnihilateOp,
@@ -24,8 +32,11 @@ from fockmod.fock import (
     anticommutator,
     creation,
     dirac,
+    fock_left_action,
     gns_norm,
+    spectator_bound,
     wedge,
+    weyl_mult,
 )
 from fockmod import fock, models
 from fockmod.models import (
@@ -451,8 +462,7 @@ def _within_ulps(a, b, ulps=4):
 
 def _recorded_level_bases(monkeypatch) -> list[tuple]:
     """(top, indices, tuples) of every ``level_basis`` that models builds
-    from now on; indices is a sweep's sorted touched set, None for the
-    whole basis."""
+    from now on; indices is a sweep's sorted touched set."""
     build = models.level_basis
     built = []
 
@@ -464,7 +474,18 @@ def _recorded_level_bases(monkeypatch) -> list[tuple]:
     return built
 
 
-# the quasifree copies pin the one sweep that takes the whole basis
+def _car_ops(ctx, f, g, free):
+    """The (operator, top) pairs ``check_car`` sweeps for one pair."""
+    module = ctx.module
+    ops = [(anticommutator(annihilation(f), creation(g)) - weyl_mult(module, module_inner(f, g)), 2)]
+    if free:
+        ops += [(anticommutator(annihilation(f), annihilation(g)), 2)]
+        ops += [(anticommutator(creation(f), creation(g)), 1)]
+    return ops
+
+
+# the quasifree copies compare the sweep over the touched set, with its
+# spectator bound, against the whole basis
 _QUASIFREE_CAR_CASES = ("designed", "one_point", "both_sectors", "mixed_designed", "mixed_rotated")
 
 
@@ -494,11 +515,14 @@ def test_check_car_matches_full_sweep(case, state_kind, monkeypatch):
     got = check_car(ctx, pairs)
     assert built
     # no witness repeats a slot, and no two witnesses of a sweep coincide;
-    # only the quasifree state sweeps the whole basis
+    # under both states each sweep is over an operator's touched set
+    touched = {
+        tuple(sorted(models._touched(op))) for f, g, free in pairs for op, _ in _car_ops(ctx, f, g, free)
+    }
     for _, indices, slots in built:
         assert all(a < b for t in slots for a, b in zip(t, t[1:]))
         assert len(set(slots)) == len(slots)
-        assert (indices is None) == (state_kind == "quasifree")
+        assert indices in touched
     want = ref_car_sweep(ctx, pairs)
     assert got.status == want["status"]
     assert (got.witness or {}).get("problem") == want["problem"]
@@ -512,11 +536,7 @@ def test_check_car_matches_full_sweep(case, state_kind, monkeypatch):
         # what the touched-set sweep rests on: under the tracial state an
         # operator leaves one norm on every wedge t and on its part inside T
         for f, g, free in pairs:
-            ops = [(anticommutator(annihilation(f), creation(g)), 2)]
-            if free:
-                ops += [(anticommutator(annihilation(f), annihilation(g)), 2)]
-                ops += [(anticommutator(creation(f), creation(g)), 1)]
-            for op, top in ops:
+            for op, top in _car_ops(ctx, f, g, free):
                 touched = models._touched(op)
                 for t in level_basis(ctx.module, top):
                     s = tuple(b for b in t if b in touched)
@@ -529,32 +549,25 @@ def _recorded_sweep(ctx, op, top, monkeypatch):
     """(indices, probes) of the one probe set ``_swept`` builds for op."""
     with monkeypatch.context() as patch:
         built = _recorded_level_bases(patch)
-        models._swept(ctx, [(models.Claim({}), [(op, top)])], exact=True)
+        models._swept(ctx, [(models.Claim({}), [(op, top)])])
     ((_, indices, got),) = built
     return indices, got
 
 
-def test_quasifree_witnesses_fall_back_to_the_whole_basis(monkeypatch):
-    # only the quasifree state sweeps the whole basis
-    quasifree = delta_ctx(state_kind="quasifree")
-    a, b = _designed_pair(quasifree)
-    for top in (0, 1, 2):
-        op = anticommutator(annihilation(a), creation(b))
-        touched, got = _recorded_sweep(quasifree, op, top, monkeypatch)
-        assert touched is None
-        assert got == level_basis(quasifree.module, top)
-    # diagonal and tracial: every subset of the touched slots {0, 1}; the
-    # partners 3 and 4 are untouched
-    diagonal = delta_ctx()
+@pytest.mark.parametrize("state_kind", State.KINDS)
+def test_swept_builds_one_probe_set_per_touched_set(state_kind, monkeypatch):
+    # under either state, every subset of the touched slots {0, 1} on the
+    # diagonal twist; the partners 3 and 4 are untouched
+    diagonal = delta_ctx(state_kind=state_kind)
     f, g = _designed_pair(diagonal)
     op = anticommutator(annihilation(f), creation(g))
     level_1 = [(), (0,), (1,)]
-    for top, slots in ((1, level_1), (2, level_1 + [(0, 1)])):
+    for top, slots in ((0, [()]), (1, level_1), (2, level_1 + [(0, 1)])):
         touched, got = _recorded_sweep(diagonal, op, top, monkeypatch)
         assert touched == (0, 1)
         assert got == slots
-    # the mixed twist under the tracial state: T is the + block {0, 1, 2},
-    # the coupling block of the touched slots 0 and 1
+    # the mixed twist: T is the + block {0, 1, 2}, the coupling block of
+    # the touched slots 0 and 1
     mixed = dataclasses.replace(diagonal, module=tiny_module("mixed"))
     f, g = _designed_pair(mixed)
     op = anticommutator(annihilation(f), creation(g))
@@ -563,6 +576,10 @@ def test_quasifree_witnesses_fall_back_to_the_whole_basis(monkeypatch):
         touched, got = _recorded_sweep(mixed, op, top, monkeypatch)
         assert touched == (0, 1, 2)
         assert got == slots
+    # three non-free pairs sweep top 2 alone, and share one probe set
+    built = _recorded_level_bases(monkeypatch)
+    check_car(mixed, [(f, g, False)] * 3)
+    assert [(top, indices) for top, indices, _ in built] == [(2, (0, 1, 2))]
 
 
 def test_merged_coupling_blocks_sweep_the_whole_basis(monkeypatch):
@@ -612,13 +629,72 @@ def test_mixed_twist_norm_depends_on_spectators_by_size(seed):
             assert _within_ulps(min(norms), max(norms)), (key, norms)
 
 
-def test_check_car_builds_the_full_sweep_once(monkeypatch):
-    ctx = dataclasses.replace(delta_ctx(state_kind="quasifree"), module=tiny_module("mixed"))
-    built = _recorded_level_bases(monkeypatch)
-    f, g = _designed_pair(ctx)
-    check_car(ctx, [(f, g, False)] * 3)
-    # non-free pairs sweep top 2 alone; that basis is built on first use
-    assert [(top, indices) for top, indices, _ in built] == [(2, None)]
+@pytest.mark.parametrize("family", ("mixed", "uneven", "delta", "poisson"))
+def test_spectator_bound_holds_on_every_spectator(family):
+    # under the quasifree state an operator's norm on e_s ^ e_B, s inside
+    # T and B outside it, is at most K times its norm on e_s, and
+    # somewhere above that norm: spectators raise what a sweep over T reads
+    ctx = dataclasses.replace(delta_ctx(state_kind="quasifree"), module=tiny_module(family))
+    module, state = ctx.module, ctx.state
+    gens, dim = module.gens, module.basis.dim
+    largest = 0.0
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+
+        def vector():
+            slots = rng.sample(range(3), rng.randint(1, 2))
+            return ModuleVector(module, {b: models._random_weyl(rng, gens) for b in slots})
+
+        f, g = vector(), vector()
+        ops = [
+            anticommutator(annihilation(f), creation(g)),
+            creation(f),
+            annihilation(g) @ creation(f) @ annihilation(f),
+        ]
+        for op in ops:
+            touched = models._touched(op)
+            spectators = level_basis(module, 2, set(range(dim)) - touched)
+            bounds = [0.0]
+            for s in level_basis(module, 2, touched):
+                image = op.apply(wedge(module, s))
+                on_s = gns_norm(image, state)
+                if not on_s:
+                    continue
+                bounds.append(spectator_bound(image, state) * on_s)
+                for b in spectators[1:]:
+                    on_sb = gns_norm(op.apply(wedge(module, tuple(sorted(s + b)))), state)
+                    assert on_sb <= bounds[-1] * (1 + 1e-12), (s, b, on_sb, bounds[-1])
+                    largest = max(largest, on_sb / on_s)
+            # a vanishing claim reads the largest bound, which certifies
+            # the maximum over the whole basis
+            claim = models.Claim({})
+            models._swept(ctx, [(claim, [(op, 2)])])
+            assert claim.residual == max(bounds)
+            whole = max(gns_norm(op.apply(wedge(module, t)), state) for t in level_basis(module, 2))
+            assert whole <= claim.residual * (1 + 1e-12)
+    assert largest > 1.0
+
+
+class _OnesState(State):
+    """A functional with every value 1: its label Gram matrix is all ones,
+    singular for two labels."""
+
+    def value(self, gens, n):
+        return 1.0 + 0.0j
+
+
+def test_spectator_bound_is_infinite_without_a_positive_gram():
+    ctx = dataclasses.replace(delta_ctx(), state=_OnesState("quasifree"))
+    module, gens = ctx.module, ctx.gens
+    two = WeylElement(gens, {(0, 0): 1.0, (1, 0): 1.0})
+    assert spectator_bound(fock_left_action(two, wedge(module, (0,))), ctx.state) == math.inf
+    assert spectator_bound(wedge(module, (0,)), ctx.state) == 1.0
+    # a vanishing claim fails at that probe, without a traceback
+    claim = models.Claim({"case": 0})
+    models._swept(ctx, [(claim, [(weyl_mult(module, two), 0)])])
+    assert claim.residual == math.inf and claim.at == ()
+    res = models._evaluate("stub", [claim], 1e-10)
+    assert not res.passed and res.witness["case"] == 0
 
 
 def test_check_car_builds_a_pair_witness_set_once(monkeypatch):
@@ -656,6 +732,9 @@ def test_check_car_scales_to_2d_two_components(monkeypatch):
         touched = tuple(sorted(models._touched(op)))
         count = sum(math.comb(len(touched), j) for j in range(3))
         assert len(swept[touched, 2]) == count
+    # the quasifree state reads the same residuals
+    quasifree = check_car(dataclasses.replace(ctx, state=State("quasifree")), pairs)
+    assert quasifree.passed and quasifree.residuals == res.residuals
 
 
 def test_check_adjointness_and_covariance():
