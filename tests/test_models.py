@@ -576,26 +576,47 @@ def test_swept_builds_one_probe_set_per_touched_set(state_kind, monkeypatch):
         touched, got = _recorded_sweep(mixed, op, top, monkeypatch)
         assert touched == (0, 1, 2)
         assert got == slots
-    # three non-free pairs sweep top 2 alone, and share one probe set
-    built = _recorded_level_bases(monkeypatch)
-    check_car(mixed, [(f, g, False)] * 3)
-    assert [(top, indices) for top, indices, _ in built] == [(2, (0, 1, 2))]
+
+
+def _merged_mixed_module():
+    """The mixed twist with one exact entry between slot 0 and its partner
+    3, which joins its two sectors into one coupling block."""
+    module = tiny_module("mixed")
+    mats = [u.copy() for u in module.twist.unitaries]
+    mats[0][0, 3] = mats[0][3, 0] = 1e-13
+    return FreeBimodule(module.basis, module.gens, Twist(module.basis, module.gens, mats))
 
 
 def test_merged_coupling_blocks_sweep_the_whole_basis(monkeypatch):
     # one exact entry between slot 0 and its partner 3 joins the two
     # sectors of the mixed twist into one block: T is every slot, and the
     # tracial sweep is the whole basis
-    module = tiny_module("mixed")
-    mats = [u.copy() for u in module.twist.unitaries]
-    mats[0][0, 3] = mats[0][3, 0] = 1e-13
-    twist = Twist(module.basis, module.gens, mats)
-    ctx = dataclasses.replace(delta_ctx(), module=FreeBimodule(module.basis, module.gens, twist))
+    ctx = dataclasses.replace(delta_ctx(), module=_merged_mixed_module())
     f, g = _designed_pair(ctx)
     op = anticommutator(annihilation(f), creation(g))
     touched, got = _recorded_sweep(ctx, op, 2, monkeypatch)
     assert touched == tuple(range(6))
     assert got == level_basis(ctx.module, 2)
+
+
+def test_quasifree_witnesses_fall_back_to_the_whole_basis(monkeypatch):
+    # under the quasifree state too, merged coupling blocks make T every
+    # slot: the probes are the whole basis at every top, and the witness of
+    # a vanishing claim is a wedge of it whose bounded norm covers the
+    # maximum over the whole basis
+    ctx = dataclasses.replace(delta_ctx(state_kind="quasifree"), module=_merged_mixed_module())
+    module, state = ctx.module, ctx.state
+    f, g = _designed_pair(ctx)
+    op = anticommutator(annihilation(f), creation(g))
+    for top in (0, 1, 2):
+        touched, got = _recorded_sweep(ctx, op, top, monkeypatch)
+        assert touched == tuple(range(module.basis.dim))
+        assert got == level_basis(module, top)
+    claim = models.Claim({})
+    models._swept(ctx, [(claim, [(op, 2)])])
+    whole = level_basis(module, 2)
+    assert claim.at in whole
+    assert max(gns_norm(op.apply(wedge(module, t)), state) for t in whole) <= claim.residual * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("seed", (1, 2, 3))
@@ -695,6 +716,19 @@ def test_spectator_bound_is_infinite_without_a_positive_gram():
     assert claim.residual == math.inf and claim.at == ()
     res = models._evaluate("stub", [claim], 1e-10)
     assert not res.passed and res.witness["case"] == 0
+
+
+def test_check_car_builds_the_full_sweep_once(monkeypatch):
+    # under either state, non-free pairs sweep top 2 alone, over the +
+    # block T = {0, 1, 2}; the three pairs share one probe set, built on
+    # first use
+    for state_kind in State.KINDS:
+        ctx = dataclasses.replace(delta_ctx(state_kind=state_kind), module=tiny_module("mixed"))
+        f, g = _designed_pair(ctx)
+        with monkeypatch.context() as patch:
+            built = _recorded_level_bases(patch)
+            check_car(ctx, [(f, g, False)] * 3)
+        assert [(top, indices) for top, indices, _ in built] == [(2, (0, 1, 2))], state_kind
 
 
 def test_check_car_builds_a_pair_witness_set_once(monkeypatch):
